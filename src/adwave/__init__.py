@@ -14,6 +14,7 @@ from .spectral import (
     NEUMANN_1D,
     PERIODIC,
     Domain,
+    DomainError,
     EmbeddingReport,
     GridMismatchError,
     SpectralOperator,

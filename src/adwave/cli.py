@@ -227,6 +227,11 @@ def _convert(section: str, key: str, raw: str, line: int):
     raise ConfigError(f"unhandled schema entry for {key!r}", line)
 
 
+def _per_axis(values: list):
+    """One value stands for every axis, as in :class:`~adwave.spectral.Domain`."""
+    return values[0] if len(values) == 1 else tuple(values)
+
+
 @dataclass
 class RunSpec:
     """Validated configuration: sections of typed key-value pairs."""
@@ -251,18 +256,22 @@ class RunSpec:
         sec = self.sections.get("domain")
         if not sec or "d" not in sec or "s" not in sec:
             raise ConfigError("[domain] section with keys d and s is required")
+        n = sec.get("n", [64.0])
+        if not all(v.is_integer() for v in n):
+            raise ConfigError(f"invalid [domain]: grid sizes must be integers, got "
+                              f"{', '.join(fmt(v) for v in n)}", self.line_of("domain", "n"))
         try:
-            n = sec.get("n", [64.0])
-            extent = sec.get("omega_extent", [1.0])
             return sp.Domain(
                 d=int(sec["d"]), s=float(sec["s"]),
-                omega_extent=tuple(float(v) for v in extent),
-                n=tuple(int(v) for v in n),
+                omega_extent=_per_axis(sec.get("omega_extent", [1.0])),
+                n=_per_axis([int(v) for v in n]),
                 pad_factor=float(sec.get("pad_factor", 2.0)),
                 boundary_mode=sec.get("boundary", sp.EXTERIOR_DIRICHLET))
-        except ValueError as exc:
-            raise ConfigError(f"invalid [domain]: {exc}",
-                              self.line_of("domain", "s")) from None
+        except sp.DomainError as exc:
+            key = "boundary" if exc.field == "boundary_mode" else exc.field
+            # a defaulted pad_factor only fails against the chosen boundary
+            line = self.line_of("domain", key) or self.line_of("domain", "boundary")
+            raise ConfigError(f"invalid [domain]: {exc}", line) from None
 
     def build_potential(self) -> pot.Potential:
         desc = self.get("potential", "kind")

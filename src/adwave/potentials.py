@@ -264,16 +264,32 @@ def _kernel_d1(t: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(-1.0 / arg) * (-2.0 * t) / (arg * arg), 0.0)
 
 
+_MAX_LATTICE = 60000
+
+
+def _cubic_pieces(y: np.ndarray, d: np.ndarray, step: float) -> tuple:
+    """Per-cell coefficients (c3, c2, c1, c0) of the cubic Hermite pieces
+    through the lattice values ``y`` and slopes ``d``, in the local
+    coordinate t = (x - x_i) / step of cell i."""
+    m0, m1 = step * d[:-1], step * d[1:]
+    dy = y[1:] - y[:-1]
+    return m0 + m1 - 2.0 * dy, 3.0 * dy - 2.0 * m0 - m1, m0, y[:-1]
+
+
 class MollifiedProfile:
     """Profile convolved with a compact bump of the given radius.
 
     The smoothed profile and its first two derivatives are evaluated on a
     lattice with quadrature segments split at every kink crossing (so each
     segment integrates a smooth function), then interpolated with cubic
-    Hermite pieces fed by the exact lattice derivatives. Where the source
-    window sees a single polynomial piece the construction is exact: in
-    particular the smoothed gradient equals the original one on the deep
-    interior of the quadratic region.
+    Hermite pieces fed by the exact lattice derivatives. Each piece is kept
+    as its four per-cell coefficients and evaluated with Horner's rule.
+    Where the source window sees a single polynomial piece the construction
+    is exact: in particular the smoothed gradient equals the original one
+    on the deep interior of the quadratic region.
+
+    The lattice holds at most 60000 points; a radius too small to get
+    ``points_per_radius`` points under that cap raises ``ValueError``.
     """
 
     def __init__(self, profile: Profile, radius: float, points_per_radius: int = 32):
@@ -285,17 +301,20 @@ class MollifiedProfile:
         lo = knots[0] - 2.0 * self.radius - 2.0 * step
         hi = knots[-1] + 2.0 * self.radius + 2.0 * step
         count = int(math.ceil((hi - lo) / step)) + 1
-        if count > 60000:
-            count = 60000
-            step = (hi - lo) / (count - 1)
-        self.lo = lo
-        self.step = step
-        self.grid = lo + step * np.arange(count)
-        self._val, self._grd, self._grd2 = self._build(profile)
-        self.grad_lipschitz = float(np.max(np.abs(self._grd2)))
+        if count > _MAX_LATTICE:
+            capped = self.radius * (_MAX_LATTICE - 1) / (hi - lo)
+            raise ValueError(
+                f"mollification radius {self.radius:g} needs {count} lattice points "
+                f"at {points_per_radius} points per radius; the {_MAX_LATTICE}-point "
+                f"lattice cap would give only {capped:.1f} points per radius")
+        grid = lo + step * np.arange(count)
+        self.lo, self.hi, self.step = lo, float(grid[-1]), step
+        val, grd, grd2 = self._build(profile, grid)
+        self.grad_lipschitz = float(np.max(np.abs(grd2)))
+        self._value_pieces = _cubic_pieces(val, grd, step)
+        self._grad_pieces = _cubic_pieces(grd, grd2, step)
 
-    def _build(self, profile: Profile):
-        u = self.grid
+    def _build(self, profile: Profile, u: np.ndarray):
         r = self.radius
         knots = np.asarray(profile.knots, dtype=float)
         # Group lattice points by which kinks fall inside their source window;
@@ -338,23 +357,34 @@ class MollifiedProfile:
             grd2[sel] = acc[2] / (r * acc[4])
         return val, grd, grd2
 
-    def _hermite(self, x, y, d):
-        x = np.clip(np.asarray(x, dtype=float), self.grid[0], self.grid[-1])
-        i = np.clip(((x - self.lo) / self.step).astype(int), 0, self.grid.size - 2)
-        t = (x - self.grid[i]) / self.step
-        t2, t3 = t * t, t * t * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        return (h00 * y[i] + h10 * self.step * d[i]
-                + h01 * y[i + 1] + h11 * self.step * d[i + 1])
+    def _horner(self, x, pieces):
+        # cell index and local coordinate once, then Horner's rule
+        # (np.clip costs several microseconds more per call on small grids)
+        x = np.asarray(x, dtype=float)
+        t = np.maximum(x, self.lo, out=np.empty_like(x))
+        np.minimum(t, self.hi, out=t)
+        t -= self.lo
+        t /= self.step
+        i = t.astype(np.intp)
+        # the lower bound only acts on NaN input, which then stays NaN
+        np.maximum(i, 0, out=i)
+        np.minimum(i, pieces[0].size - 1, out=i)
+        t -= i
+        c3, c2, c1, c0 = pieces
+        out = c3[i]
+        out *= t
+        out += c2[i]
+        out *= t
+        out += c1[i]
+        out *= t
+        out += c0[i]
+        return out[()]
 
     def value(self, x):
-        return self._hermite(x, self._val, self._grd)
+        return self._horner(x, self._value_pieces)
 
     def grad(self, x):
-        return self._hermite(x, self._grd, self._grd2)
+        return self._horner(x, self._grad_pieces)
 
 
 def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> RegularizedFamily:

@@ -18,12 +18,21 @@ are supported:
 Grid layout contract: arrays are row-major with spatial axes ordered
 (x1, ..., xd). Vector-valued fields carry their m components on one trailing
 axis; scalar fields have no trailing axis.
+
+Spectral layout: fields are real, so the periodic modes use real-to-complex
+transforms (``rfftn``/``irfftn`` over the spatial axes). Their spectra keep
+only the non-negative half of the last spatial axis, ``n/2 + 1`` columns;
+``n`` is even, so the Nyquist column is always present. A
+:class:`SpectralOperator` carries the full symbol plus read-only half-spectrum
+copies for the multiplier and for Parseval sums, and :func:`build_operator`
+is memoised on the (frozen, hashable) :class:`Domain`, so every caller that
+asks for the operator of one domain shares one instance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as _fft
@@ -40,12 +49,20 @@ class GridMismatchError(ValueError):
     """A field's shape does not match the grid it is used with."""
 
 
-def _as_tuple(value, d: int, kind: type) -> tuple:
+class DomainError(ValueError):
+    """An invalid :class:`Domain` parameter; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _as_tuple(value, d: int, kind: type, field: str) -> tuple:
     if np.isscalar(value):
         return (kind(value),) * d
     out = tuple(kind(v) for v in value)
     if len(out) != d:
-        raise ValueError(f"expected {d} per-axis values, got {len(out)}")
+        raise DomainError(field, f"{field}: expected {d} per-axis values, got {len(out)}")
     return out
 
 
@@ -68,6 +85,8 @@ class Domain:
         mode so a nonempty exterior collar exists, and exactly 1 otherwise.
     boundary_mode:
         One of ``exterior-dirichlet``, ``periodic``, ``neumann-1d``.
+
+    An invalid parameter raises :class:`DomainError` naming the field.
     """
 
     d: int
@@ -79,29 +98,31 @@ class Domain:
 
     def __post_init__(self):
         if not 1 <= self.d <= 3:
-            raise ValueError(f"spatial dimension must be 1..3, got {self.d}")
+            raise DomainError("d", f"spatial dimension must be 1..3, got {self.d}")
         if not self.s > 0:
-            raise ValueError(f"fractional order s must be positive, got {self.s}")
-        object.__setattr__(self, "omega_extent", _as_tuple(self.omega_extent, self.d, float))
-        object.__setattr__(self, "n", _as_tuple(self.n, self.d, int))
+            raise DomainError("s", f"fractional order s must be positive, got {self.s}")
+        object.__setattr__(self, "omega_extent",
+                           _as_tuple(self.omega_extent, self.d, float, "omega_extent"))
+        object.__setattr__(self, "n", _as_tuple(self.n, self.d, int, "n"))
         if any(e <= 0 for e in self.omega_extent):
-            raise ValueError("omega_extent must be positive on every axis")
+            raise DomainError("omega_extent", "omega_extent must be positive on every axis")
         if any(m <= 0 or m % 2 for m in self.n):
-            raise ValueError("grid sizes must be positive even integers")
+            raise DomainError("n", "grid sizes must be positive even integers")
         if self.boundary_mode not in _MODES:
-            raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
+            raise DomainError("boundary_mode", f"unknown boundary mode {self.boundary_mode!r}")
         if self.boundary_mode == EXTERIOR_DIRICHLET:
             if not self.pad_factor > 1:
-                raise ValueError("exterior-dirichlet mode needs pad_factor > 1 "
-                                 "(nonempty exterior collar)")
+                raise DomainError("pad_factor", "exterior-dirichlet mode needs pad_factor > 1 "
+                                  "(nonempty exterior collar)")
         else:
             if self.pad_factor != 1:
-                raise ValueError(f"{self.boundary_mode} mode requires pad_factor = 1")
+                raise DomainError("pad_factor",
+                                  f"{self.boundary_mode} mode requires pad_factor = 1")
         if self.boundary_mode == NEUMANN_1D:
             if self.d != 1:
-                raise ValueError("neumann-1d mode requires d = 1")
+                raise DomainError("d", "neumann-1d mode requires d = 1")
             if abs(self.s - 1.0) > 1e-12:
-                raise ValueError("neumann-1d mode requires s = 1")
+                raise DomainError("s", "neumann-1d mode requires s = 1")
 
     @property
     def box_extent(self) -> tuple:
@@ -165,7 +186,15 @@ class Domain:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """(-Delta)^s as a multiplier grid over the domain's frequency lattice."""
+    """(-Delta)^s as a multiplier grid over the domain's frequency lattice.
+
+    ``symbol`` covers the full lattice. For the periodic lattice the
+    operator also carries read-only half-spectrum copies, computed on first
+    use: ``half_symbol`` is the symbol on the columns a real-to-complex
+    transform keeps (last spatial axis cut to n/2 + 1), and
+    ``parseval_symbol`` weights those columns by how often they stand for
+    a full-spectrum column: once for columns 0 and n/2, twice otherwise.
+    """
 
     domain: Domain
     symbol: np.ndarray
@@ -174,12 +203,29 @@ class SpectralOperator:
         if self.symbol.shape != self.domain.n:
             raise GridMismatchError("symbol grid does not match domain grid")
 
+    @cached_property
+    def half_symbol(self) -> np.ndarray:
+        half = self.symbol[..., : self.domain.n[-1] // 2 + 1].copy()
+        half.flags.writeable = False
+        return half
 
+    @cached_property
+    def parseval_symbol(self) -> np.ndarray:
+        weighted = 2.0 * self.half_symbol
+        weighted[..., 0] = self.half_symbol[..., 0]
+        weighted[..., -1] = self.half_symbol[..., -1]
+        weighted.flags.writeable = False
+        return weighted
+
+
+@lru_cache(maxsize=8)
 def build_operator(domain: Domain) -> SpectralOperator:
     """Build the multiplier |xi|^(2s) on the box's standard frequency lattice.
 
     Angular frequencies are xi_k = 2*pi*k / L_box with k in {-n/2, ..., n/2-1}
     per axis; in neumann-1d mode the cosine eigenvalues (pi*k/L)^2 are used.
+    The result is memoised per domain: equal domains share one read-only
+    operator.
     """
     if not domain.s > 0:
         raise ValueError("fractional order s must be positive")
@@ -199,24 +245,42 @@ def build_operator(domain: Domain) -> SpectralOperator:
     return SpectralOperator(domain, symbol)
 
 
-def _symbol_for(op: SpectralOperator, f: np.ndarray) -> np.ndarray:
+def _fitted(op: SpectralOperator, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """``symbol`` shaped to broadcast against ``f`` or its spectrum."""
     op.domain.field_components(f)
     if f.ndim == op.domain.d + 1:
-        return op.symbol[..., None]
-    return op.symbol
+        return symbol[..., None]
+    return symbol
+
+
+def _rfft(dom: Domain, f: np.ndarray) -> np.ndarray:
+    """Half-spectrum transform over the spatial axes. The 1-D call carries
+    less fixed cost than ``rfftn``, which shows on small grids."""
+    if dom.d == 1:
+        return _fft.rfft(f, axis=0)
+    return _fft.rfftn(f, axes=tuple(range(dom.d)))
+
+
+def _irfft(dom: Domain, fhat: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_rfft`, consuming ``fhat``. ``n`` is even, so the
+    default output length 2 * (n/2 + 1 - 1) is ``n``."""
+    if dom.d == 1:
+        return _fft.irfft(fhat, axis=0, overwrite_x=True)
+    return _fft.irfftn(fhat, axes=tuple(range(dom.d)), overwrite_x=True)
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray) -> np.ndarray:
     """Apply (-Delta)^s to a field: inverse transform of symbol * transform."""
     f = np.asarray(f, dtype=float)
-    sym = _symbol_for(op, f)
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
+        sym = _fitted(op, f, op.symbol)
         coeff = _fft.dct(f, type=2, axis=0, norm="ortho")
         return _fft.idct(sym * coeff, type=2, axis=0, norm="ortho")
-    axes = tuple(range(dom.d))
-    fhat = _fft.fftn(f, axes=axes)
-    return _fft.ifftn(sym * fhat, axes=axes).real
+    sym = _fitted(op, f, op.half_symbol)
+    fhat = _rfft(dom, f)
+    fhat *= sym
+    return _irfft(dom, fhat)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
@@ -238,17 +302,16 @@ def l2_inner(domain: Domain, f: np.ndarray, g: np.ndarray) -> float:
 def seminorm_s(op: SpectralOperator, f: np.ndarray) -> float:
     """Order-s seminorm: L2 norm of (-Delta)^(s/2) f via Parseval."""
     f = np.asarray(f, dtype=float)
-    sym = _symbol_for(op, f)
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
+        sym = _fitted(op, f, op.symbol)
         coeff = _fft.dct(f, type=2, axis=0, norm="ortho")
         val = float(np.sum(sym * coeff * coeff)) * dom.cell_volume
     else:
-        axes = tuple(range(dom.d))
-        fhat = _fft.fftn(f, axes=axes)
-        npoints = math.prod(dom.n)
+        sym = _fitted(op, f, op.parseval_symbol)
+        fhat = _rfft(dom, f)
         val = float(np.sum(sym * (fhat.real ** 2 + fhat.imag ** 2)))
-        val *= dom.cell_volume / npoints
+        val *= dom.cell_volume / math.prod(dom.n)
     return math.sqrt(max(val, 0.0))
 
 

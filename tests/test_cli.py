@@ -89,6 +89,40 @@ class TestParse:
         assert spec.get("domain", "d") == 1
 
 
+class TestDomainSection:
+    TWO_D = MINIMAL.replace("d = 1", "d = 2")   # omega_extent is line 4, n line 5
+
+    def test_single_values_broadcast_to_every_axis(self):
+        dom = parse_config(self.TWO_D.replace("n = 64", "n = 16")).build_domain()
+        assert dom.omega_extent == (6.283185307179586,) * 2
+        assert dom.n == (16, 16)
+        dom = parse_config(self.TWO_D.replace("n = 64", "n = 16, 8")).build_domain()
+        assert dom.n == (16, 8)
+
+    def test_two_d_scalar_config_simulates(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.TWO_D.replace("n = 64", "n = 8").replace("T = 0.5", "T = 0.1"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert rows[0] == "t,idx0,idx1,comp,value"
+
+    @pytest.mark.parametrize("old, new, line, what", [
+        ("omega_extent = 6.283185307179586", "omega_extent = 1, 2, 3", 4,
+         "omega_extent: expected 2 per-axis values, got 3"),
+        ("omega_extent = 6.283185307179586", "omega_extent = -1", 4, "positive"),
+        ("n = 64", "n = 8, 8, 8", 5, "n: expected 2 per-axis values, got 3"),
+        ("n = 64", "n = 63", 5, "even"),
+        ("n = 64", "n = 64.5", 5, "integers, got 64.5"),
+        ("d = 2", "d = 4", 2, "dimension"),
+        ("n = 64", "n = 64\npad_factor = 1.0", 6, "pad_factor > 1"),
+        ("n = 64", "n = 64\nboundary = periodic", 6, "requires pad_factor = 1"),
+        ("n = 64", "n = 64\nboundary = sideways", 6, "unknown boundary"),
+    ])
+    def test_errors_anchor_at_the_offending_key(self, old, new, line, what):
+        with pytest.raises(ConfigError, match=f"^line {line}: .*{what}"):
+            parse_config(self.TWO_D.replace(old, new)).build_domain()
+
+
 class TestDescriptors:
     def test_nested_descriptor(self):
         d = parse_descriptor("mollified(base=clipped_quadratic(u_star=1.0), "

@@ -256,6 +256,81 @@ class TestMollifiedFamily:
             mollified_family(clipped_quadratic(1.0), kernel_width_ratio=-1.0)
 
 
+def lattice(prof: MollifiedProfile) -> np.ndarray:
+    return prof.lo + prof.step * np.arange(round((prof.hi - prof.lo) / prof.step) + 1)
+
+
+def hermite_reference(prof: MollifiedProfile, profile, x, which: str):
+    """The cubic Hermite formula over the lattice node arrays, evaluated
+    with the standard basis functions (the construction before the
+    per-cell Horner coefficients)."""
+    grid = lattice(prof)
+    val, grd, grd2 = prof._build(profile, grid)
+    y, d = (val, grd) if which == "value" else (grd, grd2)
+    x = np.clip(np.asarray(x, dtype=float), grid[0], grid[-1])
+    i = np.clip(((x - prof.lo) / prof.step).astype(int), 0, grid.size - 2)
+    t = (x - grid[i]) / prof.step
+    t2, t3 = t * t, t * t * t
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y[i] + (t3 - 2.0 * t2 + t) * prof.step * d[i]
+            + (-2.0 * t3 + 3.0 * t2) * y[i + 1] + (t3 - t2) * prof.step * d[i + 1])
+
+
+class TestHornerEvaluation:
+    @pytest.mark.parametrize("profile, radius", [
+        (clipped_quadratic(1.0).profile, 0.1),
+        (clipped_quadratic(0.7).profile, 0.05),
+        (linear_taper_family().make(0.8).profile, 0.2),
+    ])
+    def test_matches_cubic_hermite_formula(self, profile, radius):
+        prof = MollifiedProfile(profile, radius)
+        grid = lattice(prof)
+        rng = np.random.default_rng(31)
+        x = np.concatenate([
+            rng.uniform(prof.lo - 1.0, prof.hi + 1.0, 20000),   # includes both clipped ends
+            grid,                                               # exactly on lattice nodes
+            profile.knots,                                      # on the profile's kinks
+            [prof.lo, prof.hi, prof.lo - 10.0, prof.hi + 10.0, -np.inf, np.inf]])
+        for which in ("value", "grad"):
+            ours = getattr(prof, which)(x)
+            ref = hermite_reference(prof, profile, x, which)
+            assert ours.shape == x.shape
+            assert np.max(np.abs(ours - ref)) <= 1e-13, which
+
+    def test_ends_clip_to_the_end_values(self):
+        prof = MollifiedProfile(clipped_quadratic(1.0).profile, 0.1)
+        assert prof.value(prof.lo - 3.0) == prof.value(prof.lo)
+        assert prof.grad(prof.hi + 3.0) == prof.grad(prof.hi)
+        assert prof.grad(prof.hi + 3.0) == pytest.approx(0.0, abs=1e-13)
+
+    def test_scalar_in_scalar_out(self):
+        prof = MollifiedProfile(clipped_quadratic(1.0).profile, 0.1)
+        out = prof.grad(0.3)
+        assert np.ndim(out) == 0
+        assert out == pytest.approx(0.6, abs=1e-13)
+        assert prof.grad(np.full((3, 2), 0.3)).shape == (3, 2)
+
+
+    def test_nan_propagates(self):
+        prof = MollifiedProfile(clipped_quadratic(1.0).profile, 0.1)
+        for fn in (prof.value, prof.grad):
+            with np.errstate(invalid="ignore"):
+                out = fn(np.array([np.nan, 0.3]))
+            assert np.isnan(out[0]) and np.isfinite(out[1])
+
+
+class TestLatticeResolution:
+    def test_too_small_radius_is_rejected_not_coarsened(self):
+        profile = clipped_quadratic(1.0).profile
+        with pytest.raises(ValueError, match=r"radius 0\.0005 .*15\.0 points per radius"):
+            MollifiedProfile(profile, 5e-4)
+        with pytest.raises(ValueError, match="points per radius"):
+            mollified_family(clipped_quadratic(1.0)).make(5e-4)
+
+    def test_radius_above_the_cap_keeps_full_resolution(self):
+        prof = MollifiedProfile(clipped_quadratic(1.0).profile, 1.1e-3)
+        assert prof.step == pytest.approx(1.1e-3 / 32, rel=1e-15)
+
+
 class TestCertification:
     def test_taper_gradient_gap_is_exactly_eps(self):
         cert = certify_family(linear_taper_family(), [0.4, 0.2, 0.1], seed=0)

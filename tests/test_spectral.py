@@ -306,3 +306,85 @@ class TestMask:
         out = mask_exterior(dom, f)
         assert np.all(out[~dom.interior_mask] == 0.0)
         assert np.all(out[dom.interior_mask] == 1.0)
+
+
+class TestRealTransforms:
+    """The half-spectrum (rfftn) paths against dense DFT matrices and, in
+    3-D, against a full complex transform computed here."""
+
+    @staticmethod
+    def dense_seminorm_sq(dom, dense, f):
+        comps = f.reshape(math.prod(dom.n), -1)
+        return sum(float(c @ dense @ c) for c in comps.T) * dom.cell_volume
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("mode", [PERIODIC, EXTERIOR_DIRICHLET])
+    def test_1d_against_dense_matrix(self, m, mode):
+        rng = np.random.default_rng(21)
+        dom = Domain(d=1, s=0.7, omega_extent=2.0, n=16, boundary_mode=mode,
+                     pad_factor=1.0 if mode == PERIODIC else 2.0)
+        op = build_operator(dom)
+        dense = dense_operator_1d(16, op.symbol)
+        f = rng.standard_normal((16, m) if m > 1 else 16)
+        out = apply_fractional_laplacian(op, f)
+        ref = dense @ f
+        assert out.shape == f.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert seminorm_s(op, f) ** 2 == pytest.approx(
+            self.dense_seminorm_sq(dom, dense, f), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_2d_against_dense_matrix(self, m):
+        rng = np.random.default_rng(22)
+        dom = Domain(d=2, s=0.75, omega_extent=(1.0, 2.0), n=(8, 12), pad_factor=2.0)
+        op = build_operator(dom)
+        dense = dense_operator_2d((8, 12), op.symbol)
+        f = rng.standard_normal((8, 12, m) if m > 1 else (8, 12))
+        out = apply_fractional_laplacian(op, f)
+        ref = (dense @ f.reshape(96, -1)).reshape(f.shape)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert seminorm_s(op, f) ** 2 == pytest.approx(
+            self.dense_seminorm_sq(dom, dense, f), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_3d_against_full_complex_transform(self, m):
+        rng = np.random.default_rng(23)
+        dom = Domain(d=3, s=1.3, omega_extent=3.0, n=(8, 6, 10), pad_factor=2.0)
+        op = build_operator(dom)
+        f = rng.standard_normal(dom.n + ((m,) if m > 1 else ()))
+        sym = op.symbol[..., None] if m > 1 else op.symbol
+        fhat = np.fft.fftn(f, axes=(0, 1, 2))
+        ref = np.fft.ifftn(sym * fhat, axes=(0, 1, 2)).real
+        out = apply_fractional_laplacian(op, f)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        full = float(np.sum(sym * np.abs(fhat) ** 2)) * dom.cell_volume / math.prod(dom.n)
+        assert seminorm_s(op, f) ** 2 == pytest.approx(full, rel=1e-13)
+
+    def test_half_spectrum_layout(self):
+        op = build_operator(Domain(d=2, s=0.5, omega_extent=1.0, n=(8, 12), pad_factor=2.0))
+        assert op.half_symbol.shape == (8, 7)
+        assert np.array_equal(op.half_symbol, op.symbol[:, :7])
+        weights = np.r_[1.0, np.full(5, 2.0), 1.0]
+        assert np.array_equal(op.parseval_symbol, op.half_symbol * weights)
+
+
+class TestOperatorMemo:
+    def test_equal_domains_share_one_read_only_operator(self):
+        a = build_operator(Domain(d=2, s=0.75, omega_extent=3.0, n=16, pad_factor=2.0))
+        b = build_operator(Domain(d=2, s=0.75, omega_extent=(3.0, 3.0), n=(16, 16)))
+        assert a is b
+        for arr in (a.symbol, a.half_symbol, a.parseval_symbol):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_distinct_domains_get_distinct_operators(self):
+        base = dict(d=1, s=0.75, omega_extent=3.0, n=16, pad_factor=2.0)
+        ops = [build_operator(Domain(**base)),
+               build_operator(Domain(**{**base, "s": 0.8})),
+               build_operator(Domain(**{**base, "n": 32})),
+               build_operator(Domain(**{**base, "pad_factor": 3.0})),
+               build_operator(Domain(**{**base, "pad_factor": 1.0,
+                                        "boundary_mode": PERIODIC}))]
+        assert len({id(op) for op in ops}) == len(ops)
+        assert ops[1].domain.s == 0.8 and ops[2].symbol.shape == (32,)
