@@ -44,6 +44,7 @@ from .dynamics import (
     EnergyBreakdown,
     FieldState,
     SimConfig,
+    SimConfigError,
     Trajectory,
     apriori_l2_bound,
     bump_field,

@@ -308,6 +308,10 @@ class RunSpec:
                 record_every=self.get("simulation", "record_every", 10),
                 cfl_safety=cfl_safety,
                 enforce_cfl=self.get("simulation", "enforce_cfl", True))
+        except dyn.SimConfigError as exc:
+            section = "data" if exc.field in ("u0", "v0") else "simulation"
+            raise ConfigError(f"invalid [simulation]: {exc}",
+                              self.line_of(section, exc.field)) from None
         except ValueError as exc:
             raise ConfigError(f"invalid [simulation]: {exc}") from None
 
@@ -454,20 +458,30 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
+def _trajectory_blocks(traj: dyn.Trajectory):
+    """The rows of trajectory.csv as text blocks, one per grid line of a
+    snapshot: ``t,idx0,...,comp,value`` in ``np.ndindex`` order with the
+    component innermost, which is the C order of ``u.ravel()``. Each block
+    holds one line of the last axis, so a block stays small on any grid."""
     dom = traj.config.domain
     m = dom.field_components(traj.states[0].u)
+    leads = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*dom.n[:-1])]
+    cells = [f"{i},{comp}," for i in range(dom.n[-1]) for comp in range(m)]
+    for t, st in zip(traj.times, traj.states):
+        head = fmt(t) + ","
+        for lead, line in zip(leads, st.u.reshape(len(leads), -1)):
+            prefix = head + lead
+            # format(x, ".17g") is fmt(x) for every float, nan and -0 included
+            yield "".join(f"{prefix}{cell}{format(x, '.17g')}\n"
+                          for cell, x in zip(cells, line.tolist()))
 
-    def rows():
-        for t, st in zip(traj.times, traj.states):
-            u = st.u if m > 1 else st.u[..., None]
-            for idx in np.ndindex(*dom.n):
-                for comp in range(m):
-                    yield (t, *idx, comp, float(u[idx + (comp,)]))
+
+def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
+    dom = traj.config.domain
     idx_cols = [f"idx{i}" for i in range(dom.d)]
     paths = [
         write_csv(os.path.join(out_dir, "trajectory.csv"),
-                  ["t", *idx_cols, "comp", "value"], rows()),
+                  ["t", *idx_cols, "comp", "value"], _trajectory_blocks(traj)),
         write_csv(os.path.join(out_dir, "energy.csv"),
                   ["t", "kinetic", "elastic", "adhesive", "total"],
                   traj.energy_rows()),

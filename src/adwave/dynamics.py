@@ -30,6 +30,14 @@ from .spectral import (
 )
 
 
+class SimConfigError(ValueError):
+    """An invalid :class:`SimConfig` parameter; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class BlowUpError(RuntimeError):
     """Non-finite field values were produced (time step unstable)."""
 
@@ -74,7 +82,13 @@ def stability_limit(op: SpectralOperator, potential: Potential) -> float:
 
 @dataclass
 class SimConfig:
-    """Fully validated description of one simulation run."""
+    """Fully validated description of one simulation run.
+
+    ``dt`` must split ``T`` into a whole number of steps, to a relative
+    1e-9, so that the run ends at ``T``; :func:`~adwave.experiments.fitted_dt`
+    picks such a step below a bound. Invalid parameters raise
+    :class:`SimConfigError`.
+    """
 
     domain: Domain
     potential: Potential
@@ -92,32 +106,43 @@ class SimConfig:
         mu = self.domain.field_components(self.u0)
         mv = self.domain.field_components(self.v0)
         if self.u0.shape != self.v0.shape:
-            raise ValueError("u0 and v0 must have the same shape")
+            raise SimConfigError("v0", "u0 and v0 must have the same shape")
         if mu != self.potential.m or mv != self.potential.m:
-            raise ValueError(f"data has {mu} components but potential "
-                             f"{self.potential.name} expects {self.potential.m}")
-        if not self.T > 0:
-            raise ValueError("final time T must be positive")
-        if not self.dt > 0:
-            raise ValueError("time step dt must be positive")
+            raise SimConfigError("u0", f"data has {mu} components but potential "
+                                 f"{self.potential.name} expects {self.potential.m}")
+        if not 0 < self.T < math.inf:
+            raise SimConfigError("T", "final time T must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise SimConfigError("dt", "time step dt must be positive and finite")
+        steps = self.T / self.dt
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise SimConfigError(
+                "dt", f"dt = {self.dt!r} does not divide T = {self.T!r} into a whole "
+                f"number of steps (T / dt = {steps!r}); use dt = T / ceil(T / dt) "
+                f"= {self.T / math.ceil(steps)!r}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise SimConfigError("record_every", "record_every must be >= 1")
         if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
         if self.domain.boundary_mode == EXTERIOR_DIRICHLET:
             outside = ~self.domain.interior_mask
             for label, f in (("u0", self.u0), ("v0", self.v0)):
                 vals = f[outside] if f.ndim == self.domain.d else f[outside, :]
                 if vals.size and float(np.max(np.abs(vals))) != 0.0:
-                    raise ValueError(f"{label} must vanish outside Omega in "
-                                     "exterior-dirichlet mode")
+                    raise SimConfigError(label, f"{label} must vanish outside Omega in "
+                                         "exterior-dirichlet mode")
         if self.enforce_cfl:
             limit = self.cfl_safety * stability_limit(
                 build_operator(self.domain), self.potential)
             if self.dt > limit * (1 + 1e-12):
-                raise ValueError(
-                    f"dt = {self.dt:g} exceeds the stability bound "
+                raise SimConfigError(
+                    "dt", f"dt = {self.dt:g} exceeds the stability bound "
                     f"{limit:g} (cfl_safety = {self.cfl_safety:g})")
+
+    @property
+    def nsteps(self) -> int:
+        """Number of steps of size dt that reach T."""
+        return round(self.T / self.dt)
 
 
 @dataclass
@@ -181,7 +206,7 @@ def energy(op: SpectralOperator, potential: Potential,
 def simulate(config: SimConfig) -> Trajectory:
     """Integrate to T, recording a snapshot every ``record_every`` steps."""
     op = build_operator(config.domain)
-    nsteps = max(1, round(config.T / config.dt))
+    nsteps = config.nsteps
     state = FieldState(config.u0.copy(), config.v0.copy(), 0.0)
     times = [0.0]
     states = [state.copy()]
@@ -313,8 +338,9 @@ def constant_trajectory(domain: Domain, potential: Potential, value,
     op = build_operator(domain)
     states = [FieldState(u.copy(), v.copy(), float(t)) for t in times]
     energies = [energy(op, potential, st) for st in states]
+    # a nominal step that divides T: recorded times may end with a short gap
     config = SimConfig(domain=domain, potential=potential, T=float(times[-1]),
-                       dt=float(times[1] - times[0]) if len(times) > 1 else 1.0,
+                       dt=float(times[-1]) / max(len(times) - 1, 1),
                        u0=u, v0=v, record_every=1, enforce_cfl=False)
     return Trajectory(config, np.asarray(times, dtype=float), states, energies)
 

@@ -100,12 +100,19 @@ class ExperimentReport:
         return lines
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence | str]) -> str:
+    """Write ``header`` and then ``rows`` to ``path``; return ``path``.
+
+    A sequence item is one row, each cell formatted with :func:`fmt`. A
+    ``str`` item is text already formatted: one or more complete lines,
+    each ending in ``"\\n"``, written verbatim. Items are written as they
+    come, so a generator of blocks streams a large file.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+            fh.write(row if isinstance(row, str) else ",".join(fmt(x) for x in row) + "\n")
     return path
 
 

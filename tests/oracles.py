@@ -1,13 +1,16 @@
 """Independent oracles used by the test suite.
 
 Everything here is built from first principles (explicit DFT matrices,
-closed-form antiderivatives, generic quadrature) and never calls the
-package's FFT-based code paths, so agreement is a genuine cross-check.
+closed-form antiderivatives, generic quadrature, one CSV cell at a time)
+and never calls the package code they check, so agreement is a genuine
+cross-check.
 """
 import math
 
 import numpy as np
 from scipy import integrate
+
+from adwave.reporting import fmt
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -53,3 +56,19 @@ def central_difference_gradient(fn, y, h: float = 1e-5) -> np.ndarray:
         e[..., i] = h
         out[..., i] = (fn(y + e) - fn(y - e)) / (2.0 * h)
     return out
+
+
+def trajectory_csv_oracle(traj) -> str:
+    """Text of trajectory.csv built cell by cell: the header, then one
+    ``t,idx0,...,comp,value`` row per snapshot, grid point (``np.ndindex``
+    order) and component, every cell formatted with ``fmt``."""
+    dom = traj.config.domain
+    m = dom.field_components(traj.states[0].u)
+    lines = [",".join(["t", *(f"idx{i}" for i in range(dom.d)), "comp", "value"])]
+    for t, st in zip(traj.times, traj.states):
+        u = st.u if m > 1 else st.u[..., None]
+        for idx in np.ndindex(*dom.n):
+            for comp in range(m):
+                row = (t, *idx, comp, float(u[idx + (comp,)]))
+                lines.append(",".join(fmt(x) for x in row))
+    return "".join(line + "\n" for line in lines)

@@ -1,13 +1,18 @@
+import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adwave.cli import (
     ConfigError,
     Descriptor,
     EXPERIMENTS,
+    _write_trajectory,
     build_family,
     build_potential,
     format_runspec,
@@ -15,6 +20,10 @@ from adwave.cli import (
     parse_config,
     parse_descriptor,
 )
+from adwave.dynamics import EnergyBreakdown, FieldState, SimConfig, Trajectory
+from adwave.potentials import zero_potential
+from adwave.spectral import PERIODIC, Domain
+from oracles import trajectory_csv_oracle
 
 MINIMAL = """\
 [domain]
@@ -121,6 +130,75 @@ class TestDomainSection:
     def test_errors_anchor_at_the_offending_key(self, old, new, line, what):
         with pytest.raises(ConfigError, match=f"^line {line}: .*{what}"):
             parse_config(self.TWO_D.replace(old, new)).build_domain()
+
+
+class TestSimulationSection:
+    # [simulation] starts at line 14 of MINIMAL: T on line 15, the key after it on 16
+    @pytest.mark.parametrize("old, new, line, what", [
+        ("T = 0.5", "T = 1.0\ndt = 0.3", 16,
+         r"dt = 0\.3 does not divide T = 1\.0 .* = 0\.25$"),
+        ("T = 0.5", "T = 1.0\ndt = 0.5", 16, "exceeds the stability bound"),
+        ("T = 0.5", "T = 0.5\nrecord_every = 0", 16, "record_every must be >= 1"),
+        ("T = 0.5", "T = -1.0", 15, "T must be positive"),
+        ("u0 = zero()", "u0 = constant(value=1.0)", 11, "u0 must vanish outside"),
+    ])
+    def test_errors_anchor_at_the_offending_key(self, old, new, line, what):
+        with pytest.raises(ConfigError, match=f"^line {line}: invalid \\[simulation\\]: .*{what}"):
+            parse_config(MINIMAL.replace(old, new)).build_simconfig()
+
+    def test_dt_that_does_not_divide_T_exits_2_at_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL.replace("T = 0.5", "T = 1.0\ndt = 0.7\nenforce_cfl = false"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: line 16: invalid [simulation]: dt = 0.7 does not divide T = 1.0")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+# floats whose text is easy to get wrong: signed zero, subnormals, huge and
+# integral values, non-finite values, and fractions with no exact binary form
+_AWKWARD = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300, 2.0,
+            -17.0, 1e16, 0.1, 1.0 / 3.0, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def _trajectories(draw):
+    d = draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.sampled_from([2, 4, 6]), min_size=d, max_size=d)))
+    m = draw(st.integers(1, 2))
+    shape = n if m == 1 else n + (m,)
+    values = st.sampled_from(_AWKWARD) | st.floats(allow_nan=False, allow_infinity=False)
+    times = draw(st.lists(st.integers(0, 99).map(lambda k: k * 0.1)
+                          | st.floats(0.0, 1e6) | st.sampled_from([1.0 / 3.0, 0.7]),
+                          min_size=1, max_size=3))
+    domain = Domain(d=d, s=1.0, omega_extent=1.0, n=n, pad_factor=1.0,
+                    boundary_mode=PERIODIC)
+    config = SimConfig(domain=domain, potential=zero_potential(m), T=1.0, dt=0.5,
+                       u0=np.zeros(shape), v0=np.zeros(shape), enforce_cfl=False)
+    states = [FieldState(draw(arrays(np.float64, shape, elements=values)),
+                         np.zeros(shape), t) for t in times]
+    return Trajectory(config, np.array(times), states,
+                      [EnergyBreakdown.of(0.0, 0.0, 0.0)] * len(times))
+
+
+class TestTrajectoryCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(traj=_trajectories())
+    def test_bytes_match_the_cell_by_cell_oracle(self, traj):
+        with tempfile.TemporaryDirectory() as out:
+            _write_trajectory(traj, out)
+            with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
+                assert fh.read() == trajectory_csv_oracle(traj).encode()
+
+    def test_minimal_bump_run_has_a_fixed_hash(self, tmp_path):
+        """The file this config gave before trajectory.csv was written in
+        blocks; a formatting change that alters a single byte breaks it."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL.replace("u0 = zero()", "u0 = bump(amplitude=0.5)"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        data = (tmp_path / "out" / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "4ad0f56decf99ea2c281726ca29854862d8927cc65b940ed32e0d5cf16ce404b"
 
 
 class TestDescriptors:

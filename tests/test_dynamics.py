@@ -7,6 +7,7 @@ from adwave.dynamics import (
     BlowUpError,
     FieldState,
     SimConfig,
+    SimConfigError,
     TestField as WeakTestField,
     apriori_l2_bound,
     bump_field,
@@ -25,6 +26,7 @@ from adwave.dynamics import (
     window_sin_sq,
     zero_field,
 )
+from adwave.experiments import fitted_dt
 from adwave.potentials import (
     clipped_quadratic,
     linear_taper_family,
@@ -251,6 +253,25 @@ class TestSimConfig:
             SimConfig(domain=dom, potential=ball_potential(2), T=1.0, dt=0.001,
                       u0=zero_field(dom), v0=zero_field(dom))
 
+    @pytest.mark.parametrize("dt, fitted", [(0.3, 0.25), (0.7, 0.5)])
+    def test_dt_that_does_not_divide_T_is_rejected(self, dt, fitted):
+        dom = periodic_domain(n=8)
+        with pytest.raises(SimConfigError, match=rf"^dt = {dt} does not divide T = 1\.0 "
+                           rf".*use dt = T / ceil\(T / dt\) = {fitted}$") as info:
+            SimConfig(domain=dom, potential=zero_potential(), T=1.0, dt=dt,
+                      u0=zero_field(dom), v0=zero_field(dom), enforce_cfl=False)
+        assert info.value.field == "dt"
+
+    @pytest.mark.parametrize("T, dt, nsteps", [(1.0, 0.25, 4), (0.3, 0.1, 3),
+                                               (1.0, 1.0 / 3.0, 3)])
+    def test_run_ends_at_T(self, T, dt, nsteps):
+        dom = periodic_domain(n=8)
+        cfg = SimConfig(domain=dom, potential=zero_potential(), T=T, dt=dt,
+                        u0=sine_field(dom, 1), v0=zero_field(dom), record_every=2)
+        traj = simulate(cfg)
+        assert cfg.nsteps == nsteps
+        assert traj.times[-1] == pytest.approx(T, rel=1e-12)
+
     def test_trajectory_time_grid(self):
         dom = periodic_domain(n=32)
         cfg = SimConfig(domain=dom, potential=zero_potential(), T=1.0, dt=0.01,
@@ -267,7 +288,7 @@ class TestEnergyInequality:
         dom = dirichlet_domain(n=64)
         W = mollified_family(clipped_quadratic(1.0)).make(0.1)
         op = build_operator(dom)
-        base_dt = 0.9 * stability_limit(op, W)
+        base_dt = fitted_dt(5.0, 0.9 * stability_limit(op, W))
         drifts = []
         for dt in (base_dt, base_dt / 2):
             cfg = SimConfig(domain=dom, potential=W, T=5.0, dt=dt,
@@ -306,6 +327,14 @@ class TestWeakResidual:
         tf = WeakTestField(psi=np.ones(dom.n), window=window_one())
         res = weak_residual(traj, [tf], W)[0]
         assert res == pytest.approx(2.0 * 10.0 * 1.0, rel=1e-12)
+
+    def test_constant_trajectory_takes_recorded_times(self):
+        # the last gap is short when record_every does not divide the step count
+        dom = neumann_domain(n=64, L=1.0)
+        W = clipped_quadratic(1.0)
+        traj = constant_trajectory(dom, W, 1.0, np.array([0.0, 3.0, 6.0, 9.0, 10.0]))
+        tf = WeakTestField(psi=np.ones(dom.n), window=window_one())
+        assert weak_residual(traj, [tf], W)[0] == pytest.approx(20.0, rel=1e-12)
 
     def test_constant_limit_residual_windowed(self):
         # chi = sin^2(pi t / T): integral T/2, exact under the trapezoid
@@ -411,7 +440,7 @@ class TestHigherDimensions:
         dom = Domain(d=2, s=1.0, omega_extent=2.0, n=32, pad_factor=2.0)
         W = mollified_family(clipped_quadratic(1.0)).make(0.2)
         op = build_operator(dom)
-        dt = 0.9 * stability_limit(op, W)
+        dt = fitted_dt(1.0, 0.9 * stability_limit(op, W))
         cfg = SimConfig(domain=dom, potential=W, T=1.0, dt=dt,
                         u0=bump_field(dom, 0.5), v0=np.zeros(dom.n),
                         record_every=5)
@@ -438,7 +467,7 @@ class TestHigherDimensions:
         W = fam.make(0.1)
         op = build_operator(dom)
         u0 = np.stack([bump_field(dom, 0.4), bump_field(dom, 0.3)], axis=-1)
-        dt = 0.9 * stability_limit(op, W)
+        dt = fitted_dt(2.0, 0.9 * stability_limit(op, W))
         cfg = SimConfig(domain=dom, potential=W, T=2.0, dt=dt, u0=u0,
                         v0=np.zeros_like(u0), record_every=3)
         traj = simulate(cfg)

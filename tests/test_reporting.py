@@ -34,6 +34,21 @@ class TestCsv:
         assert lines[1] == "0.10000000000000001,1,a"
 
 
+    @pytest.mark.parametrize("rows, body", [
+        pytest.param(["0.5,0,1\n0.5,1,-0\n", "x,y,z\n"],
+                     "0.5,0,1\n0.5,1,-0\nx,y,z\n", id="str-items-verbatim"),
+        pytest.param([(0.1, 1, True), (-0.0, float("nan"), "b"), (1e300, False, 7)],
+                     "0.10000000000000001,1,true\n-0,nan,b\n1.0000000000000001e+300,false,7\n",
+                     id="tuple-rows"),
+        pytest.param([(0.1, 1, "a"), "0.2,2,b\n0.3,3,c\n", (0.4, 4, "d")],
+                     "0.10000000000000001,1,a\n0.2,2,b\n0.3,3,c\n0.40000000000000002,4,d\n",
+                     id="mixed"),
+    ])
+    def test_written_bytes(self, tmp_path, rows, body):
+        path = write_csv(str(tmp_path / "x.csv"), ["t", "i", "s"], iter(rows))
+        assert open(path, "rb").read() == ("t,i,s\n" + body).encode()
+
+
 class TestReport:
     def test_pass_fail_skip_logic(self):
         rep = ExperimentReport("demo")
