@@ -6,6 +6,11 @@ position update is followed by the exterior projection and the second kick
 uses the projected state, which makes the map identical to plain Verlet on
 the constrained subspace: it stays symplectic there, exactly
 time-reversible, and keeps every recorded snapshot supported in Omega.
+
+Exterior contract: u vanishes outside Omega and W models the adhesive layer
+on Omega, so grad W(u) and W(u) are evaluated on the interior block
+``u[domain.interior]`` only. Outside Omega the force holds the nonlocal term
+-(-Delta)^s u alone, which the step's projection then discards.
 """
 from __future__ import annotations
 
@@ -39,11 +44,23 @@ class SimConfigError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite field values were produced (time step unstable)."""
+    """Non-finite field values were produced (time step unstable).
 
-    def __init__(self, message: str, step: int | None = None):
+    :func:`simulate` fills in where it happened: the failing ``step`` and
+    its time ``t``, ``max_abs`` = max |u| of the last finite state, and
+    ``energy``, the latest finite total energy: that of the last finite
+    state, or, where that overflows (it is quadratic in u, so it does long
+    before u does), that of the latest recorded snapshot.
+    """
+
+    def __init__(self, message: str, step: int | None = None,
+                 t: float | None = None, energy: float | None = None,
+                 max_abs: float | None = None):
         super().__init__(message)
         self.step = step
+        self.t = t
+        self.energy = energy
+        self.max_abs = max_abs
 
 
 @dataclass
@@ -170,21 +187,39 @@ class Trajectory:
 
 
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray) -> np.ndarray:
-    return -apply_fractional_laplacian(op, u) - potential.grad(u)
+    """-(-Delta)^s u - grad W(u) on Omega; outside Omega only the nonlocal
+    term -(-Delta)^s u, since grad W is evaluated on ``u[interior]`` alone.
+    Returns a new array that the caller may overwrite."""
+    f = apply_fractional_laplacian(op, u)
+    np.negative(f, out=f)
+    inner = op.domain.interior
+    f[inner] -= potential.grad(u[inner])
+    return f
 
 
 def step(state: FieldState, op: SpectralOperator, potential: Potential,
          dt: float) -> FieldState:
-    """One kick-drift-kick step; projects onto the exterior constraint."""
+    """One kick-drift-kick step; projects onto the exterior constraint.
+
+    The updates run in place on the force arrays, so ``state`` is not
+    written to.
+    """
     dom = op.domain
-    vh = state.v + 0.5 * dt * force(op, potential, state.u)
-    u1 = state.u + dt * vh
+    mask = None
     if dom.boundary_mode == EXTERIOR_DIRICHLET:
-        mask = dom.interior_mask if u1.ndim == dom.d else dom.interior_mask[..., None]
-        u1 = u1 * mask
-        v1 = (vh + 0.5 * dt * force(op, potential, u1)) * mask
-    else:
-        v1 = vh + 0.5 * dt * force(op, potential, u1)
+        mask = dom.interior_mask if state.u.ndim == dom.d else dom.interior_mask[..., None]
+    vh = force(op, potential, state.u)
+    vh *= 0.5 * dt
+    vh += state.v
+    u1 = vh * dt
+    u1 += state.u
+    if mask is not None:
+        u1 *= mask
+    v1 = force(op, potential, u1)
+    v1 *= 0.5 * dt
+    v1 += vh
+    if mask is not None:
+        v1 *= mask
     if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
         raise BlowUpError("non-finite field values during time step")
     return FieldState(u1, v1, state.t + dt)
@@ -196,10 +231,7 @@ def energy(op: SpectralOperator, potential: Potential,
     dom = op.domain
     kin = 0.5 * l2_norm(dom, state.v) ** 2
     ela = 0.5 * seminorm_s(op, state.u) ** 2
-    w = potential.value(state.u)
-    if dom.boundary_mode == EXTERIOR_DIRICHLET:
-        w = w * dom.interior_mask
-    adh = float(np.sum(w)) * dom.cell_volume
+    adh = float(np.sum(potential.value(state.u[dom.interior]))) * dom.cell_volume
     return EnergyBreakdown.of(kin, ela, adh)
 
 
@@ -207,20 +239,29 @@ def simulate(config: SimConfig) -> Trajectory:
     """Integrate to T, recording a snapshot every ``record_every`` steps."""
     op = build_operator(config.domain)
     nsteps = config.nsteps
+    # step never writes into its input, so recorded states need no copies
     state = FieldState(config.u0.copy(), config.v0.copy(), 0.0)
     times = [0.0]
-    states = [state.copy()]
+    states = [state]
     energies = [energy(op, config.potential, state)]
     for i in range(1, nsteps + 1):
         try:
-            state = step(state, op, config.potential, config.dt)
+            nxt = step(state, op, config.potential, config.dt)
         except BlowUpError:
-            raise BlowUpError(f"blow-up at step {i} (t = {i * config.dt:g})",
-                              step=i) from None
+            t = i * config.dt
+            with np.errstate(all="ignore"):
+                last = energy(op, config.potential, state).total
+            if not math.isfinite(last):
+                last = next((e.total for e in reversed(energies)
+                             if math.isfinite(e.total)), last)
+            raise BlowUpError(f"blow-up at step {i} (t = {t:g})", step=i, t=t,
+                              energy=last,
+                              max_abs=float(np.max(np.abs(state.u)))) from None
+        state = nxt
         state.t = i * config.dt
         if i % config.record_every == 0 or i == nsteps:
             times.append(state.t)
-            states.append(state.copy())
+            states.append(state)
             energies.append(energy(op, config.potential, state))
     return Trajectory(config, np.array(times), states, energies)
 

@@ -17,7 +17,9 @@ are supported:
 
 Grid layout contract: arrays are row-major with spatial axes ordered
 (x1, ..., xd). Vector-valued fields carry their m components on one trailing
-axis; scalar fields have no trailing axis.
+axis; scalar fields have no trailing axis. The grid points inside Omega form
+one block, ``f[domain.interior]``: :attr:`Domain.interior` holds its per-axis
+slices and :attr:`Domain.interior_mask` is the same set as a boolean grid.
 
 Spectral layout: fields are real, so the periodic modes use real-to-complex
 transforms (``rfftn``/``irfftn`` over the spatial axes). Their spectra keep
@@ -160,16 +162,25 @@ class Domain:
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
 
     @cached_property
-    def interior_mask(self) -> np.ndarray:
-        """Boolean grid, True strictly inside Omega."""
+    def interior(self) -> tuple:
+        """Per-axis slices whose Cartesian product is the set of grid points
+        strictly inside Omega; they span the whole box unless the mode is
+        exterior-dirichlet. Never empty: the box's centre point, index n/2
+        on every axis, lies inside Omega."""
         if self.boundary_mode != EXTERIOR_DIRICHLET:
-            return np.ones(self.n, dtype=bool)
-        mask = np.ones(self.n, dtype=bool)
-        for ax, (x, (lo, hi)) in enumerate(zip(self.axes(), self.omega_bounds)):
-            inside = (x > lo) & (x < hi)
-            shape = [1] * self.d
-            shape[ax] = self.n[ax]
-            mask &= inside.reshape(shape)
+            return (slice(None),) * self.d
+        out = []
+        for x, (lo, hi) in zip(self.axes(), self.omega_bounds):
+            # x is increasing, so the points inside form one index range
+            out.append(slice(int(np.searchsorted(x, lo, side="right")),
+                             int(np.searchsorted(x, hi, side="left"))))
+        return tuple(out)
+
+    @cached_property
+    def interior_mask(self) -> np.ndarray:
+        """Boolean grid, True strictly inside Omega (on :attr:`interior`)."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.interior] = True
         return mask
 
     def field_components(self, f: np.ndarray) -> int:

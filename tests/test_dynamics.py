@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adwave.dynamics import (
     BlowUpError,
@@ -35,6 +37,7 @@ from adwave.potentials import (
     zero_potential,
 )
 from adwave.spectral import (
+    EXTERIOR_DIRICHLET,
     NEUMANN_1D,
     PERIODIC,
     Domain,
@@ -44,6 +47,7 @@ from adwave.spectral import (
     l2_norm,
 )
 
+from oracles import energy_oracle, step_oracle
 
 
 
@@ -221,7 +225,10 @@ class TestStep:
                         enforce_cfl=False)
         with pytest.raises(BlowUpError) as info:
             simulate(cfg)
-        assert info.value.step is not None and 0 < info.value.step < 300
+        err = info.value
+        assert err.step is not None and 0 < err.step < 300
+        assert err.t == err.step * cfg.dt
+        assert math.isfinite(err.energy) and math.isfinite(err.max_abs)
 
     def test_vector_valued_run(self):
         dom = dirichlet_domain(n=64)
@@ -232,6 +239,89 @@ class TestStep:
         traj = simulate(cfg)
         assert traj.states[-1].u.shape == (64, 2)
         assert np.all(np.isfinite(traj.states[-1].u))
+
+
+# potentials drawn by the step property test, per component count
+_KINDS = {1: ["clipped_quadratic", "ball", "linear_taper", "mollified", "zero"],
+          2: ["ball", "mollified", "zero"]}
+
+
+@functools.lru_cache(maxsize=None)
+def _potential(kind, m):
+    if kind == "clipped_quadratic":
+        return clipped_quadratic(0.8)
+    if kind == "ball":
+        return ball_potential(m)
+    if kind == "linear_taper":
+        return linear_taper_family().make(0.3)
+    if kind == "mollified":
+        return mollified_family(ball_potential(m)).make(0.1)
+    return zero_potential(m)
+
+
+def _band_limited_in_omega(dom, m, rng, band, amplitude):
+    """Sum of the lowest sine modes of Omega's index block, zero outside
+    it, scaled to the given maximum modulus."""
+    inner = dom.interior
+    sizes = [len(range(*sl.indices(k))) for sl, k in zip(inner, dom.n)]
+    block = rng.standard_normal(tuple(min(band, k) for k in sizes) + (m,))
+    for ax, k in enumerate(sizes):
+        modes = np.sin(np.pi * np.outer(np.arange(1, k + 1),
+                                        np.arange(1, block.shape[ax] + 1)) / (k + 1))
+        block = np.moveaxis(np.tensordot(modes, block, axes=([1], [ax])), 0, ax)
+    block *= amplitude / np.max(np.abs(block))
+    out = np.zeros(dom.n + (m,))
+    out[inner] = block
+    return out if m > 1 else out[..., 0]
+
+
+@st.composite
+def _step_cases(draw):
+    mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
+    d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
+    sizes = [2, 4, 6] if d == 3 else [2, 4, 6, 8, 10]
+    n = tuple(draw(st.lists(st.sampled_from(sizes), min_size=d, max_size=d)))
+    s = 1.0 if mode == NEUMANN_1D else draw(st.floats(0.5, 2.0))
+    pad = draw(st.floats(1.25, 3.0)) if mode == EXTERIOR_DIRICHLET else 1.0
+    dom = Domain(d=d, s=s, omega_extent=draw(st.floats(1.0, 8.0)), n=n,
+                 pad_factor=pad, boundary_mode=mode)
+    m = draw(st.integers(1, 2))
+    W = _potential(draw(st.sampled_from(_KINDS[m])), m)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    band = draw(st.integers(1, 3))
+    u0 = _band_limited_in_omega(dom, m, rng, band, draw(st.floats(0.05, 2.0)))
+    v_amp = draw(st.sampled_from([0.0]) | st.floats(0.05, 1.0))
+    v0 = _band_limited_in_omega(dom, m, rng, band, v_amp) if v_amp else np.zeros_like(u0)
+    op = build_operator(dom)
+    dt = draw(st.floats(0.1, 0.9)) * stability_limit(op, W)
+    return op, W, dt, FieldState(u0, v0)
+
+
+class TestStepAgainstFullBoxOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_step_cases())
+    def test_interior_block_step_matches_full_box_step(self, case):
+        """grad W and W on the interior block only, kicks in place: on
+        Omega the states equal the full-box step bit for bit, everywhere
+        they compare equal (an exterior zero may differ in sign), the
+        exterior stays zero, and the energy moves by rounding only."""
+        op, W, dt, state = case
+        dom = op.domain
+        inner, outside = dom.interior, ~dom.interior_mask
+        ou, ov = state.u, state.v
+        for _ in range(4):
+            prev, kept = state, (state.u.copy(), state.v.copy())
+            state = step(prev, op, W, dt)
+            # simulate records states without copies: step must not write its input
+            assert np.array_equal(prev.u, kept[0]) and np.array_equal(prev.v, kept[1])
+            ou, ov = step_oracle(ou, ov, op, W, dt)
+            for got, want in ((state.u, ou), (state.v, ov)):
+                assert np.array_equal(got[inner].view(np.int64), want[inner].view(np.int64))
+                assert np.array_equal(got, want)
+                assert np.all(got[outside] == 0.0)
+            e = energy(op, W, state)
+            kin, ela, adh, total = energy_oracle(op, W, ou, ov)
+            assert abs(e.total - total) <= 1e-13 * (abs(kin) + abs(ela) + abs(adh))
 
 
 class TestSimConfig:

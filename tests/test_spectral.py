@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adwave.spectral import (
     EXTERIOR_DIRICHLET,
@@ -18,7 +19,7 @@ from adwave.spectral import (
     seminorm_s,
 )
 
-from oracles import dense_operator_1d, dense_operator_2d
+from oracles import dense_operator_1d, dense_operator_2d, interior_mask_oracle
 
 
 def periodic_domain(n=64, s=1.0, length=2 * np.pi, d=1):
@@ -306,6 +307,39 @@ class TestMask:
         out = mask_exterior(dom, f)
         assert np.all(out[~dom.interior_mask] == 0.0)
         assert np.all(out[dom.interior_mask] == 1.0)
+
+
+@st.composite
+def _domains(draw):
+    mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
+    d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 40).map(lambda k: 2 * k), min_size=d, max_size=d))
+    extent = draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d))
+    pad = (draw(st.floats(1.0, 8.0, exclude_min=True) | st.sampled_from([1.5, 2.0, 3.0]))
+           if mode == EXTERIOR_DIRICHLET else 1.0)
+    return Domain(d=d, s=1.0, omega_extent=extent, n=n, pad_factor=pad,
+                  boundary_mode=mode)
+
+
+class TestInteriorBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(dom=_domains())
+    def test_slices_are_exactly_omega(self, dom):
+        mask, inner = dom.interior_mask, dom.interior
+        assert len(inner) == dom.d
+        assert mask[inner].all()
+        sizes = [len(range(*sl.indices(k))) for sl, k in zip(inner, dom.n)]
+        assert mask.sum() == math.prod(sizes)
+        assert np.array_equal(mask, interior_mask_oracle(dom))
+        # the box's centre point lies in Omega, so no slice is empty
+        assert all(sl.indices(k)[0] <= k // 2 < sl.indices(k)[1]
+                   for sl, k in zip(inner, dom.n))
+        if dom.boundary_mode != EXTERIOR_DIRICHLET:
+            assert sizes == list(dom.n)
+
+    def test_slices_of_a_padded_grid(self):
+        dom = Domain(d=2, s=1.0, omega_extent=(1.0, 2.0), n=(8, 16), pad_factor=2.0)
+        assert dom.interior == (slice(3, 6), slice(5, 12))
 
 
 class TestRealTransforms:
