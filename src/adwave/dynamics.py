@@ -9,8 +9,13 @@ time-reversible, and keeps every recorded snapshot supported in Omega.
 
 Exterior contract: u vanishes outside Omega and W models the adhesive layer
 on Omega, so grad W(u) and W(u) are evaluated on the interior block
-``u[domain.interior]`` only. Outside Omega the force holds the nonlocal term
--(-Delta)^s u alone, which the step's projection then discards.
+``u[domain.interior]`` only, and the transforms of ``force`` and ``energy``
+take the ``in_omega`` shortcut of :mod:`adwave.spectral`: they read and
+produce only Omega's grid lines ``[domain.interior_lines]``, the lines along
+the last spatial axis through Omega. ``step`` works on those lines alone.
+On their points outside Omega the force holds the nonlocal term
+-(-Delta)^s u alone, which the step's projection discards (a negative value
+leaves -0 there); off them a new state is +0.
 """
 from __future__ import annotations
 
@@ -186,13 +191,28 @@ class Trajectory:
         return np.array([float(np.max(np.abs(st.u))) for st in self.states])
 
 
+def _embed(slab: np.ndarray, lines: tuple, shape: tuple) -> np.ndarray:
+    """A fresh full-box array holding ``slab`` on the grid lines ``[lines]``
+    and +0 off them; ``slab`` itself when it already spans the box."""
+    if slab.shape == shape:
+        return slab
+    out = np.zeros(shape)
+    out[lines] = slab
+    return out
+
+
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray) -> np.ndarray:
-    """-(-Delta)^s u - grad W(u) on Omega; outside Omega only the nonlocal
-    term -(-Delta)^s u, since grad W is evaluated on ``u[interior]`` alone.
-    Returns a new array that the caller may overwrite."""
-    f = apply_fractional_laplacian(op, u)
-    np.negative(f, out=f)
-    inner = op.domain.interior
+    """-(-Delta)^s u - grad W(u) for a ``u`` that vanishes outside Omega.
+
+    On Omega this is the full force. On the rest of Omega's grid lines
+    (``[domain.interior_lines]``) it holds the nonlocal term alone, and off
+    those lines it is exactly +0. Returns a new full-box array that the
+    caller may overwrite.
+    """
+    lines, inner = op.domain.interior_lines, op.domain.interior
+    f = apply_fractional_laplacian(op, u, in_omega=True)
+    on_lines = f[lines] if lines else f
+    np.negative(on_lines, out=on_lines)
     f[inner] -= potential.grad(u[inner])
     return f
 
@@ -201,28 +221,38 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
          dt: float) -> FieldState:
     """One kick-drift-kick step; projects onto the exterior constraint.
 
-    The updates run in place on the force arrays, so ``state`` is not
-    written to.
+    The kicks, the drift, the projection and the finite check run on
+    Omega's grid lines ``[domain.interior_lines]`` only, whatever values
+    ``force`` returns off them; the new state holds +0 off those lines.
+    ``state`` is not written to.
     """
     dom = op.domain
+    lines = dom.interior_lines
     mask = None
     if dom.boundary_mode == EXTERIOR_DIRICHLET:
         mask = dom.interior_mask if state.u.ndim == dom.d else dom.interior_mask[..., None]
-    vh = force(op, potential, state.u)
+    u, v, vh = state.u, state.v, force(op, potential, state.u)
+    if lines:  # leading axes: update Omega's grid lines alone
+        u, v, vh = u[lines], v[lines], vh[lines]
+        mask = mask if mask is None else mask[lines]
     vh *= 0.5 * dt
-    vh += state.v
+    vh += v
     u1 = vh * dt
-    u1 += state.u
+    u1 += u
     if mask is not None:
         u1 *= mask
-    v1 = force(op, potential, u1)
+    u1_box = _embed(u1, lines, state.u.shape) if lines else u1
+    v1 = force(op, potential, u1_box)
+    if lines:
+        v1 = v1[lines]
     v1 *= 0.5 * dt
     v1 += vh
     if mask is not None:
         v1 *= mask
     if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
         raise BlowUpError("non-finite field values during time step")
-    return FieldState(u1, v1, state.t + dt)
+    v1_box = _embed(v1, lines, state.u.shape) if lines else v1
+    return FieldState(u1_box, v1_box, state.t + dt)
 
 
 def energy(op: SpectralOperator, potential: Potential,
@@ -230,7 +260,7 @@ def energy(op: SpectralOperator, potential: Potential,
     """Energy of a state: kinetic + elastic + adhesive over Omega."""
     dom = op.domain
     kin = 0.5 * l2_norm(dom, state.v) ** 2
-    ela = 0.5 * seminorm_s(op, state.u) ** 2
+    ela = 0.5 * seminorm_s(op, state.u, in_omega=True) ** 2
     adh = float(np.sum(potential.value(state.u[dom.interior]))) * dom.cell_volume
     return EnergyBreakdown.of(kin, ela, adh)
 
@@ -338,11 +368,13 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
 
     Time integrals use the composite trapezoid rule on snapshot times. A
     trajectory of a genuine weak solution drives these values to zero under
-    (dt, recording) refinement.
+    (dt, recording) refinement. Test fields must vanish outside Omega, so
+    grad W(u) enters on the interior block only.
     """
     config = traj.config
     dom = config.domain
     op = build_operator(dom)
+    inner = dom.interior
     times = traj.times
     T = float(times[-1])
     out = []
@@ -354,10 +386,11 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
                               else dom.interior_mask[..., None])
             if float(np.max(np.abs(outside))) != 0.0:
                 raise ValueError("test field must be supported in Omega")
-        lpsi = apply_fractional_laplacian(op, psi)
+        lpsi = apply_fractional_laplacian(op, psi, in_omega=True)
+        psi_in = psi[inner]
         a = np.array([l2_inner(dom, st.u, psi) for st in traj.states])
         b = np.array([l2_inner(dom, st.u, lpsi) for st in traj.states])
-        c = np.array([l2_inner(dom, potential.grad(st.u), psi)
+        c = np.array([float(np.sum(potential.grad(st.u[inner]) * psi_in)) * dom.cell_volume
                       for st in traj.states])
         chi = np.array([tf.window.value(t) for t in times])
         chi2 = np.array([tf.window.d2(t) for t in times])

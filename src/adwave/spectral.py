@@ -22,13 +22,23 @@ one block, ``f[domain.interior]``: :attr:`Domain.interior` holds its per-axis
 slices and :attr:`Domain.interior_mask` is the same set as a boolean grid.
 
 Spectral layout: fields are real, so the periodic modes use real-to-complex
-transforms (``rfftn``/``irfftn`` over the spatial axes). Their spectra keep
-only the non-negative half of the last spatial axis, ``n/2 + 1`` columns;
-``n`` is even, so the Nyquist column is always present. A
-:class:`SpectralOperator` carries the full symbol plus read-only half-spectrum
-copies for the multiplier and for Parseval sums, and :func:`build_operator`
-is memoised on the (frozen, hashable) :class:`Domain`, so every caller that
-asks for the operator of one domain shares one instance.
+transforms, one pass per spatial axis in ``rfftn``'s order: real-to-complex
+along the last spatial axis, then complex along the leading axes in turn
+(the inverse does the complex passes first, in the same order, then
+complex-to-real). Every pass scales with ``norm="backward"``,
+so with whole axes this is ``rfftn``/``irfftn`` up to rounding, and bit for
+bit when every n is a power of two. Spectra keep only the non-negative half
+of the last spatial axis, ``n/2 + 1`` columns; ``n`` is even, so the Nyquist
+column is always present. A field that vanishes outside Omega may say so
+with ``in_omega=True``: the passes then read and produce only Omega's grid
+lines, ``f[domain.interior_lines]`` (the lines along the last spatial axis
+through Omega), so the forward transform skips the all-zero lines of the
+exterior and the inverse leaves exact zeros off Omega's lines (FFT pruning,
+Markel 1971). A :class:`SpectralOperator` carries the full symbol plus
+read-only half-spectrum copies for the multiplier and for Parseval sums,
+and :func:`build_operator` is memoised on the (frozen, hashable)
+:class:`Domain`, so every caller that asks for the operator of one domain
+shares one instance.
 """
 from __future__ import annotations
 
@@ -177,6 +187,13 @@ class Domain:
         return tuple(out)
 
     @cached_property
+    def interior_lines(self) -> tuple:
+        """Slices of the leading spatial axes that pick Omega's grid lines,
+        the lines along the last axis through :attr:`interior`; empty when
+        d = 1, where the one line is the whole box."""
+        return self.interior[:-1]
+
+    @cached_property
     def interior_mask(self) -> np.ndarray:
         """Boolean grid, True strictly inside Omega (on :attr:`interior`)."""
         mask = np.zeros(self.n, dtype=bool)
@@ -264,24 +281,65 @@ def _fitted(op: SpectralOperator, f: np.ndarray, symbol: np.ndarray) -> np.ndarr
     return symbol
 
 
-def _rfft(dom: Domain, f: np.ndarray) -> np.ndarray:
-    """Half-spectrum transform over the spatial axes. The 1-D call carries
-    less fixed cost than ``rfftn``, which shows on small grids."""
-    if dom.d == 1:
+# every grid line of the box, indexed by the number of leading axes, d - 1
+_WHOLE_LINES = ((), (slice(None),), (slice(None),) * 2)
+
+
+def _rfft(f: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
+    """Half spectrum of ``f`` over its spatial axes, read from the grid
+    lines ``f[lead]`` alone, where ``lead`` holds one slice per leading
+    spatial axis: ``f`` must vanish off those lines.
+
+    One pass per axis, in ``rfftn``'s order: real-to-complex along the last
+    spatial axis on the lines, then complex along each leading axis, after
+    the block is zero-filled back to that axis's full length. With whole
+    axes this is ``rfftn`` bit for bit.
+    """
+    if not lead:
         return _fft.rfft(f, axis=0)
-    return _fft.rfftn(f, axes=tuple(range(dom.d)))
+    g = _fft.rfft(f[lead], axis=len(lead))
+    for ax, sl in enumerate(lead):
+        if g.shape[ax] != n[ax]:
+            full = np.zeros(g.shape[:ax] + (n[ax],) + g.shape[ax + 1:], dtype=g.dtype)
+            full[(slice(None),) * ax + (sl,)] = g
+            g = full
+        g = _fft.fft(g, axis=ax, overwrite_x=True)
+    return g
 
 
-def _irfft(dom: Domain, fhat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_rfft`, consuming ``fhat``. ``n`` is even, so the
-    default output length 2 * (n/2 + 1 - 1) is ``n``."""
-    if dom.d == 1:
+def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
+    """Inverse of :func:`_rfft` on the grid lines ``[lead]``, exactly +0 off
+    them; consumes ``fhat``.
+
+    Complex passes along the leading axes keep only the rows of ``lead``
+    after each pass, then complex-to-real along the last spatial axis
+    (``n`` is even, so the default output length 2 * (n/2 + 1 - 1) is
+    ``n``). Every pass scales by 1/n of its own axis, which is
+    ``irfftn``'s single 1/N bit for bit when every n is a power of two.
+    """
+    if not lead:
         return _fft.irfft(fhat, axis=0, overwrite_x=True)
-    return _fft.irfftn(fhat, axes=tuple(range(dom.d)), overwrite_x=True)
+    g = fhat
+    for ax, sl in enumerate(lead):
+        g = _fft.ifft(g, axis=ax, overwrite_x=True)[(slice(None),) * ax + (sl,)]
+    lines = _fft.irfft(g, axis=len(lead), overwrite_x=True)
+    if lines.shape[:len(lead)] == n[:len(lead)]:
+        return lines
+    out = np.zeros(n + lines.shape[len(n):])
+    out[lead] = lines
+    return out
 
 
-def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray) -> np.ndarray:
-    """Apply (-Delta)^s to a field: inverse transform of symbol * transform."""
+def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
+                               in_omega: bool = False) -> np.ndarray:
+    """Apply (-Delta)^s to a field: inverse transform of symbol * transform.
+
+    ``in_omega=True`` promises that ``f`` vanishes outside Omega. The
+    transforms then skip the all-zero grid lines of the exterior and
+    produce only Omega's grid lines (:attr:`Domain.interior_lines`): on
+    them the result equals the full-box one bit for bit, and it is exactly
+    +0 off them.
+    """
     f = np.asarray(f, dtype=float)
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
@@ -289,9 +347,10 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray) -> np.ndarra
         coeff = _fft.dct(f, type=2, axis=0, norm="ortho")
         return _fft.idct(sym * coeff, type=2, axis=0, norm="ortho")
     sym = _fitted(op, f, op.half_symbol)
-    fhat = _rfft(dom, f)
+    lead = dom.interior_lines if in_omega else _WHOLE_LINES[dom.d - 1]
+    fhat = _rfft(f, lead, dom.n)
     fhat *= sym
-    return _irfft(dom, fhat)
+    return _irfft(fhat, lead, dom.n)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
@@ -310,8 +369,13 @@ def l2_inner(domain: Domain, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum(f * g)) * domain.cell_volume
 
 
-def seminorm_s(op: SpectralOperator, f: np.ndarray) -> float:
-    """Order-s seminorm: L2 norm of (-Delta)^(s/2) f via Parseval."""
+def seminorm_s(op: SpectralOperator, f: np.ndarray, *,
+               in_omega: bool = False) -> float:
+    """Order-s seminorm: L2 norm of (-Delta)^(s/2) f via Parseval.
+
+    ``in_omega=True`` promises that ``f`` vanishes outside Omega, so the
+    transform reads Omega's grid lines only; the value is the same.
+    """
     f = np.asarray(f, dtype=float)
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
@@ -320,7 +384,8 @@ def seminorm_s(op: SpectralOperator, f: np.ndarray) -> float:
         val = float(np.sum(sym * coeff * coeff)) * dom.cell_volume
     else:
         sym = _fitted(op, f, op.parseval_symbol)
-        fhat = _rfft(dom, f)
+        lead = dom.interior_lines if in_omega else _WHOLE_LINES[dom.d - 1]
+        fhat = _rfft(f, lead, dom.n)
         val = float(np.sum(sym * (fhat.real ** 2 + fhat.imag ** 2)))
         val *= dom.cell_volume / math.prod(dom.n)
     return math.sqrt(max(val, 0.0))

@@ -206,6 +206,21 @@ class TestStep:
             assert np.max(np.abs(st.u[outside])) == 0.0
             assert np.max(np.abs(st.v[outside])) == 0.0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_step_leaves_plus_zero_off_omega_lines(self, d):
+        """Off Omega's grid lines a new state is +0, not the -0 that a
+        mask product leaves where the exterior force is negative."""
+        dom = Domain(d=d, s=0.75, omega_extent=3.0, n=(12, 10, 8)[:d], pad_factor=2.0)
+        op = build_operator(dom)
+        W = clipped_quadratic(0.8)
+        state = FieldState(bump_field(dom, -0.5), bump_field(dom, 0.3))
+        off = np.ones(dom.n, dtype=bool)
+        off[dom.interior[:-1]] = False
+        for _ in range(3):
+            state = step(state, op, W, 0.05)
+            for f in (state.u, state.v):
+                assert np.all(f[off] == 0.0) and not np.signbit(f[off]).any()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detected_in_step(self):
         dom = periodic_domain(n=64)

@@ -19,7 +19,12 @@ from adwave.spectral import (
     seminorm_s,
 )
 
-from oracles import dense_operator_1d, dense_operator_2d, interior_mask_oracle
+from oracles import (
+    dense_operator_1d,
+    dense_operator_2d,
+    fractional_laplacian_oracle,
+    interior_mask_oracle,
+)
 
 
 def periodic_domain(n=64, s=1.0, length=2 * np.pi, d=1):
@@ -400,6 +405,48 @@ class TestRealTransforms:
         assert np.array_equal(op.half_symbol, op.symbol[:, :7])
         weights = np.r_[1.0, np.full(5, 2.0), 1.0]
         assert np.array_equal(op.parseval_symbol, op.half_symbol * weights)
+
+
+@st.composite
+def _fields_in_omega(draw):
+    mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
+    d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
+    sizes = [2, 4, 6, 8, 10] if d == 3 else [2, 4, 6, 8, 10, 12, 16, 18]
+    n = draw(st.lists(st.sampled_from(sizes), min_size=d, max_size=d))
+    s = 1.0 if mode == NEUMANN_1D else draw(st.floats(0.5, 2.0))
+    pad = draw(st.floats(1.25, 3.0)) if mode == EXTERIOR_DIRICHLET else 1.0
+    dom = Domain(d=d, s=s, omega_extent=draw(st.floats(1.0, 8.0)), n=n,
+                 pad_factor=pad, boundary_mode=mode)
+    m = draw(st.integers(1, 2))
+    f = np.zeros(dom.n + ((m,) if m > 1 else ()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f[dom.interior] = rng.standard_normal(f[dom.interior].shape)
+    return build_operator(dom), f
+
+
+class TestPrunedTransforms:
+    """The per-axis transform pair: ``in_omega=True`` on a field supported
+    in Omega against the full box, and the full box against the
+    multi-axis ``rfftn``/``irfftn`` path it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fields_in_omega())
+    def test_omega_lines_match_the_full_box(self, case):
+        op, f = case
+        dom = op.domain
+        full = apply_fractional_laplacian(op, f)
+        pruned = apply_fractional_laplacian(op, f, in_omega=True)
+        lines = dom.interior[:-1]
+        off = np.ones(dom.n, dtype=bool)
+        off[lines] = False
+        assert pruned.shape == full.shape
+        assert np.array_equal(pruned[lines].view(np.int64), full[lines].view(np.int64))
+        assert np.all(pruned[off] == 0.0) and not np.signbit(pruned[off]).any()
+        assert seminorm_s(op, f, in_omega=True) == seminorm_s(op, f)
+        old = fractional_laplacian_oracle(op, f)
+        assert np.max(np.abs(full - old)) <= 1e-14 * np.max(np.abs(old))
+        if all(k & (k - 1) == 0 for k in dom.n):
+            assert np.array_equal(full.view(np.int64), old.view(np.int64))
 
 
 class TestOperatorMemo:
