@@ -383,29 +383,45 @@ def format_runspec(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 # experiment registry
 
-def _workers() -> int:
-    return int(os.environ.get("ADWAVE_WORKERS", "1"))
+# the [experiment] keys each experiment reads, besides ``name``
+_EXPERIMENT_KEYS = {
+    "energy-inequality": ("eps", "T", "n", "extent", "amplitude"),
+    "epsilon-convergence": ("eps_list", "T", "n", "extent", "amplitude"),
+    "limit-obstruction": ("eps_list", "T", "L", "n"),
+    "small-data": ("eps1", "eps2", "T", "family_eps"),
+    "dispersion": ("n",),
+}
+
+
+def _experiment_keys(spec: RunSpec, name: str) -> dict:
+    """The [experiment] keys the config sets, except ``name``; one that
+    experiment ``name`` does not read is an error at its line."""
+    keys = {k: v for k, v in spec.sections.get("experiment", {}).items() if k != "name"}
+    for key in keys:
+        if key not in _EXPERIMENT_KEYS[name]:
+            line = spec.line_of("experiment", key) or spec.line_of("sweep", f"experiment.{key}")
+            raise ConfigError(f"experiment {name!r} does not read [experiment] key "
+                              f"{key!r}; it reads {', '.join(_EXPERIMENT_KEYS[name])}", line)
+    return keys
 
 
 def _exp_energy_inequality(spec: RunSpec, out_dir: str):
-    e = spec.sections.get("experiment", {})
+    e = _experiment_keys(spec, "energy-inequality")
     extent = e.get("extent", 2.0 * math.pi)
     n = int(e.get("n", 64))
     domain = sp.Domain(d=1, s=1.0, omega_extent=extent, n=n, pad_factor=2.0)
     family = pot.mollified_family(pot.clipped_quadratic(1.0))
     potential = family.make(e.get("eps", 0.1))
     T = e.get("T", 5.0)
-    op = sp.build_operator(domain)
-    dt = ex.fitted_dt(T, 0.9 * dyn.stability_limit(op, potential))
-    cfg = dyn.SimConfig(domain=domain, potential=potential, T=T, dt=dt,
+    cfg = dyn.SimConfig(domain=domain, potential=potential, T=T,
+                        dt=ex._auto_dt(domain, potential, T),
                         u0=dyn.bump_field(domain, e.get("amplitude", 0.5)),
                         v0=dyn.zero_field(domain), record_every=2)
-    return ex.run_energy_inequality(potential, cfg, out_dir=out_dir,
-                                    workers=_workers())
+    return ex.run_energy_inequality(potential, cfg, out_dir=out_dir)
 
 
 def _exp_epsilon_convergence(spec: RunSpec, out_dir: str):
-    e = spec.sections.get("experiment", {})
+    e = _experiment_keys(spec, "epsilon-convergence")
     eps_list = e.get("eps_list", [0.2, 0.1, 0.05, 0.025])
     family = spec.build_family() if "family" in spec.sections else \
         pot.mollified_family(pot.clipped_quadratic(1.0), kernel_width_ratio=2.0)
@@ -413,37 +429,27 @@ def _exp_epsilon_convergence(spec: RunSpec, out_dir: str):
     domain = sp.Domain(d=1, s=1.0, omega_extent=extent, n=int(e.get("n", 128)),
                        pad_factor=2.0)
     T = e.get("T", 5.0)
-    op = sp.build_operator(domain)
     members = [family.make(v) for v in eps_list]
-    dt = ex.fitted_dt(T, min(0.9 * dyn.stability_limit(op, m) for m in members))
+    dt = min(ex._auto_dt(domain, m, T) for m in members)
     cfg = dyn.SimConfig(domain=domain, potential=members[0], T=T, dt=dt,
                         u0=dyn.bump_field(domain, e.get("amplitude", 0.98)),
                         v0=dyn.zero_field(domain), record_every=4)
-    return ex.run_epsilon_convergence(family, eps_list, cfg, out_dir=out_dir,
-                                      workers=_workers())
+    return ex.run_epsilon_convergence(family, eps_list, cfg, out_dir=out_dir)
 
 
 def _exp_limit_obstruction(spec: RunSpec, out_dir: str):
-    e = spec.sections.get("experiment", {})
-    return ex.run_limit_obstruction(
-        eps_list=e.get("eps_list", [0.4, 0.2, 0.1]), T=e.get("T", 10.0),
-        L=e.get("L", 1.0), n=int(e.get("n", 64)), out_dir=out_dir,
-        workers=_workers())
+    return ex.run_limit_obstruction(**_experiment_keys(spec, "limit-obstruction"),
+                                    out_dir=out_dir)
 
 
 def _exp_small_data(spec: RunSpec, out_dir: str):
-    e = spec.sections.get("experiment", {})
     family = spec.build_family() if "family" in spec.sections else None
-    return ex.run_small_data(
-        family=family, eps1=e.get("eps1", 0.05), eps2=e.get("eps2", 0.0),
-        T=e.get("T", 1.0), family_eps=e.get("family_eps", 0.05),
-        out_dir=out_dir)
+    return ex.run_small_data(family=family, **_experiment_keys(spec, "small-data"),
+                             out_dir=out_dir)
 
 
 def _exp_dispersion(spec: RunSpec, out_dir: str):
-    e = spec.sections.get("experiment", {})
-    return ex.run_dispersion_check(n=int(e.get("n", 32)), out_dir=out_dir,
-                                   workers=_workers())
+    return ex.run_dispersion_check(**_experiment_keys(spec, "dispersion"), out_dir=out_dir)
 
 
 EXPERIMENTS = {
@@ -479,14 +485,13 @@ def _trajectory_blocks(traj: dyn.Trajectory):
 def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
     dom = traj.config.domain
     idx_cols = [f"idx{i}" for i in range(dom.d)]
-    paths = [
+    return [
         write_csv(os.path.join(out_dir, "trajectory.csv"),
                   ["t", *idx_cols, "comp", "value"], _trajectory_blocks(traj)),
         write_csv(os.path.join(out_dir, "energy.csv"),
                   ["t", "kinetic", "elastic", "adhesive", "total"],
                   traj.energy_rows()),
     ]
-    return paths
 
 
 def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
@@ -532,16 +537,13 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
     sweep = spec.sections.get("sweep", {})
     if not sweep:
         raise ConfigError("sweep requires a [sweep] section")
-    keys = list(sweep)
-    grids = [sweep[k] for k in keys]
-    status = 0
-    combos = list(itertools.product(*grids))
+    combos = list(itertools.product(*sweep.values()))
 
     def one(item):
         i, combo = item
         sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items()}, dict(spec.lines))
         del sub.sections["sweep"]
-        for key, raw in zip(keys, combo):
+        for key, raw in zip(sweep, combo):
             section, _, name = key.partition(".")
             sub.sections.setdefault(section, {})
             sub.sections[section][name] = _convert(section, name, raw, 0)
@@ -555,11 +557,10 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
             return 0 if report.passed else 1
         return cmd_simulate(sub, run_dir)
 
-    results = ex._map_ordered(one, list(enumerate(combos)), _workers())
+    results = ex._map_ordered(one, list(enumerate(combos)), None)
     for i, rc in enumerate(results):
         print(f"run-{i:03d}: {'PASS' if rc == 0 else 'FAIL'}")
-        status = max(status, rc)
-    return status
+    return max(results)
 
 
 def _load_spec(path: str | None) -> RunSpec:

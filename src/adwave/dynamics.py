@@ -76,9 +76,6 @@ class FieldState:
     v: np.ndarray
     t: float = 0.0
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.u.copy(), self.v.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:

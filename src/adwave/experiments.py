@@ -2,8 +2,9 @@
 
 Each experiment assembles simulations from the lower-level modules, measures
 a chain of named inequalities or convergence proxies, and returns an
-:class:`~adwave.reporting.ExperimentReport`; when an output directory is
-given it also emits ``report.json`` plus CSV series and SVG line plots.
+:class:`~adwave.reporting.ExperimentReport`. Each ends by declaring its CSV
+tables and SVG plots, which :func:`_emit` writes, followed by
+``report.json``, when an output directory is given.
 Fan-out over independent parameter values (per eps, per s) can use a worker
 pool; results are assembled in parameter order, never completion order.
 """
@@ -28,10 +29,26 @@ def fitted_dt(T: float, dt_max: float) -> float:
     return T / nsteps
 
 
-def _auto_dt(domain: sp.Domain, potential: pot.Potential, T: float,
-             cfl_safety: float = 0.9) -> float:
+def _auto_dt(domain: sp.Domain, potential: pot.Potential, T: float) -> float:
     op = sp.build_operator(domain)
-    return fitted_dt(T, cfl_safety * dyn.stability_limit(op, potential))
+    return fitted_dt(T, 0.9 * dyn.stability_limit(op, potential))
+
+
+def _emit(report: ExperimentReport, out_dir: str | None, tables=(),
+          plots=()) -> ExperimentReport:
+    """Write the CSV ``tables``, the SVG ``plots`` and ``report.json`` into
+    ``out_dir`` and list them in ``report.artifacts``; no-op without
+    ``out_dir``. A table is ``(file, {header: column})``, a plot
+    ``(file, x, series, labels)``, ``labels`` passed to ``svg_line_plot``."""
+    if out_dir:
+        for name, columns in tables:
+            report.artifacts.append(write_csv(os.path.join(out_dir, name), list(columns),
+                                              zip(*columns.values())))
+        for name, x, series, labels in plots:
+            report.artifacts.append(svg_line_plot(os.path.join(out_dir, name), x,
+                                                  series, **labels))
+        report.write(out_dir)
+    return report
 
 
 def _map_ordered(fn, items, workers: int | None):
@@ -81,7 +98,6 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
             report.series["energy_kinetic"] = [e.kinetic for e in traj.energies]
             report.series["energy_elastic"] = [e.elastic for e in traj.energies]
             report.series["energy_adhesive"] = [e.adhesive for e in traj.energies]
-            base_traj = traj
     for i in range(len(dt_refinements) - 1):
         lo = max(drifts[i + 1], 1e-300)
         ratio = drifts[i] / lo
@@ -92,21 +108,14 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
                      measured=ratio, threshold=expected, comparator="~",
                      note="drift should shrink ~4x per dt halving")
     report.series["drift"] = drifts
-    if out_dir:
-        write_csv(os.path.join(out_dir, "energy.csv"),
-                  ["t", "kinetic", "elastic", "adhesive", "total"],
-                  base_traj.energy_rows())
-        svg_line_plot(os.path.join(out_dir, "energy.svg"),
-                      report.series["time"],
-                      {"kinetic": report.series["energy_kinetic"],
-                       "elastic": report.series["energy_elastic"],
-                       "adhesive": report.series["energy_adhesive"],
-                       "total": report.series[f"energy_total(dt/{dt_refinements[0]})"]},
-                      title="energy vs time", xlabel="t", ylabel="energy")
-        report.artifacts.extend([os.path.join(out_dir, "energy.csv"),
-                                 os.path.join(out_dir, "energy.svg")])
-        report.write(out_dir)
-    return report
+    time = report.series["time"]
+    energy = {"kinetic": report.series["energy_kinetic"],
+              "elastic": report.series["energy_elastic"],
+              "adhesive": report.series["energy_adhesive"],
+              "total": report.series[f"energy_total(dt/{dt_refinements[0]})"]}
+    return _emit(report, out_dir, [("energy.csv", {"t": time, **energy})],
+                 [("energy.svg", time, energy,
+                   dict(title="energy vs time", xlabel="t", ylabel="energy"))])
 
 
 def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
@@ -148,19 +157,10 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
     report.series["sup_W_dist"] = cert.sup_value_gap
     report.series["sup_grad_dist"] = cert.sup_grad_gap
     report.series["l2_cauchy_dist"] = dists + [math.nan]
-    if out_dir:
-        rows = zip(eps_list, cert.sup_value_gap, cert.sup_grad_gap,
-                   report.series["l2_cauchy_dist"])
-        write_csv(os.path.join(out_dir, "epsilon_study.csv"),
-                  ["eps", "sup_W_dist", "sup_grad_dist", "l2_cauchy_dist"], rows)
-        svg_line_plot(os.path.join(out_dir, "epsilon_study.svg"), eps_list[:-1],
-                      {"l2 cauchy distance": dists},
-                      title="consecutive-eps trajectory distance",
-                      xlabel="eps", ylabel="max_t L2 distance")
-        report.artifacts.extend([os.path.join(out_dir, "epsilon_study.csv"),
-                                 os.path.join(out_dir, "epsilon_study.svg")])
-        report.write(out_dir)
-    return report
+    return _emit(report, out_dir, [("epsilon_study.csv", report.series)],
+                 [("epsilon_study.svg", eps_list[:-1], {"l2 cauchy distance": dists},
+                   dict(title="consecutive-eps trajectory distance",
+                        xlabel="eps", ylabel="max_t L2 distance"))])
 
 
 def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
@@ -221,25 +221,17 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
                  abs((limit_res - worst_eps_res) - expected) <= 1e-6 * expected + 1e-9,
                  measured=limit_res - worst_eps_res, threshold=expected,
                  comparator="==")
-    report.series["eps"] = eps_list
-    report.series["max_dev_from_flat"] = [dev for _, dev, _ in results]
-    report.series["residual_eps"] = [res for _, _, res in results]
-    report.series["limit_gap"] = limit_dev
-    report.series["limit_residual"] = [limit_res]
-    if out_dir:
-        write_csv(os.path.join(out_dir, "limit_obstruction.csv"),
-                  ["eps", "max_dev_from_flat", "residual_eps", "limit_gap"],
-                  zip(eps_list, report.series["max_dev_from_flat"],
-                      report.series["residual_eps"], limit_dev))
-        svg_line_plot(os.path.join(out_dir, "limit_obstruction.svg"), eps_list,
-                      {"max |u - 1|": limit_dev,
-                       "|weak residual| of u_eps": [abs(r) for _, _, r in results]},
-                      title="flat approximate solutions vs their limit",
-                      xlabel="eps", ylabel="measured")
-        report.artifacts.extend([os.path.join(out_dir, "limit_obstruction.csv"),
-                                 os.path.join(out_dir, "limit_obstruction.svg")])
-        report.write(out_dir)
-    return report
+    columns = {"eps": eps_list,
+               "max_dev_from_flat": [dev for _, dev, _ in results],
+               "residual_eps": [res for _, _, res in results],
+               "limit_gap": limit_dev}
+    report.series.update(columns, limit_residual=[limit_res])
+    return _emit(report, out_dir, [("limit_obstruction.csv", columns)],
+                 [("limit_obstruction.svg", eps_list,
+                   {"max |u - 1|": limit_dev,
+                    "|weak residual| of u_eps": [abs(r) for _, _, r in results]},
+                   dict(title="flat approximate solutions vs their limit",
+                        xlabel="eps", ylabel="measured"))])
 
 
 def run_small_data(family: pot.RegularizedFamily | None = None,
@@ -306,9 +298,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
                      "sup_embedding_bound", "confinement", "smooth_region_agreement"):
             report.check(name, None, measured=math.nan, threshold=math.nan,
                          note="skipped: small-data hypothesis violated")
-        if out_dir:
-            report.write(out_dir)
-        return report
+        return _emit(report, out_dir)
 
     dt = _auto_dt(domain, member, T)
     cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=dt,
@@ -349,31 +339,22 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
                  note="smooth and nonsmooth runs coincide away from the layer edge")
 
     report.parameters["eta"] = eta
-    report.series["time"] = list(traj.times)
-    report.series["max_abs_u"] = list(traj.max_abs_series())
-    report.series["l2_u"] = [sp.l2_norm(domain, st.u) for st in traj.states]
-    report.series["energy_total"] = list(traj.totals)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "small_data.csv"),
-                  ["t", "max_abs_u", "l2_u", "energy_total"],
-                  zip(report.series["time"], report.series["max_abs_u"],
-                      report.series["l2_u"], report.series["energy_total"]))
-        svg_line_plot(os.path.join(out_dir, "small_data.svg"),
-                      report.series["time"],
-                      {"max |u|": report.series["max_abs_u"],
-                       "sup bound": [sup_bound] * len(traj.times)},
-                      title="confinement below the critical amplitude",
-                      xlabel="t", ylabel="max |u|", hlines=(1.0,))
-        report.artifacts.extend([os.path.join(out_dir, "small_data.csv"),
-                                 os.path.join(out_dir, "small_data.svg")])
-        report.write(out_dir)
-    return report
+    time = list(traj.times)
+    columns = {"max_abs_u": list(traj.max_abs_series()),
+               "l2_u": [sp.l2_norm(domain, st.u) for st in traj.states],
+               "energy_total": list(traj.totals)}
+    report.series.update(time=time, **columns)
+    return _emit(report, out_dir, [("small_data.csv", {"t": time, **columns})],
+                 [("small_data.svg", time,
+                   {"max |u|": columns["max_abs_u"],
+                    "sup bound": [sup_bound] * len(time)},
+                   dict(title="confinement below the critical amplitude",
+                        xlabel="t", ylabel="max |u|", hlines=(1.0,)))])
 
 
 def _sampled_value_gap(base: pot.Potential, member: pot.Potential,
                        reach: float = 3.0) -> float:
-    pts = np.linspace(-reach, reach, 4001) if base.m == 1 else \
-        np.linspace(0.0, reach, 2001)[:, None] * np.eye(base.m)[0]
+    pts = np.linspace(-reach, reach, 4001)
     return float(np.max(np.abs(member.value(pts) - base.value(pts))))
 
 
@@ -381,13 +362,8 @@ def _sampled_grad_gap(base: pot.Potential, member: pot.Potential,
                       radius: float) -> float:
     if radius <= 0:
         return 0.0
-    if base.m == 1:
-        pts = np.linspace(-radius, radius, 2001)
-    else:
-        pts = np.linspace(0.0, radius, 1001)[:, None] * np.eye(base.m)[0]
-    diff = member.grad(pts) - base.grad(pts)
-    dev = np.abs(diff) if base.m == 1 else np.linalg.norm(diff, axis=-1)
-    return float(np.max(dev))
+    pts = np.linspace(-radius, radius, 2001)
+    return float(np.max(np.abs(member.grad(pts) - base.grad(pts))))
 
 
 def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
@@ -436,14 +412,7 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
     report.series["s"] = [r[1] for r in rows]
     report.series["omega_expected"] = [r[3] for r in rows]
     report.series["omega_fitted"] = [r[5] for r in rows]
-    if out_dir:
-        write_csv(os.path.join(out_dir, "dispersion.csv"),
-                  ["k", "s", "omega_expected", "omega_fitted"],
-                  zip(report.series["k"], report.series["s"],
-                      report.series["omega_expected"], report.series["omega_fitted"]))
-        report.artifacts.append(os.path.join(out_dir, "dispersion.csv"))
-        report.write(out_dir)
-    return report
+    return _emit(report, out_dir, [("dispersion.csv", report.series)])
 
 
 def _fit_frequency(amplitude: np.ndarray, dt: float) -> float:

@@ -39,13 +39,12 @@ class Profile:
     """One-dimensional section of a potential, used for mollification.
 
     ``value`` and ``grad`` are piecewise-smooth callables on R with kinks
-    only at ``knots``; the profile is constant for |r| >= ``flat_from``.
+    only at ``knots``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     knots: tuple
-    flat_from: float
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,7 @@ class Potential:
             raise ValueError(f"unknown regularity tag {self.regularity!r}")
 
     def grad_norm(self, y: np.ndarray) -> np.ndarray:
-        g = self.grad(y)
-        if self.m == 1:
-            return np.abs(g)
-        return np.linalg.norm(g, axis=-1)
+        return _radius(self.grad(y), self.m)
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,20 @@ def _radius(y: np.ndarray, m: int) -> np.ndarray:
     if m == 1:
         return np.abs(y)
     return np.linalg.norm(y, axis=-1)
+
+
+def _radial(profile, m: int) -> tuple:
+    """``(value, grad)`` of W(y) = p(|y|) on R^m from the profile p's
+    ``value`` and ``grad``; for m = 1 they are the profile's own."""
+    if m == 1:
+        return profile.value, profile.grad
+
+    def grad(y):
+        y = np.asarray(y, dtype=float)
+        r = _radius(y, m)
+        return y * (profile.grad(r) / np.maximum(r, 1e-300))[..., None]
+
+    return (lambda y: profile.value(_radius(y, m))), grad
 
 
 def clipped_quadratic(u_star: float) -> Potential:
@@ -138,7 +148,7 @@ def clipped_quadratic(u_star: float) -> Potential:
         grad_lipschitz=2.0,
         critical_set=f"point pair {{-{u_star:g}, +{u_star:g}}}",
         critical_distance=lambda u: np.abs(np.abs(np.asarray(u, dtype=float)) - u_star),
-        profile=Profile(value, grad, (-u_star, u_star), u_star),
+        profile=Profile(value, grad, (-u_star, u_star)),
     )
 
 
@@ -149,21 +159,10 @@ def ball_potential(m: int) -> Potential:
     closure value 2y.
     """
     m = int(m)
-    if m < 1:
-        raise ValueError("codomain dimension m must be >= 1")
     scalar = clipped_quadratic(1.0)
     if m == 1:
         return scalar
-
-    def value(y):
-        r = _radius(y, m)
-        return np.where(r <= 1.0, r * r, 1.0)
-
-    def grad(y):
-        y = np.asarray(y, dtype=float)
-        inside = (_radius(y, m) <= 1.0)[..., None]
-        return np.where(inside, 2.0 * y, 0.0)
-
+    value, grad = _radial(scalar.profile, m)
     return Potential(
         name=f"ball(m={m})",
         m=m,
@@ -232,8 +231,7 @@ def linear_taper_family() -> RegularizedFamily:
             bound=max(plateau, slope),
             regularity=C1_UNIFORM,
             grad_lipschitz=max(slope, slope / eps),
-            profile=Profile(value, grad, (-1.0 - eps, -1.0, 1.0, 1.0 + eps),
-                            1.0 + eps),
+            profile=Profile(value, grad, (-1.0 - eps, -1.0, 1.0, 1.0 + eps)),
         )
 
     return RegularizedFamily(
@@ -396,41 +394,31 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     base regularity: a base with continuous gradient yields a uniform-c1
     family, a base with gradient jumps yields a pointwise-offcritical one
     whose certified gradient region keeps a distance of two kernel radii
-    from the critical set.
+    from the critical set. Members keep the base's ``critical_set`` and
+    ``critical_distance``, but not its ``profile``.
     """
     if base.profile is None:
         raise ValueError(f"{base.name} exposes no one-dimensional profile to smooth")
     ratio = float(kernel_width_ratio)
     if ratio <= 0:
         raise ValueError("kernel_width_ratio must be positive")
-    m = base.m
 
     def make(eps: float) -> Potential:
         eps = float(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
         prof = MollifiedProfile(base.profile, eps * ratio)
-        if m == 1:
-            value, grad = prof.value, prof.grad
-        else:
-            def value(y):
-                return prof.value(_radius(y, m))
-
-            def grad(y):
-                y = np.asarray(y, dtype=float)
-                r = _radius(y, m)
-                safe = np.maximum(r, 1e-300)
-                factor = prof.grad(r) / safe
-                return y * factor[..., None]
-
+        value, grad = _radial(prof, base.m)
         return Potential(
             name=f"mollified({base.name}, ratio={ratio:g}, eps={eps:g})",
-            m=m,
+            m=base.m,
             value=value,
             grad=grad,
             bound=base.bound,
             regularity=C1_UNIFORM,
             grad_lipschitz=prof.grad_lipschitz,
+            critical_set=base.critical_set,
+            critical_distance=base.critical_distance,
         )
 
     if base.regularity == C1_UNIFORM:
@@ -555,7 +543,7 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
         region = family.grad_region(eps)
         in_region = radius <= region + 1e-12
         diff = member.grad(pts) - base_grad
-        dev = np.abs(diff) if base.m == 1 else np.linalg.norm(diff, axis=-1)
+        dev = _radius(diff, base.m)
         grad_gap = float(np.max(dev[in_region])) if np.any(in_region) else 0.0
         cert.sup_value_gap.append(val_gap)
         cert.sup_grad_gap.append(grad_gap)

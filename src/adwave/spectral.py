@@ -136,16 +136,16 @@ class Domain:
             if abs(self.s - 1.0) > 1e-12:
                 raise DomainError("s", "neumann-1d mode requires s = 1")
 
-    @property
+    @cached_property
     def box_extent(self) -> tuple:
         return tuple(self.pad_factor * e for e in self.omega_extent)
 
-    @property
+    @cached_property
     def h(self) -> tuple:
         """Grid spacing per axis."""
         return tuple(L / m for L, m in zip(self.box_extent, self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return math.prod(self.h)
 

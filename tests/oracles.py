@@ -137,3 +137,22 @@ def energy_oracle(op, potential, u, v):
     ela = 0.5 * seminorm_s(op, u) ** 2
     adh = float(np.sum(potential.value(u) * interior_mask_oracle(dom))) * dom.cell_volume
     return kin, ela, adh, kin + ela + adh
+
+
+def ball_oracle(m: int):
+    """``(value, grad)`` of W(y) = |y|^2 on the closed unit ball of R^m and
+    1 outside it, written out directly: ``grad`` is ``2y`` where |y| <= 1
+    and ``0.0`` elsewhere."""
+
+    def radius(y):
+        return np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
+
+    def value(y):
+        r = radius(y)
+        return np.where(r <= 1.0, r * r, 1.0)
+
+    def grad(y):
+        y = np.asarray(y, dtype=float)
+        return np.where((radius(y) <= 1.0)[..., None], 2.0 * y, 0.0)
+
+    return value, grad

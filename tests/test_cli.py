@@ -295,6 +295,29 @@ class TestCommands:
         report = json.loads((tmp_path / "obs" / "report.json").read_text())
         assert report["parameters"]["eps"] == [0.3, 0.15]
 
+    def test_experiment_rejects_a_key_it_does_not_read(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "[experiment]\nn = 16\nT = 3\n")
+        rc = main(["experiment", "dispersion", cfg, "--out", str(tmp_path / "disp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'T'" in err
+        assert not (tmp_path / "disp" / "report.json").exists()
+
+    def test_sweep_rejects_a_key_its_experiment_does_not_read(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "[experiment]\nname = dispersion\n\n"
+                                   "[sweep]\nexperiment.T = 1.0, 2.0\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "'T'" in err
+
+    def test_experiment_applies_library_defaults(self, tmp_path):
+        cfg = self.write(tmp_path, "[experiment]\nT = 2.0\n")
+        assert main(["experiment", "limit-obstruction", cfg,
+                     "--out", str(tmp_path / "obs")]) == 0
+        report = json.loads((tmp_path / "obs" / "report.json").read_text())
+        assert report["parameters"] == {"eps": [0.4, 0.2, 0.1], "T": 2.0,
+                                        "L": 1.0, "n": 64}
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = self.write(tmp_path, "[domain]\nd = 1\ns = -3\n")
         assert main(["simulate", cfg]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from adwave import cli
+from adwave import experiments as ex
 from adwave.dynamics import SimConfig, bump_field, stability_limit, zero_field
 from adwave.experiments import (
     fitted_dt,
@@ -216,3 +219,85 @@ class TestReportMechanics:
         rep2 = run_limit_obstruction(eps_list=(0.4, 0.2), T=2.0, n=32)
         assert rep1.series["residual_eps"] == rep2.series["residual_eps"]
         assert rep1.series["limit_residual"] == rep2.series["limit_residual"]
+
+
+# SHA-256 of every table and plot the five experiments write at their CLI
+# defaults, recorded before the experiments declared their outputs
+OUTPUT_SHA256 = {
+    "dispersion/dispersion.csv":
+        "402ff4916cf4f3f9a8faf83924a707def506839a7944444bd932b16ac750c20e",
+    "energy-inequality/energy.csv":
+        "a1a7ed57429eafd69a1811583de2457a5c7b09baea58479c5a35451d4c9b374f",
+    "energy-inequality/energy.svg":
+        "83c652d5b04bec8e746dd39fcec91e0594982c955d04e6170298eadc0e891090",
+    "epsilon-convergence/epsilon_study.csv":
+        "701fafd503082a63bbdf924b316a7eba744d826181c48844c4baa04f6c5cab65",
+    "epsilon-convergence/epsilon_study.svg":
+        "71ada8b6c6a604a327339c5983e54c51a42c97916e62bc82a79613150b38fb6f",
+    "limit-obstruction/limit_obstruction.csv":
+        "5157f39909e5360257b79ba21e4ccf4f61b56af317a8ee33b253147b9b759881",
+    "limit-obstruction/limit_obstruction.svg":
+        "15b25b22267a339d80532b9116a0b1b893de5b7678a9d4f2d216fcc8f117258b",
+    "small-data/small_data.csv":
+        "4c6dfbb371b00e20c222873545567c6ff6fcbaa9a98400636de88a19e85a0a69",
+    "small-data/small_data.svg":
+        "afa94dfffb0e04dd8636863d715360bde87c3da36ced0d4726ed2812d87cba5b",
+}
+
+
+class TestDeclaredOutputs:
+    def test_cli_defaults_write_pinned_bytes(self, tmp_path):
+        for name in cli.EXPERIMENTS:
+            assert cli.main(["experiment", name, "--out", str(tmp_path / name)]) == 0
+        written = {}
+        for name in cli.EXPERIMENTS:
+            for entry in sorted(os.listdir(tmp_path / name)):
+                if entry.endswith((".csv", ".svg")):
+                    data = (tmp_path / name / entry).read_bytes()
+                    written[f"{name}/{entry}"] = hashlib.sha256(data).hexdigest()
+        assert written == OUTPUT_SHA256
+
+    def test_artifacts_list_tables_then_plots_then_report(self, tmp_path):
+        rep = cli.EXPERIMENTS["energy-inequality"](cli.RunSpec(), str(tmp_path))
+        assert [os.path.basename(a) for a in rep.artifacts] == [
+            "energy.csv", "energy.svg", "report.json"]
+        assert all(os.path.dirname(a) == str(tmp_path) for a in rep.artifacts)
+
+    def test_no_files_without_out_dir(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wrote a file without an output directory")
+
+        monkeypatch.setattr(ex, "write_csv", forbidden)
+        monkeypatch.setattr(ex, "svg_line_plot", forbidden)
+        rep = run_dispersion_check(cases=((1, 1.0),), n=16)
+        assert rep.passed and rep.artifacts == []
+
+    def test_registry_writes_through_module_attributes(self, tmp_path, monkeypatch):
+        # the bench tracer wraps exactly these attributes, so every write
+        # and every experiment run must go through them
+        calls = {"write_csv": [], "svg_line_plot": [], "run_limit_obstruction": 0}
+        write_csv, svg_line_plot = ex.write_csv, ex.svg_line_plot
+        run_limit_obstruction = ex.run_limit_obstruction
+
+        def counting_csv(path, *args, **kwargs):
+            calls["write_csv"].append(os.path.relpath(path, tmp_path))
+            return write_csv(path, *args, **kwargs)
+
+        def counting_svg(path, *args, **kwargs):
+            calls["svg_line_plot"].append(os.path.relpath(path, tmp_path))
+            return svg_line_plot(path, *args, **kwargs)
+
+        def counting_run(*args, **kwargs):
+            calls["run_limit_obstruction"] += 1
+            return run_limit_obstruction(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "write_csv", counting_csv)
+        monkeypatch.setattr(ex, "svg_line_plot", counting_svg)
+        monkeypatch.setattr(ex, "run_limit_obstruction", counting_run)
+        for name, run in cli.EXPERIMENTS.items():
+            assert run(cli.RunSpec(), str(tmp_path / name)).passed
+        assert sorted(calls["write_csv"]) == sorted(
+            k for k in OUTPUT_SHA256 if k.endswith(".csv"))
+        assert sorted(calls["svg_line_plot"]) == sorted(
+            k for k in OUTPUT_SHA256 if k.endswith(".svg"))
+        assert calls["run_limit_obstruction"] == 1

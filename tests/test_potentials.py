@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adwave.potentials import (
     C1_UNIFORM,
@@ -18,7 +19,7 @@ from adwave.potentials import (
     zero_potential,
 )
 
-from oracles import central_difference_gradient
+from oracles import ball_oracle, central_difference_gradient
 
 
 class TestClippedQuadratic:
@@ -65,6 +66,29 @@ class TestBallPotential:
         W1, Wb = clipped_quadratic(1.0), ball_potential(1)
         u = np.linspace(-3, 3, 101)
         assert np.array_equal(W1.value(u), Wb.value(u))
+
+    # Components are 0, -0 or at least 1e-150 in magnitude: below about
+    # 1e-154 every square underflows, |y| reads 0, and the radial form
+    # returns a zero gradient where 2y is a subnormal-scale vector.
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(1e-150, 4.0), st.floats(-4.0, -1e-150)),
+                 min_size=m, max_size=m), min_size=1, max_size=16)))
+    def test_radial_form_matches_closed_form(self, rows):
+        y = np.array(rows)
+        m = y.shape[-1]
+        norms = np.linalg.norm(y, axis=-1, keepdims=True)
+        eye = np.eye(m)
+        # the origin, the unit sphere along the axes, and each draw moved
+        # onto the sphere, then the draws themselves, inside and outside
+        y = np.concatenate([np.zeros((1, m)), eye, -eye,
+                            y[norms[:, 0] > 0] / norms[norms[:, 0] > 0], y])
+        value, grad = ball_oracle(m)
+        W = ball_potential(m)
+        states = y if m > 1 else y[:, 0]
+        expected_grad = grad(y) if m > 1 else grad(y)[:, 0]
+        assert W.value(states).tobytes() == value(y).tobytes()
+        assert np.array_equal(W.grad(states), expected_grad)
 
 
 class TestGradientConsistency:
@@ -245,6 +269,15 @@ class TestMollifiedFamily:
         W = fam.make(0.1)
         u = np.linspace(-0.8, 0.8, 801)
         assert np.max(np.abs(W.grad(u) - 2.0 * u)) <= 1e-12
+
+    def test_members_keep_the_critical_set_but_not_the_profile(self):
+        base = ball_potential(2)
+        W = mollified_family(base).make(0.1)
+        assert W.critical_set == base.critical_set == "unit sphere |y| = 1"
+        assert W.critical_distance is base.critical_distance
+        assert W.profile is None
+        y = np.array([[0.0, 0.0], [0.6, 0.8], [-3.0, 4.0]])
+        assert np.allclose(W.critical_distance(y), [1.0, 0.0, 4.0], atol=1e-15)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,17 @@ class TestDomainValidation:
             Domain(d=1, s=0.5, omega_extent=1.0, n=8, pad_factor=1.0,
                    boundary_mode=NEUMANN_1D)
 
+    def test_geometry_is_cached_and_domain_stays_hashable(self):
+        dom = Domain(d=2, s=1.0, omega_extent=(1.0, 2.0), n=(8, 16), pad_factor=1.5)
+        assert dom.box_extent == (1.5, 3.0)
+        assert dom.h == (1.5 / 8, 3.0 / 16)
+        assert dom.cell_volume == (1.5 / 8) * (3.0 / 16)
+        assert {"box_extent", "h", "cell_volume"} <= set(vars(dom))
+        assert dom.h is dom.h
+        twin = Domain(d=2, s=1.0, omega_extent=(1.0, 2.0), n=(8, 16), pad_factor=1.5)
+        assert twin == dom and hash(twin) == hash(dom)
+        assert build_operator(twin) is build_operator(dom)
+
     def test_grid_mismatch(self):
         op = build_operator(periodic_domain(n=16))
         with pytest.raises(GridMismatchError):
