@@ -64,14 +64,15 @@ def _fmt_arg(v):
     return str(v)
 
 
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
+def _split_top_level(text: str) -> list[str]:
+    """``text`` split at the commas outside parentheses."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -105,14 +106,22 @@ def parse_descriptor(text: str, line: int | None = None) -> Descriptor:
     return Descriptor(kind, tuple(args))
 
 
+def _whole(desc: Descriptor, key: str, default: int) -> int:
+    """Descriptor argument ``key`` as an int; rejects a fractional or non-finite value."""
+    value = desc.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def build_potential(desc: Descriptor, line: int | None = None) -> pot.Potential:
     try:
         if desc.kind == "clipped_quadratic":
             return pot.clipped_quadratic(desc.get("u_star", 1.0))
         if desc.kind == "ball":
-            return pot.ball_potential(int(desc.get("m", 1)))
+            return pot.ball_potential(_whole(desc, "m", 1))
         if desc.kind == "zero":
-            return pot.zero_potential(int(desc.get("m", 1)))
+            return pot.zero_potential(_whole(desc, "m", 1))
         if desc.kind == "linear_taper":
             return pot.linear_taper_family().make(desc.get("eps"))
         if desc.kind == "mollified":
@@ -154,7 +163,7 @@ def build_data(desc: Descriptor, domain: sp.Domain, m: int,
             return dyn.bump_field(domain, desc.get("amplitude", 1.0),
                                   desc.get("width_frac", 0.6))
         if desc.kind == "sine":
-            return dyn.sine_field(domain, int(desc.get("k", 1)),
+            return dyn.sine_field(domain, _whole(desc, "k", 1),
                                   desc.get("amplitude", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid data {desc}: {exc}", line) from None
@@ -201,7 +210,7 @@ def _convert(section: str, key: str, raw: str, line: int):
             if head not in _SCHEMA or _SCHEMA[head] is None or tail not in _SCHEMA[head]:
                 raise ConfigError(f"sweep key {key!r} does not name a known "
                                   "section.key", line)
-            return [v.strip() for v in raw.split(",")]
+            return [_convert(head, tail, v.strip(), line) for v in raw.split(",")]
         if spec is int:
             return int(raw)
         if spec is float:
@@ -353,6 +362,15 @@ def parse_config(text: str) -> RunSpec:
     return spec
 
 
+def _format_value(value) -> str:
+    if isinstance(value, list):  # a float list, or the values of a swept key
+        return ", ".join(_format_value(v) if isinstance(v, list) else fmt(v)
+                         for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return fmt(value)
+
+
 def format_runspec(spec: RunSpec) -> str:
     """Canonical text form; parse(format(parse(x))) == parse(x)."""
     out = []
@@ -363,19 +381,8 @@ def format_runspec(spec: RunSpec) -> str:
         keys = spec.sections[section]
         order = list(_SCHEMA[section]) if _SCHEMA[section] else sorted(keys)
         for key in order:
-            if key not in keys:
-                continue
-            value = keys[key]
-            if isinstance(value, list):
-                text = ", ".join(fmt(v) if isinstance(v, float) else str(v)
-                                 for v in value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
-            out.append(f"{key} = {text}")
+            if key in keys:
+                out.append(f"{key} = {_format_value(keys[key])}")
         out.append("")
     return "\n".join(out)
 
@@ -461,6 +468,16 @@ EXPERIMENTS = {
 }
 
 
+def _experiment(spec: RunSpec, name: str):
+    """The entry of experiment ``name``; an unknown name is an error at the
+    line that sets it."""
+    if name not in EXPERIMENTS:
+        line = spec.line_of("sweep", "experiment.name") or spec.line_of("experiment", "name")
+        raise ConfigError(f"unknown experiment {name!r}; known: "
+                          + ", ".join(sorted(EXPERIMENTS)), line)
+    return EXPERIMENTS[name]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -505,10 +522,7 @@ def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
 
 
 def cmd_experiment(spec: RunSpec, name: str, out_dir: str) -> int:
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: "
-                          + ", ".join(sorted(EXPERIMENTS)))
-    report = EXPERIMENTS[name](spec, out_dir)
+    report = _experiment(spec, name)(spec, out_dir)
     for line in report.summary_lines():
         print(line)
     return 0 if report.passed else 1
@@ -537,27 +551,27 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
     sweep = spec.sections.get("sweep", {})
     if not sweep:
         raise ConfigError("sweep requires a [sweep] section")
-    combos = list(itertools.product(*sweep.values()))
+    runs = []  # (sub-run spec, its experiment entry or None), all checked up front
+    for combo in itertools.product(*sweep.values()):
+        sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items() if s != "sweep"},
+                      dict(spec.lines))
+        for key, value in zip(sweep, combo):
+            section, _, name = key.partition(".")
+            sub.sections.setdefault(section, {})[name] = value
+        name = sub.get("experiment", "name")
+        runs.append((sub, _experiment(sub, name) if name else None))
 
     def one(item):
-        i, combo = item
-        sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items()}, dict(spec.lines))
-        del sub.sections["sweep"]
-        for key, raw in zip(sweep, combo):
-            section, _, name = key.partition(".")
-            sub.sections.setdefault(section, {})
-            sub.sections[section][name] = _convert(section, name, raw, 0)
+        i, (sub, experiment) = item
         run_dir = os.path.join(out_dir, f"run-{i:03d}")
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "config.ini"), "w") as fh:
             fh.write(format_runspec(sub))
-        name = sub.get("experiment", "name")
-        if name:
-            report = EXPERIMENTS[name](sub, run_dir)
-            return 0 if report.passed else 1
+        if experiment:
+            return 0 if experiment(sub, run_dir).passed else 1
         return cmd_simulate(sub, run_dir)
 
-    results = ex._map_ordered(one, list(enumerate(combos)), None)
+    results = ex._map_ordered(one, list(enumerate(runs)))
     for i, rc in enumerate(results):
         print(f"run-{i:03d}: {'PASS' if rc == 0 else 'FAIL'}")
     return max(results)
@@ -608,7 +622,7 @@ def main(argv=None) -> int:
         if args.command == "embed-const":
             return cmd_embed_const(args.d, args.s, args.tol)
         spec = _load_spec(getattr(args, "config", None))
-        out_dir = args.out or os.environ.get("ADWAVE_OUT") or spec.out_dir()
+        out_dir = args.out or spec.out_dir()
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(spec, out_dir)

@@ -7,8 +7,10 @@ uses the projected state, which makes the map identical to plain Verlet on
 the constrained subspace: it stays symplectic there, exactly
 time-reversible, and keeps every recorded snapshot supported in Omega.
 
-Exterior contract: u vanishes outside Omega and W models the adhesive layer
-on Omega, so grad W(u) and W(u) are evaluated on the interior block
+Exterior contract: u vanishes outside Omega: it is +0 or -0 at every point
+off ``domain.interior_mask``, a set that is empty unless the mode is
+exterior-dirichlet, so one check serves every mode. W models the adhesive
+layer on Omega, so grad W(u) and W(u) are evaluated on the interior block
 ``u[domain.interior]`` only, and the transforms of ``force`` and ``energy``
 take the ``in_omega`` shortcut of :mod:`adwave.spectral`: they read and
 produce only Omega's grid lines ``[domain.interior_lines]``, the lines along
@@ -30,6 +32,7 @@ from .spectral import (
     EXTERIOR_DIRICHLET,
     Domain,
     SpectralOperator,
+    _fitted,
     apply_fractional_laplacian,
     build_operator,
     embedding_constant,
@@ -143,13 +146,10 @@ class SimConfig:
             raise SimConfigError("record_every", "record_every must be >= 1")
         if not 0 < self.cfl_safety <= 1:
             raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
-        if self.domain.boundary_mode == EXTERIOR_DIRICHLET:
-            outside = ~self.domain.interior_mask
-            for label, f in (("u0", self.u0), ("v0", self.v0)):
-                vals = f[outside] if f.ndim == self.domain.d else f[outside, :]
-                if vals.size and float(np.max(np.abs(vals))) != 0.0:
-                    raise SimConfigError(label, f"{label} must vanish outside Omega in "
-                                         "exterior-dirichlet mode")
+        outside = ~self.domain.interior_mask
+        for label, f in (("u0", self.u0), ("v0", self.v0)):
+            if np.any(f[outside] != 0.0):
+                raise SimConfigError(label, f"{label} must vanish outside Omega")
         if self.enforce_cfl:
             limit = self.cfl_safety * stability_limit(
                 build_operator(self.domain), self.potential)
@@ -227,7 +227,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     lines = dom.interior_lines
     mask = None
     if dom.boundary_mode == EXTERIOR_DIRICHLET:
-        mask = dom.interior_mask if state.u.ndim == dom.d else dom.interior_mask[..., None]
+        mask = _fitted(dom, state.u, dom.interior_mask)
     u, v, vh = state.u, state.v, force(op, potential, state.u)
     if lines:  # leading axes: update Omega's grid lines alone
         u, v, vh = u[lines], v[lines], vh[lines]
@@ -371,18 +371,15 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
     config = traj.config
     dom = config.domain
     op = build_operator(dom)
-    inner = dom.interior
+    inner, outside = dom.interior, ~dom.interior_mask
     times = traj.times
     T = float(times[-1])
     out = []
     for tf in test_fields:
         psi = np.asarray(tf.psi, dtype=float)
         dom.field_components(psi)
-        if dom.boundary_mode == EXTERIOR_DIRICHLET:
-            outside = psi * ~(dom.interior_mask if psi.ndim == dom.d
-                              else dom.interior_mask[..., None])
-            if float(np.max(np.abs(outside))) != 0.0:
-                raise ValueError("test field must be supported in Omega")
+        if np.any(psi[outside] != 0.0):
+            raise ValueError("test field must be supported in Omega")
         lpsi = apply_fractional_laplacian(op, psi, in_omega=True)
         psi_in = psi[inner]
         a = np.array([l2_inner(dom, st.u, psi) for st in traj.states])
@@ -403,9 +400,8 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
 def constant_trajectory(domain: Domain, potential: Potential, value,
                         times: np.ndarray, m: int = 1) -> Trajectory:
     """Synthetic trajectory frozen at a constant state (v = 0 throughout)."""
-    shape = domain.n if m == 1 else domain.n + (m,)
-    u = np.full(shape, 0.0) + np.asarray(value, dtype=float)
-    v = np.zeros(shape)
+    u = constant_field(domain, value, m)
+    v = zero_field(domain, m)
     op = build_operator(domain)
     states = [FieldState(u.copy(), v.copy(), float(t)) for t in times]
     energies = [energy(op, potential, st) for st in states]

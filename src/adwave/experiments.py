@@ -5,8 +5,9 @@ a chain of named inequalities or convergence proxies, and returns an
 :class:`~adwave.reporting.ExperimentReport`. Each ends by declaring its CSV
 tables and SVG plots, which :func:`_emit` writes, followed by
 ``report.json``, when an output directory is given.
-Fan-out over independent parameter values (per eps, per s) can use a worker
-pool; results are assembled in parameter order, never completion order.
+Fan-out over independent parameter values (per eps, per s) uses a pool of
+``ADWAVE_WORKERS`` threads (default 1, no pool); results are assembled in
+parameter order, never completion order.
 """
 from __future__ import annotations
 
@@ -51,9 +52,8 @@ def _emit(report: ExperimentReport, out_dir: str | None, tables=(),
     return report
 
 
-def _map_ordered(fn, items, workers: int | None):
-    if workers is None:
-        workers = int(os.environ.get("ADWAVE_WORKERS", "1"))
+def _map_ordered(fn, items):
+    workers = int(os.environ.get("ADWAVE_WORKERS", "1"))
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -61,8 +61,8 @@ def _map_ordered(fn, items, workers: int | None):
 
 
 def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
-                          dt_refinements=(1, 2, 4), out_dir: str | None = None,
-                          workers: int | None = None) -> ExperimentReport:
+                          dt_refinements=(1, 2, 4),
+                          out_dir: str | None = None) -> ExperimentReport:
     """Energy never rises above its initial value, and the leftover drift
     shrinks quadratically under dt refinement.
 
@@ -82,7 +82,7 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
         cfg = replace(config, potential=potential, dt=config.dt / fac)
         return cfg, dyn.simulate(cfg)
 
-    runs = _map_ordered(one, list(dt_refinements), workers)
+    runs = _map_ordered(one, list(dt_refinements))
     drifts = []
     for fac, (cfg, traj) in zip(dt_refinements, runs):
         totals = traj.totals
@@ -119,8 +119,8 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
 
 
 def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
-                            config: dyn.SimConfig, out_dir: str | None = None,
-                            workers: int | None = None) -> ExperimentReport:
+                            config: dyn.SimConfig,
+                            out_dir: str | None = None) -> ExperimentReport:
     """Cauchy proxy for convergence of the regularized runs as eps -> 0.
 
     Simulates the same data under each member W_eps and measures consecutive
@@ -140,7 +140,7 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
         cfg = replace(config, potential=family.make(eps))
         return dyn.simulate(cfg)
 
-    trajs = _map_ordered(one, eps_list, workers)
+    trajs = _map_ordered(one, eps_list)
     dom = config.domain
     dists = []
     for i in range(len(eps_list) - 1):
@@ -165,8 +165,7 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
 
 def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
                           L: float = 1.0, n: int = 64,
-                          out_dir: str | None = None,
-                          workers: int | None = None) -> ExperimentReport:
+                          out_dir: str | None = None) -> ExperimentReport:
     """Flat states 1+eps solve the tapered problems exactly, converge
     uniformly to the constant 1, yet the limit fails the weak form.
 
@@ -195,7 +194,7 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
         res = dyn.weak_residual(traj, [test], member)[0]
         return traj, dev, res
 
-    results = _map_ordered(one, eps_list, workers)
+    results = _map_ordered(one, eps_list)
     limit_dev = []
     for eps, (traj, dev, res) in zip(eps_list, results):
         report.check(f"flat_state(eps={eps:g})", dev <= 1e-10,
@@ -367,16 +366,16 @@ def _sampled_grad_gap(base: pot.Potential, member: pot.Potential,
 
 
 def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
-                         box: float = 2.0 * math.pi, periods: float = 6.0,
-                         out_dir: str | None = None,
-                         workers: int | None = None) -> ExperimentReport:
+                         out_dir: str | None = None) -> ExperimentReport:
     """Free-wave dispersion: a single mode k oscillates at |xi_k|^s.
 
-    Fits the oscillation frequency of the mode amplitude from the recurrence
+    Each mode runs for 6 periods on a periodic box of side 2*pi. Fits the
+    oscillation frequency of the mode amplitude from the recurrence
     cos(w dt) = (a_{j-1} + a_{j+1}) / (2 a_j) and compares against the
     symbol; the allowance 5 dt^2 |xi_k|^{3s} covers the second-order phase
     error of the integrator.
     """
+    box, periods = 2.0 * math.pi, 6.0
     report = ExperimentReport("dispersion", parameters={
         "cases": [list(c) for c in cases], "n": n, "box": box})
     potential = pot.zero_potential()
@@ -402,7 +401,7 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
         fitted = _fit_frequency(amp, dt)
         return k, s, xi, omega, dt, fitted
 
-    rows = _map_ordered(one, list(cases), workers)
+    rows = _map_ordered(one, list(cases))
     for k, s, xi, omega, dt, fitted in rows:
         tol = 5.0 * dt ** 2 * xi ** (3.0 * s)
         report.check(f"dispersion(k={k},s={s:g})", abs(fitted - omega) <= tol,

@@ -17,9 +17,11 @@ are supported:
 
 Grid layout contract: arrays are row-major with spatial axes ordered
 (x1, ..., xd). Vector-valued fields carry their m components on one trailing
-axis; scalar fields have no trailing axis. The grid points inside Omega form
-one block, ``f[domain.interior]``: :attr:`Domain.interior` holds its per-axis
-slices and :attr:`Domain.interior_mask` is the same set as a boolean grid.
+axis; scalar fields have no trailing axis. :func:`_fitted` shapes an array
+over the grid (a symbol, a mask) to meet either kind. The grid points inside
+Omega form one block, ``f[domain.interior]``: :attr:`Domain.interior` holds
+its per-axis slices and :attr:`Domain.interior_mask` is the same set as a
+boolean grid. Both span the whole box unless the mode is exterior-dirichlet.
 
 Spectral layout: fields are real, so the periodic modes use real-to-complex
 transforms, one pass per spatial axis in ``rfftn``'s order: real-to-complex
@@ -205,7 +207,7 @@ class Domain:
         f = np.asarray(f)
         if f.shape == self.n:
             return 1
-        if f.ndim == self.d + 1 and f.shape[: self.d] == self.n:
+        if f.shape[:-1] == self.n:
             return f.shape[-1]
         raise GridMismatchError(
             f"field shape {f.shape} does not match grid {self.n} "
@@ -255,8 +257,6 @@ def build_operator(domain: Domain) -> SpectralOperator:
     The result is memoised per domain: equal domains share one read-only
     operator.
     """
-    if not domain.s > 0:
-        raise ValueError("fractional order s must be positive")
     if domain.boundary_mode == NEUMANN_1D:
         L = domain.box_extent[0]
         xi = np.pi * np.arange(domain.n[0]) / L
@@ -273,12 +273,11 @@ def build_operator(domain: Domain) -> SpectralOperator:
     return SpectralOperator(domain, symbol)
 
 
-def _fitted(op: SpectralOperator, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """``symbol`` shaped to broadcast against ``f`` or its spectrum."""
-    op.domain.field_components(f)
-    if f.ndim == op.domain.d + 1:
-        return symbol[..., None]
-    return symbol
+def _fitted(domain: Domain, f: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``grid``, an array over the spatial axes (a symbol, a mask), shaped to
+    broadcast against the field ``f`` or its spectrum; validates ``f``."""
+    domain.field_components(f)
+    return grid if f.ndim == domain.d else grid[..., None]
 
 
 # every grid line of the box, indexed by the number of leading axes, d - 1
@@ -343,10 +342,10 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     f = np.asarray(f, dtype=float)
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
-        sym = _fitted(op, f, op.symbol)
+        sym = _fitted(dom, f, op.symbol)
         coeff = _fft.dct(f, type=2, axis=0, norm="ortho")
         return _fft.idct(sym * coeff, type=2, axis=0, norm="ortho")
-    sym = _fitted(op, f, op.half_symbol)
+    sym = _fitted(dom, f, op.half_symbol)
     lead = dom.interior_lines if in_omega else _WHOLE_LINES[dom.d - 1]
     fhat = _rfft(f, lead, dom.n)
     fhat *= sym
@@ -379,11 +378,11 @@ def seminorm_s(op: SpectralOperator, f: np.ndarray, *,
     f = np.asarray(f, dtype=float)
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
-        sym = _fitted(op, f, op.symbol)
+        sym = _fitted(dom, f, op.symbol)
         coeff = _fft.dct(f, type=2, axis=0, norm="ortho")
         val = float(np.sum(sym * coeff * coeff)) * dom.cell_volume
     else:
-        sym = _fitted(op, f, op.parseval_symbol)
+        sym = _fitted(dom, f, op.parseval_symbol)
         lead = dom.interior_lines if in_omega else _WHOLE_LINES[dom.d - 1]
         fhat = _rfft(f, lead, dom.n)
         val = float(np.sum(sym * (fhat.real ** 2 + fhat.imag ** 2)))
@@ -397,21 +396,15 @@ def hs_norm(op: SpectralOperator, f: np.ndarray) -> float:
 
 
 def mask_exterior(domain: Domain, f: np.ndarray) -> np.ndarray:
-    """Zero a field on all grid points outside Omega. Idempotent.
+    """Zero a field on all grid points outside Omega, in a new array. Idempotent.
 
-    In periodic mode Omega is the whole box and the field is returned
-    unchanged (as a copy). Not meaningful in neumann-1d mode.
+    In periodic mode Omega is the whole box, so the result equals the field
+    bit for bit (-0 and NaN included). Not meaningful in neumann-1d mode.
     """
     if domain.boundary_mode == NEUMANN_1D:
         raise ValueError("mask_exterior is undefined in neumann-1d mode")
     f = np.asarray(f, dtype=float)
-    domain.field_components(f)
-    if domain.boundary_mode == PERIODIC:
-        return f.copy()
-    mask = domain.interior_mask
-    if f.ndim == domain.d + 1:
-        mask = mask[..., None]
-    return f * mask
+    return f * _fitted(domain, f, domain.interior_mask)
 
 
 def _tail_series(c: float, d: int, s: float, stop: float) -> tuple[float, float]:
@@ -430,12 +423,12 @@ def _tail_series(c: float, d: int, s: float, stop: float) -> tuple[float, float]
     return total, term
 
 
-def embedding_constant(d: int, s: float, cutoff: float = 50.0, tol: float = 1e-9) -> float:
+def embedding_constant(d: int, s: float, tol: float = 1e-9) -> float:
     """Max-norm embedding constant sqrt(2) * (2 pi)^(-d/2) * I(d, s)^(1/2).
 
     I(d, s) is the integral of (1 + |xi|^s)^(-2) over R^d, reduced to a
     radial integral (sphere surface measure times a 1-d improper integral).
-    The integral is evaluated adaptively up to ``cutoff`` plus an analytic
+    The integral is evaluated adaptively up to r = 50 plus an analytic
     alternating-series tail whose truncation error joins the error budget;
     the returned constant is within ``tol`` of the exact value. Requires
     2s > d, otherwise the integral diverges.
@@ -444,9 +437,7 @@ def embedding_constant(d: int, s: float, cutoff: float = 50.0, tol: float = 1e-9
         raise ValueError("dimension must be >= 1")
     if not 2.0 * s > d:
         raise ValueError(f"embedding requires 2s > d (got s={s}, d={d})")
-    c = max(float(cutoff), 2.0)
-    while c ** s < 4.0:
-        c *= 2.0
+    c = 50.0  # s > d / 2 >= 1 / 2, so c^s > 7 and the tail series applies
     sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     budget = 0.1 * tol / sphere
 
@@ -487,9 +478,10 @@ def _random_band_limited(domain: Domain, rng: np.random.Generator,
     return _fft.ifftn(spec, axes=axes).real
 
 
-def verify_embedding(op: SpectralOperator, trials: int = 1000, seed: int = 0,
-                     band: int | None = None) -> EmbeddingReport:
-    """Check max|f| <= C * ||f||_{H^s} on random band-limited fields.
+def verify_embedding(op: SpectralOperator, trials: int = 1000,
+                     seed: int = 0) -> EmbeddingReport:
+    """Check max|f| <= C * ||f||_{H^s} on random fields band-limited to the
+    lowest quarter of the lattice, |k| <= max(1, min(n) // 4).
 
     Returns the worst observed ratio max|f| / (C * hs_norm(f)); the
     inequality holds whenever the box is large enough that the discrete
@@ -498,8 +490,7 @@ def verify_embedding(op: SpectralOperator, trials: int = 1000, seed: int = 0,
     """
     dom = op.domain
     const = embedding_constant(dom.d, dom.s)
-    if band is None:
-        band = max(1, min(dom.n) // 4)
+    band = max(1, min(dom.n) // 4)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

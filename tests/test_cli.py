@@ -200,6 +200,30 @@ class TestTrajectoryCsv:
         assert hashlib.sha256(data).hexdigest() == \
             "4ad0f56decf99ea2c281726ca29854862d8927cc65b940ed32e0d5cf16ce404b"
 
+    @pytest.mark.parametrize("domain, potential, data, record_every, hashes", [
+        ("d = 1\ns = 1.0\nomega_extent = 1.0\nn = 64\nboundary = neumann-1d",
+         "mollified(eps=0.1)", "u0 = bump(amplitude=1.2)\nv0 = zero()", 50,
+         ("38d93963ddba7a3e908d8e3dd2f87b9315d934c612593229e6cd28de85e75f85",
+          "9018dea0e70f12787dc4b4e8a0b2265d1788f1612caa6eebba32c679a6d6a1f5")),
+        ("d = 2\ns = 1.0\nomega_extent = 6.283185307179586\nn = 8\nboundary = periodic",
+         "ball(m=2)", "u0 = constant(value=0.3)\nv0 = constant(value=0.9)", 5,
+         ("6db2b5b172d06b16907ed04a3721e202c64cbf456cd22e178e243d734e6778d0",
+          "4079da9bba3ad149ae2ecf57858027bed5a645f30a985ccae2a84ddf1975c94e")),
+    ], ids=["neumann-1d-mollified-bump", "periodic-2d-ball-constant"])
+    def test_runs_where_omega_is_the_box_have_fixed_hashes(
+            self, tmp_path, domain, potential, data, record_every, hashes):
+        """trajectory.csv and energy.csv of a cosine-basis scalar run and of a
+        2-D vector run on the whole periodic box, as the code gave them
+        before the support checks stopped testing the boundary mode."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[domain]\n{domain}\npad_factor = 1.0\n\n"
+                       f"[potential]\nkind = {potential}\n\n[data]\n{data}\n\n"
+                       f"[simulation]\nT = 1.0\nrecord_every = {record_every}\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("trajectory.csv", "energy.csv"))
+        assert got == hashes
+
 
 class TestDescriptors:
     def test_nested_descriptor(self):
@@ -309,6 +333,67 @@ class TestCommands:
         assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
         err = capsys.readouterr().err
         assert "line 5" in err and "'T'" in err
+
+    @pytest.mark.parametrize("text, line", [
+        ("[experiment]\nname = bogus\n\n[sweep]\nexperiment.n = 16\n", 2),
+        ("[experiment]\nname = dispersion\n\n[sweep]\n"
+         "experiment.name = dispersion, bogus\n", 5),
+    ], ids=["experiment-name", "swept-name"])
+    def test_sweep_rejects_an_unknown_experiment_before_any_run(self, tmp_path, capsys,
+                                                                text, line):
+        cfg = self.write(tmp_path, text)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: unknown experiment 'bogus'")
+        assert "Traceback" not in err
+        assert not list((tmp_path / "sw").glob("run-*"))
+
+    def test_sweep_rejects_a_bad_value_at_its_line_before_any_run(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, MINIMAL + "\n[sweep]\nsimulation.T = 0.5, abc\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: line 18: bad value for 'T'")
+        assert not (tmp_path / "sw").exists()
+
+    def test_swept_values_are_typed_and_round_trip(self, tmp_path):
+        text = (MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\ndomain.n = 16, 32\n"
+                "potential.kind = zero(), ball(m=1)\nsimulation.enforce_cfl = yes, no\n")
+        spec = parse_config(text)
+        assert spec.get("sweep", "simulation.T") == [0.25, 0.5]
+        assert spec.get("sweep", "domain.n") == [[16.0], [32.0]]
+        assert spec.get("sweep", "potential.kind")[1] == Descriptor("ball", (("m", 1),))
+        assert spec.get("sweep", "simulation.enforce_cfl") == [True, False]
+        once = format_runspec(spec)
+        assert parse_config(once) == spec
+        assert format_runspec(parse_config(once)) == once
+
+    @pytest.mark.parametrize("old, new, line, what", [
+        ("kind = clipped_quadratic(u_star=1.0)", "kind = ball(m=2.5)", 8,
+         "invalid potential ball(m=2.5): m must be a whole number, got 2.5"),
+        ("kind = clipped_quadratic(u_star=1.0)", "kind = ball(m=inf)", 8,
+         "invalid potential ball(m=inf): m must be a whole number, got inf"),
+        ("kind = clipped_quadratic(u_star=1.0)", "kind = zero(m=nan)", 8,
+         "invalid potential zero(m=nan): m must be a whole number, got nan"),
+        ("kind = clipped_quadratic(u_star=1.0)",
+         "kind = mollified(base=ball(m=1.5), eps=0.1)", 8,
+         "m must be a whole number, got 1.5"),
+        ("u0 = zero()", "u0 = sine(k=1.5)", 11,
+         "invalid data sine(k=1.5): k must be a whole number, got 1.5"),
+    ])
+    def test_fractional_or_infinite_descriptor_integers_exit_2(self, tmp_path, capsys,
+                                                              old, new, line, what):
+        text = MINIMAL.replace("n = 64\n", "n = 64\npad_factor = 1.0\nboundary = periodic\n")
+        cfg = self.write(tmp_path, text.replace(old, new))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line + 2}: ") and what in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_whole_float_descriptor_integers_still_accepted(self, tmp_path):
+        text = MINIMAL.replace("clipped_quadratic(u_star=1.0)", "ball(m=1.0)")
+        cfg = self.write(tmp_path, text.replace("u0 = zero()", "u0 = sine(k=2.0)").replace(
+            "n = 64\n", "n = 64\npad_factor = 1.0\nboundary = periodic\n"))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_experiment_applies_library_defaults(self, tmp_path):
         cfg = self.write(tmp_path, "[experiment]\nT = 2.0\n")

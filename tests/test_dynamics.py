@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adwave.dynamics import (
     BlowUpError,
@@ -47,7 +48,7 @@ from adwave.spectral import (
     l2_norm,
 )
 
-from oracles import energy_oracle, step_oracle
+from oracles import energy_oracle, interior_mask_oracle, step_oracle
 
 
 
@@ -471,6 +472,65 @@ class TestWeakResidual:
         tf = WeakTestField(psi=np.ones(64), window=window_one())
         with pytest.raises(ValueError, match="supported in Omega"):
             weak_residual(traj, [tf], zero_potential())
+
+
+# values set at chosen points off Omega: zeros of either sign pass the support
+# checks, everything else (a subnormal, NaN, infinity) must fail them
+_OFF_OMEGA = [0.0, -0.0, 5e-324, -2.5, float("nan"), float("inf")]
+
+
+@st.composite
+def _support_cases(draw):
+    """A field of m = 1-3 components on a small grid in any mode: values
+    drawn on Omega (non-finite ones included), zero off Omega except at up
+    to three chosen points; with whether a chosen point is non-zero or NaN.
+    Half the domains have an exterior, where the chosen points matter."""
+    mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
+    d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=d, max_size=d)))
+    pad = draw(st.floats(1.25, 3.0)) if mode == EXTERIOR_DIRICHLET else 1.0
+    dom = Domain(d=d, s=1.0, omega_extent=draw(st.floats(0.5, 4.0)), n=n,
+                 pad_factor=pad, boundary_mode=mode)
+    m = draw(st.integers(1, 3))
+    values = st.floats(-10.0, 10.0) | st.sampled_from([-0.0, float("nan"), float("inf")])
+    f = draw(arrays(np.float64, dom.n if m == 1 else dom.n + (m,), elements=values))
+    outside = ~interior_mask_oracle(dom)
+    f[outside] = 0.0
+    off = [tuple(int(i) for i in idx) + ((c,) if m > 1 else ())
+           for idx in zip(*np.nonzero(outside)) for c in range(m)]
+    picks = st.tuples(st.sampled_from(off), st.sampled_from(_OFF_OMEGA))
+    chosen = dict(draw(st.lists(picks, min_size=1, max_size=3))) if off else {}
+    for idx, value in chosen.items():
+        f[idx] = value
+    return dom, m, f, any(not value == 0.0 for value in chosen.values())
+
+
+class TestSupportChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_support_cases())
+    def test_reject_exactly_a_nonzero_or_nan_off_omega(self, case):
+        """SimConfig's data and weak_residual's test field: rejected exactly
+        when a point off the oracle's Omega is non-zero or NaN, in every
+        mode and layout; -0 passes, and so does anything on Omega."""
+        dom, m, f, bad = case
+        W, zeros = zero_potential(m), np.zeros_like(f)
+        for label, u0, v0 in (("u0", f, zeros), ("v0", zeros, f)):
+            try:
+                SimConfig(domain=dom, potential=W, T=1.0, dt=0.5, u0=u0, v0=v0,
+                          enforce_cfl=False)
+            except SimConfigError as exc:
+                assert bad and exc.field == label
+            else:
+                assert not bad
+        traj = constant_trajectory(dom, W, 0.0, np.array([0.0, 0.5]), m=m)
+        test = WeakTestField(psi=f, window=window_one())
+        with np.errstate(all="ignore"):
+            try:
+                weak_residual(traj, [test], W)
+            except ValueError as exc:
+                assert bad and "supported in Omega" in str(exc)
+            else:
+                assert not bad
 
 
 class TestAprioriBounds:

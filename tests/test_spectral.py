@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adwave.spectral import (
     EXTERIOR_DIRICHLET,
@@ -323,6 +324,39 @@ class TestMask:
         out = mask_exterior(dom, f)
         assert np.all(out[~dom.interior_mask] == 0.0)
         assert np.all(out[dom.interior_mask] == 1.0)
+
+
+@st.composite
+def _masked_fields(draw):
+    """A scalar field, or one with 1-3 components, on a small exterior or
+    periodic grid, with signed zeros and non-finite entries among its values."""
+    mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=d, max_size=d))
+    pad = draw(st.floats(1.25, 3.0)) if mode == EXTERIOR_DIRICHLET else 1.0
+    dom = Domain(d=d, s=1.0, omega_extent=draw(st.floats(0.5, 4.0)), n=n,
+                 pad_factor=pad, boundary_mode=mode)
+    shape = dom.n + (draw(st.integers(1, 3)),) if draw(st.booleans()) else dom.n
+    values = st.floats(-1e3, 1e3) | st.sampled_from(
+        [0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")])
+    return dom, draw(arrays(np.float64, shape, elements=values))
+
+
+class TestMaskAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_masked_fields())
+    def test_product_with_the_oracle_mask_in_a_new_array(self, case):
+        """Bit for bit ``f * mask``, the mask broadcast over the component
+        axis; in periodic mode that is ``f`` itself, -0 and NaN included."""
+        dom, f = case
+        mask = interior_mask_oracle(dom)
+        with np.errstate(invalid="ignore"):
+            want = f * (mask if f.ndim == dom.d else mask[..., None])
+            got = mask_exterior(dom, f)
+        assert not np.shares_memory(got, f)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if dom.boundary_mode == PERIODIC:
+            assert np.array_equal(got.view(np.int64), f.view(np.int64))
 
 
 @st.composite
