@@ -1,9 +1,15 @@
 """Command-line front end: config parsing, dispatch, deterministic output.
 
 Configuration files are flat INI-style text: ``[section]`` headers and
-``key = value`` lines, with ``#`` comments. Unknown sections or keys are
-rejected with line-anchored diagnostics, and every physical parameter is
-validated against the module invariants before any computation starts.
+``key = value`` lines, with ``#`` comments. Each key's converter is in
+``_SCHEMA``; each descriptor ``kind(arg=value, ...)`` kind's factory and
+argument defaults are in ``_POTENTIALS``, ``_FAMILIES`` or ``_DATA``; and an
+experiment reads the [experiment] keys among its keyword parameters.
+Lists, swept values and descriptor arguments split at top-level commas.
+Unknown sections, keys, kinds and arguments and stray commas are rejected
+at their line. Every physical parameter of a simulation, a non-finite one
+included, is validated against the module invariants at its line before
+any computation starts.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
@@ -14,6 +20,7 @@ sets the fan-out width for sweeps and per-parameter experiment runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import math
 import os
@@ -46,7 +53,8 @@ class Descriptor:
     args: tuple  # ordered (key, value) pairs; values: float | int | Descriptor
 
     def __str__(self):
-        inner = ", ".join(f"{k}={_fmt_arg(v)}" for k, v in self.args)
+        inner = ", ".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+                          for k, v in self.args)
         return f"{self.kind}({inner})"
 
     def get(self, key, default=None):
@@ -56,140 +64,152 @@ class Descriptor:
         return default
 
 
-def _fmt_arg(v):
-    if isinstance(v, Descriptor):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _split_top_level(text: str) -> list[str]:
-    """``text`` split at the commas outside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    """``text`` split at the commas outside parentheses; an empty part is
+    kept, so a stray comma reaches the converter of its part."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+            parts.append(text[start:i].strip())
+            start = i + 1
+    return parts + [text[start:].strip()]
 
 
 def parse_descriptor(text: str, line: int | None = None) -> Descriptor:
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
         raise ConfigError(f"malformed descriptor {text!r}, expected name(...)", line)
-    kind, _, inner = text.partition("(")
-    kind = kind.strip()
-    inner = inner[:-1]
-    args = []
-    for part in _split_top_level(inner):
+    kind, _, inner = text[:-1].partition("(")
+    args = {}
+    for part in _split_top_level(inner) if inner.strip() else []:
         if "=" not in part:
             raise ConfigError(f"descriptor argument {part!r} must be key=value", line)
         key, _, raw = part.partition("=")
-        raw = raw.strip()
+        key, raw = key.strip(), raw.strip()
+        if key in args:
+            raise ConfigError(f"descriptor argument {key!r} given twice", line)
         if "(" in raw:
-            value = parse_descriptor(raw, line)
-        else:
-            try:
-                value = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
-            except ValueError:
-                raise ConfigError(f"descriptor argument {key.strip()}={raw!r} "
-                                  "is not numeric", line) from None
-        args.append((key.strip(), value))
-    return Descriptor(kind, tuple(args))
+            args[key] = parse_descriptor(raw, line)
+            continue
+        try:
+            args[key] = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
+        except ValueError:
+            raise ConfigError(f"descriptor argument {key}={raw!r} "
+                              "is not numeric", line) from None
+    return Descriptor(kind.strip(), tuple(args.items()))
 
 
-def _whole(desc: Descriptor, key: str, default: int) -> int:
-    """Descriptor argument ``key`` as an int; rejects a fractional or non-finite value."""
-    value = desc.get(key, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+def _build(table: dict, what: str, desc: Descriptor, line: int | None, *lead):
+    """``factory(*lead, **arguments)`` for ``table[desc.kind] = (factory,
+    {argument: default})``. An argument whose default is an int must be a
+    whole number, ``base`` is a potential descriptor, built first, and a
+    ``None`` default leaves the factory to reject a missing argument."""
+    if desc.kind not in table:
+        raise ConfigError(f"unknown {what} kind {desc.kind!r}", line)
+    factory, defaults = table[desc.kind]
+    args = dict(defaults)
+    try:
+        for key, value in desc.args:
+            if key not in defaults:
+                raise ValueError(f"{desc.kind} takes no argument {key!r}; it takes "
+                                 + (", ".join(defaults) or "none"))
+            args[key] = value
+        for key, default in defaults.items():
+            value = args[key]
+            if key == "base":
+                if not isinstance(value, Descriptor):
+                    raise ValueError(f"base must be a potential kind(...), got {value!r}")
+                args[key] = build_potential(value, line)
+            elif isinstance(default, int):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError(f"{key} must be a whole number, got {value!r}")
+                args[key] = int(value)
+        return factory(*lead, **args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what} {desc}: {exc}", line) from None
+
+
+def _scalar(domain: sp.Domain, m: int, kind: str) -> sp.Domain:
+    """``domain``, for data ``kind``, which has no vector form."""
+    if m != 1:
+        raise ValueError(f"data kind {kind!r} is scalar-only")
+    return domain
+
+
+# kind -> (factory, {argument: default}). The factories look the library's
+# functions up when called, so a patched module attribute is the one used.
+_MOLLIFIED = {"base": Descriptor("clipped_quadratic", (("u_star", 1.0),)), "ratio": 1.0}
+_POTENTIALS = {
+    "clipped_quadratic": (lambda u_star: pot.clipped_quadratic(u_star), {"u_star": 1.0}),
+    "ball": (lambda m: pot.ball_potential(m), {"m": 1}),
+    "zero": (lambda m: pot.zero_potential(m), {"m": 1}),
+    "linear_taper": (lambda eps: pot.linear_taper_family().make(eps), {"eps": None}),
+    "mollified": (lambda base, ratio, eps: pot.mollified_family(base, ratio).make(eps),
+                  {**_MOLLIFIED, "eps": None}),
+}
+_FAMILIES = {
+    "linear_taper": (lambda: pot.linear_taper_family(), {}),
+    "mollified": (lambda base, ratio: pot.mollified_family(base, ratio), _MOLLIFIED),
+    "constant": (lambda base: pot.constant_family(base), {"base": None}),
+}
+_DATA = {  # factories of (domain, m, **arguments)
+    "zero": (lambda domain, m: dyn.zero_field(domain, m), {}),
+    "constant": (lambda domain, m, **a: dyn.constant_field(domain, m=m, **a), {"value": 0.0}),
+    "bump": (lambda domain, m, **a: dyn.bump_field(_scalar(domain, m, "bump"), **a),
+             {"amplitude": 1.0, "width_frac": 0.6}),
+    "sine": (lambda domain, m, **a: dyn.sine_field(_scalar(domain, m, "sine"), **a),
+             {"k": 1, "amplitude": 1.0}),
+}
 
 
 def build_potential(desc: Descriptor, line: int | None = None) -> pot.Potential:
-    try:
-        if desc.kind == "clipped_quadratic":
-            return pot.clipped_quadratic(desc.get("u_star", 1.0))
-        if desc.kind == "ball":
-            return pot.ball_potential(_whole(desc, "m", 1))
-        if desc.kind == "zero":
-            return pot.zero_potential(_whole(desc, "m", 1))
-        if desc.kind == "linear_taper":
-            return pot.linear_taper_family().make(desc.get("eps"))
-        if desc.kind == "mollified":
-            base = desc.get("base", Descriptor("clipped_quadratic", (("u_star", 1.0),)))
-            fam = pot.mollified_family(build_potential(base, line),
-                                       desc.get("ratio", 1.0))
-            return fam.make(desc.get("eps"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid potential {desc}: {exc}", line) from None
-    raise ConfigError(f"unknown potential kind {desc.kind!r}", line)
+    return _build(_POTENTIALS, "potential", desc, line)
 
 
 def build_family(desc: Descriptor, line: int | None = None) -> pot.RegularizedFamily:
-    try:
-        if desc.kind == "linear_taper":
-            return pot.linear_taper_family()
-        if desc.kind == "mollified":
-            base = desc.get("base", Descriptor("clipped_quadratic", (("u_star", 1.0),)))
-            return pot.mollified_family(build_potential(base, line),
-                                        desc.get("ratio", 1.0))
-        if desc.kind == "constant":
-            base = desc.get("base")
-            return pot.constant_family(build_potential(base, line))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid family {desc}: {exc}", line) from None
-    raise ConfigError(f"unknown family kind {desc.kind!r}", line)
+    return _build(_FAMILIES, "family", desc, line)
 
 
 def build_data(desc: Descriptor, domain: sp.Domain, m: int,
                line: int | None = None) -> np.ndarray:
-    try:
-        if desc.kind == "zero":
-            return dyn.zero_field(domain, m)
-        if desc.kind == "constant":
-            return dyn.constant_field(domain, desc.get("value", 0.0), m)
-        if m != 1:
-            raise ConfigError(f"data kind {desc.kind!r} is scalar-only", line)
-        if desc.kind == "bump":
-            return dyn.bump_field(domain, desc.get("amplitude", 1.0),
-                                  desc.get("width_frac", 0.6))
-        if desc.kind == "sine":
-            return dyn.sine_field(domain, _whole(desc, "k", 1),
-                                  desc.get("amplitude", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid data {desc}: {exc}", line) from None
-    raise ConfigError(f"unknown data kind {desc.kind!r}", line)
+    return _build(_DATA, "data", desc, line, domain, m)
 
 
 # ---------------------------------------------------------------------------
-# config file schema
+# config file schema: the converter of each key's text
 
-_FLOATS = "float-list"
-_DESC = "descriptor"
-_AUTO = "float-or-auto"
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected boolean, got {raw!r}")
+    return raw.lower() in ("true", "yes", "1")
+
+
+def _floats(raw: str) -> list:
+    return [float(v) for v in _split_top_level(raw)]
+
+
+def _float_or_auto(raw: str):
+    return "auto" if raw == "auto" else float(raw)
+
 
 _SCHEMA = {
-    "domain": {"d": int, "s": float, "omega_extent": _FLOATS, "n": _FLOATS,
+    "domain": {"d": int, "s": float, "omega_extent": _floats, "n": _floats,
                "pad_factor": float, "boundary": str},
-    "potential": {"kind": _DESC},
-    "family": {"kind": _DESC},
-    "data": {"u0": _DESC, "v0": _DESC, "u0_hs": float, "v0_l2": float},
-    "simulation": {"T": float, "dt": _AUTO, "record_every": int,
-                   "cfl_safety": float, "enforce_cfl": bool},
+    "potential": {"kind": parse_descriptor},
+    "family": {"kind": parse_descriptor},
+    "data": {"u0": parse_descriptor, "v0": parse_descriptor, "u0_hs": float,
+             "v0_l2": float},
+    "simulation": {"T": float, "dt": _float_or_auto, "record_every": int,
+                   "cfl_safety": float, "enforce_cfl": _bool},
     "run": {"seed": int, "out": str},
-    "experiment": {"name": str, "eps_list": _FLOATS, "T": float, "L": float,
+    "experiment": {"name": str, "eps_list": _floats, "T": float, "L": float,
                    "n": int, "extent": float, "eps1": float, "eps2": float,
                    "family_eps": float, "amplitude": float, "eps": float},
-    "sweep": None,  # free-form dotted keys, validated against the schema
+    "sweep": {},  # free-form section.key names, each value split at top-level commas
 }
 
 _DEFAULTS = {
@@ -201,39 +221,20 @@ _DEFAULTS = {
 
 
 def _convert(section: str, key: str, raw: str, line: int):
-    spec = _SCHEMA[section].get(key) if _SCHEMA[section] is not None else None
-    if _SCHEMA[section] is not None and spec is None:
+    if section == "sweep":
+        head, _, tail = key.partition(".")
+        if tail not in _SCHEMA.get(head, {}):
+            raise ConfigError(f"sweep key {key!r} does not name a known "
+                              "section.key", line)
+        return [_convert(head, tail, part, line) for part in _split_top_level(raw)]
+    if key not in _SCHEMA[section]:
         raise ConfigError(f"unknown key {key!r} in section [{section}]", line)
     try:
-        if section == "sweep":
-            head, _, tail = key.partition(".")
-            if head not in _SCHEMA or _SCHEMA[head] is None or tail not in _SCHEMA[head]:
-                raise ConfigError(f"sweep key {key!r} does not name a known "
-                                  "section.key", line)
-            return [_convert(head, tail, v.strip(), line) for v in raw.split(",")]
-        if spec is int:
-            return int(raw)
-        if spec is float:
-            return float(raw)
-        if spec is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"expected boolean, got {raw!r}")
-        if spec is str:
-            return raw
-        if spec == _FLOATS:
-            return [float(v) for v in raw.split(",")]
-        if spec == _AUTO:
-            return "auto" if raw.strip() == "auto" else float(raw)
-        if spec == _DESC:
-            return parse_descriptor(raw, line)
-    except ConfigError:
-        raise
+        return _SCHEMA[section][key](raw)
+    except ConfigError as exc:  # a malformed descriptor
+        raise ConfigError(str(exc), line) from None
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}", line) from None
-    raise ConfigError(f"unhandled schema entry for {key!r}", line)
 
 
 def _per_axis(values: list):
@@ -256,67 +257,61 @@ class RunSpec:
                 for s, kv in self.sections.items()}
 
     def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+        """``key``'s value, else its entry in ``_DEFAULTS``, else ``default``."""
+        return self.sections.get(section, {}).get(
+            key, _DEFAULTS.get(section, {}).get(key, default))
 
     def line_of(self, section: str, key: str):
         return self.lines.get((section, key))
 
     def build_domain(self) -> sp.Domain:
-        sec = self.sections.get("domain")
-        if not sec or "d" not in sec or "s" not in sec:
+        if self.get("domain", "d") is None or self.get("domain", "s") is None:
             raise ConfigError("[domain] section with keys d and s is required")
-        n = sec.get("n", [64.0])
+        n = self.get("domain", "n", [64.0])
         if not all(v.is_integer() for v in n):
             raise ConfigError(f"invalid [domain]: grid sizes must be integers, got "
                               f"{', '.join(fmt(v) for v in n)}", self.line_of("domain", "n"))
         try:
             return sp.Domain(
-                d=int(sec["d"]), s=float(sec["s"]),
-                omega_extent=_per_axis(sec.get("omega_extent", [1.0])),
+                d=self.get("domain", "d"), s=self.get("domain", "s"),
+                omega_extent=_per_axis(self.get("domain", "omega_extent", [1.0])),
                 n=_per_axis([int(v) for v in n]),
-                pad_factor=float(sec.get("pad_factor", 2.0)),
-                boundary_mode=sec.get("boundary", sp.EXTERIOR_DIRICHLET))
+                pad_factor=self.get("domain", "pad_factor"),
+                boundary_mode=self.get("domain", "boundary"))
         except sp.DomainError as exc:
             key = "boundary" if exc.field == "boundary_mode" else exc.field
             # a defaulted pad_factor only fails against the chosen boundary
             line = self.line_of("domain", key) or self.line_of("domain", "boundary")
             raise ConfigError(f"invalid [domain]: {exc}", line) from None
 
-    def build_potential(self) -> pot.Potential:
-        desc = self.get("potential", "kind")
+    def build(self, section: str):
+        """The potential or the family that [``section``] ``kind`` names."""
+        desc = self.get(section, "kind")
         if desc is None:
-            raise ConfigError("[potential] kind is required")
-        return build_potential(desc, self.line_of("potential", "kind"))
-
-    def build_family(self) -> pot.RegularizedFamily:
-        desc = self.get("family", "kind")
-        if desc is None:
-            raise ConfigError("[family] kind is required")
-        return build_family(desc, self.line_of("family", "kind"))
+            raise ConfigError(f"[{section}] kind is required")
+        build = {"potential": build_potential, "family": build_family}[section]
+        return build(desc, self.line_of(section, "kind"))
 
     def build_simconfig(self) -> dyn.SimConfig:
         domain = self.build_domain()
-        potential = self.build_potential()
-        u0_desc = self.get("data", "u0", Descriptor("zero", ()))
-        v0_desc = self.get("data", "v0", Descriptor("zero", ()))
-        u0 = build_data(u0_desc, domain, potential.m, self.line_of("data", "u0"))
-        v0 = build_data(v0_desc, domain, potential.m, self.line_of("data", "v0"))
+        potential = self.build("potential")
+        u0, v0 = (build_data(self.get("data", key, Descriptor("zero", ())), domain,
+                             potential.m, self.line_of("data", key)) for key in ("u0", "v0"))
         op = sp.build_operator(domain)
-        if self.get("data", "u0_hs") is not None:
-            u0 = dyn.scale_to_hs(op, u0, self.get("data", "u0_hs"))
-        if self.get("data", "v0_l2") is not None:
-            v0 = dyn.scale_to_l2(domain, v0, self.get("data", "v0_l2"))
+        u0 = self._scaled("u0", "u0_hs", lambda f, x: dyn.scale_to_hs(op, f, x), u0)
+        v0 = self._scaled("v0", "v0_l2", lambda f, x: dyn.scale_to_l2(domain, f, x), v0)
         T = self.get("simulation", "T", 1.0)
-        cfl_safety = self.get("simulation", "cfl_safety", 0.9)
-        dt = self.get("simulation", "dt", "auto")
-        if dt == "auto":
-            dt = ex.fitted_dt(T, cfl_safety * dyn.stability_limit(op, potential))
+        cfl_safety = self.get("simulation", "cfl_safety")
+        dt = self.get("simulation", "dt")
+        if dt == "auto":  # no step fits a T or cfl_safety that SimConfig rejects
+            limit = cfl_safety * dyn.stability_limit(op, potential)
+            dt = ex.fitted_dt(T, limit) if limit > 0 and 0 < T / limit < math.inf else T
         try:
             return dyn.SimConfig(
                 domain=domain, potential=potential, T=T, dt=dt, u0=u0, v0=v0,
-                record_every=self.get("simulation", "record_every", 10),
+                record_every=self.get("simulation", "record_every"),
                 cfl_safety=cfl_safety,
-                enforce_cfl=self.get("simulation", "enforce_cfl", True))
+                enforce_cfl=self.get("simulation", "enforce_cfl"))
         except dyn.SimConfigError as exc:
             section = "data" if exc.field in ("u0", "v0") else "simulation"
             raise ConfigError(f"invalid [simulation]: {exc}",
@@ -324,11 +319,21 @@ class RunSpec:
         except ValueError as exc:
             raise ConfigError(f"invalid [simulation]: {exc}") from None
 
+    def _scaled(self, name: str, key: str, scale, f: np.ndarray) -> np.ndarray:
+        """``scale(f, target)`` for [data] ``key``, the target norm of field
+        ``name``, if it is set; a zero field is the fault of ``name``'s line."""
+        try:
+            return f if self.get("data", key) is None else scale(f, self.get("data", key))
+        except ValueError as exc:
+            line = None if np.any(f) else self.line_of("data", name)
+            raise ConfigError(f"invalid [data]: {key}: {exc}",
+                              line or self.line_of("data", key)) from None
+
     def out_dir(self) -> str:
-        return os.environ.get("ADWAVE_OUT") or self.get("run", "out", "out")
+        return os.environ.get("ADWAVE_OUT") or self.get("run", "out")
 
     def seed(self) -> int:
-        return self.get("run", "seed", 0)
+        return self.get("run", "seed")
 
 
 def parse_config(text: str) -> RunSpec:
@@ -390,91 +395,70 @@ def format_runspec(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 # experiment registry
 
-# the [experiment] keys each experiment reads, besides ``name``
-_EXPERIMENT_KEYS = {
-    "energy-inequality": ("eps", "T", "n", "extent", "amplitude"),
-    "epsilon-convergence": ("eps_list", "T", "n", "extent", "amplitude"),
-    "limit-obstruction": ("eps_list", "T", "L", "n"),
-    "small-data": ("eps1", "eps2", "T", "family_eps"),
-    "dispersion": ("n",),
-}
+def _bump_run(members: list, T: float, n: int, extent: float, amplitude: float,
+              record_every: int) -> dyn.SimConfig:
+    """A bump at rest on a 1-D exterior-dirichlet grid under ``members[0]``,
+    with the auto dt of the stiffest of ``members``."""
+    domain = sp.Domain(d=1, s=1.0, omega_extent=extent, n=n)
+    return dyn.SimConfig(domain=domain, potential=members[0], T=T,
+                         dt=min(ex._auto_dt(domain, m, T) for m in members),
+                         u0=dyn.bump_field(domain, amplitude), v0=dyn.zero_field(domain),
+                         record_every=record_every)
 
 
-def _experiment_keys(spec: RunSpec, name: str) -> dict:
-    """The [experiment] keys the config sets, except ``name``; one that
-    experiment ``name`` does not read is an error at its line."""
-    keys = {k: v for k, v in spec.sections.get("experiment", {}).items() if k != "name"}
-    for key in keys:
-        if key not in _EXPERIMENT_KEYS[name]:
-            line = spec.line_of("experiment", key) or spec.line_of("sweep", f"experiment.{key}")
-            raise ConfigError(f"experiment {name!r} does not read [experiment] key "
-                              f"{key!r}; it reads {', '.join(_EXPERIMENT_KEYS[name])}", line)
-    return keys
+def _energy_inequality(eps=0.1, T=5.0, n=64, extent=2.0 * math.pi, amplitude=0.5,
+                       out_dir=None):
+    """The energy inequality for W_eps of the default mollified family."""
+    potential = build_family(Descriptor("mollified", ())).make(eps)
+    return ex.run_energy_inequality(
+        potential, _bump_run([potential], T, n, extent, amplitude, 2), out_dir=out_dir)
 
 
-def _exp_energy_inequality(spec: RunSpec, out_dir: str):
-    e = _experiment_keys(spec, "energy-inequality")
-    extent = e.get("extent", 2.0 * math.pi)
-    n = int(e.get("n", 64))
-    domain = sp.Domain(d=1, s=1.0, omega_extent=extent, n=n, pad_factor=2.0)
-    family = pot.mollified_family(pot.clipped_quadratic(1.0))
-    potential = family.make(e.get("eps", 0.1))
-    T = e.get("T", 5.0)
-    cfg = dyn.SimConfig(domain=domain, potential=potential, T=T,
-                        dt=ex._auto_dt(domain, potential, T),
-                        u0=dyn.bump_field(domain, e.get("amplitude", 0.5)),
-                        v0=dyn.zero_field(domain), record_every=2)
-    return ex.run_energy_inequality(potential, cfg, out_dir=out_dir)
-
-
-def _exp_epsilon_convergence(spec: RunSpec, out_dir: str):
-    e = _experiment_keys(spec, "epsilon-convergence")
-    eps_list = e.get("eps_list", [0.2, 0.1, 0.05, 0.025])
-    family = spec.build_family() if "family" in spec.sections else \
-        pot.mollified_family(pot.clipped_quadratic(1.0), kernel_width_ratio=2.0)
-    extent = e.get("extent", 2.0 * math.pi)
-    domain = sp.Domain(d=1, s=1.0, omega_extent=extent, n=int(e.get("n", 128)),
-                       pad_factor=2.0)
-    T = e.get("T", 5.0)
-    members = [family.make(v) for v in eps_list]
-    dt = min(ex._auto_dt(domain, m, T) for m in members)
-    cfg = dyn.SimConfig(domain=domain, potential=members[0], T=T, dt=dt,
-                        u0=dyn.bump_field(domain, e.get("amplitude", 0.98)),
-                        v0=dyn.zero_field(domain), record_every=4)
+def _epsilon_convergence(family=None, eps_list=(0.2, 0.1, 0.05, 0.025), T=5.0, n=128,
+                         extent=2.0 * math.pi, amplitude=0.98, out_dir=None):
+    """eps -> 0 along ``family``, by default the mollified one of kernel ratio 2."""
+    if family is None:
+        family = build_family(Descriptor("mollified", (("ratio", 2.0),)))
+    cfg = _bump_run([family.make(v) for v in eps_list], T, n, extent, amplitude, 4)
     return ex.run_epsilon_convergence(family, eps_list, cfg, out_dir=out_dir)
 
 
-def _exp_limit_obstruction(spec: RunSpec, out_dir: str):
-    return ex.run_limit_obstruction(**_experiment_keys(spec, "limit-obstruction"),
-                                    out_dir=out_dir)
+def _entry(name: str, run):
+    """The CLI entry ``(spec, out_dir)`` of experiment ``name``, run by
+    ``run()`` (looked up per call). Its keyword parameters in the schema are
+    the [experiment] keys it reads, and a ``family`` one takes [family]."""
+    params = inspect.signature(run()).parameters
+    reads = [key for key in params if key in _SCHEMA["experiment"]]
+
+    def experiment(spec: RunSpec, out_dir: str):
+        keys = {k: v for k, v in spec.sections.get("experiment", {}).items() if k != "name"}
+        for key in keys:
+            if key not in reads:
+                raise ConfigError(f"experiment {name!r} does not read [experiment] key "
+                                  f"{key!r}; it reads {', '.join(reads)}",
+                                  spec.line_of("experiment", key))
+        if "family" in params and "family" in spec.sections:
+            keys["family"] = spec.build("family")
+        return run()(**keys, out_dir=out_dir)
+
+    return experiment
 
 
-def _exp_small_data(spec: RunSpec, out_dir: str):
-    family = spec.build_family() if "family" in spec.sections else None
-    return ex.run_small_data(family=family, **_experiment_keys(spec, "small-data"),
-                             out_dir=out_dir)
-
-
-def _exp_dispersion(spec: RunSpec, out_dir: str):
-    return ex.run_dispersion_check(**_experiment_keys(spec, "dispersion"), out_dir=out_dir)
-
-
-EXPERIMENTS = {
-    "energy-inequality": _exp_energy_inequality,
-    "epsilon-convergence": _exp_epsilon_convergence,
-    "limit-obstruction": _exp_limit_obstruction,
-    "small-data": _exp_small_data,
-    "dispersion": _exp_dispersion,
-}
+EXPERIMENTS = {name: _entry(name, run) for name, run in (
+    ("energy-inequality", lambda: _energy_inequality),
+    ("epsilon-convergence", lambda: _epsilon_convergence),
+    ("limit-obstruction", lambda: ex.run_limit_obstruction),
+    ("small-data", lambda: ex.run_small_data),
+    ("dispersion", lambda: ex.run_dispersion_check),
+)}
 
 
 def _experiment(spec: RunSpec, name: str):
     """The entry of experiment ``name``; an unknown name is an error at the
     line that sets it."""
     if name not in EXPERIMENTS:
-        line = spec.line_of("sweep", "experiment.name") or spec.line_of("experiment", "name")
         raise ConfigError(f"unknown experiment {name!r}; known: "
-                          + ", ".join(sorted(EXPERIMENTS)), line)
+                          + ", ".join(sorted(EXPERIMENTS)), spec.line_of("experiment", "name"))
     return EXPERIMENTS[name]
 
 
@@ -511,20 +495,22 @@ def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
     ]
 
 
-def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
-    config = spec.build_simconfig()
-    traj = dyn.simulate(config)
+def _simulate(spec: RunSpec, out_dir: str) -> list[str]:
+    """Run ``spec``'s simulation into ``out_dir``; the lines reporting it."""
+    traj = dyn.simulate(spec.build_simconfig())
     paths = _write_trajectory(traj, out_dir)
-    print(f"simulated {len(traj.times)} snapshots to t = {fmt(float(traj.times[-1]))}")
-    for p in paths:
-        print(f"wrote {p}")
+    return [f"simulated {len(traj.times)} snapshots to t = {fmt(float(traj.times[-1]))}",
+            *(f"wrote {p}" for p in paths)]
+
+
+def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
+    print("\n".join(_simulate(spec, out_dir)))
     return 0
 
 
-def cmd_experiment(spec: RunSpec, name: str, out_dir: str) -> int:
+def cmd_experiment(spec: RunSpec, out_dir: str, name: str) -> int:
     report = _experiment(spec, name)(spec, out_dir)
-    for line in report.summary_lines():
-        print(line)
+    print("\n".join(report.summary_lines()))
     return 0 if report.passed else 1
 
 
@@ -534,14 +520,13 @@ def cmd_embed_const(d: int, s: float, tol: float) -> int:
 
 
 def cmd_certify(spec: RunSpec, out_dir: str) -> int:
-    family = spec.build_family()
+    family = spec.build("family")
     eps_list = spec.get("experiment", "eps_list", [0.4, 0.2, 0.1])
     cert = pot.certify_family(family, eps_list, seed=spec.seed())
     write_csv(os.path.join(out_dir, "certification.csv"),
               ["eps", "sup_W_dist", "sup_grad_dist", "lipschitz", "grad_bound"],
               cert.rows())
-    print(f"family {cert.family} [{cert.mode}]: "
-          f"{'PASS' if cert.passed else 'FAIL'}")
+    print(f"family {cert.family} [{cert.mode}]: {'PASS' if cert.passed else 'FAIL'}")
     for c in cert.checks:
         print("  " + c.line())
     return 0 if cert.passed else 1
@@ -555,9 +540,10 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
     for combo in itertools.product(*sweep.values()):
         sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items() if s != "sweep"},
                       dict(spec.lines))
-        for key, value in zip(sweep, combo):
+        for key, value in zip(sweep, combo):  # a swept value's errors name its sweep line
             section, _, name = key.partition(".")
             sub.sections.setdefault(section, {})[name] = value
+            sub.lines[(section, name)] = spec.line_of("sweep", key)
         name = sub.get("experiment", "name")
         runs.append((sub, _experiment(sub, name) if name else None))
 
@@ -568,23 +554,29 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
         with open(os.path.join(run_dir, "config.ini"), "w") as fh:
             fh.write(format_runspec(sub))
         if experiment:
-            return 0 if experiment(sub, run_dir).passed else 1
-        return cmd_simulate(sub, run_dir)
+            return (0 if experiment(sub, run_dir).passed else 1), []
+        return 0, _simulate(sub, run_dir)
 
-    results = ex._map_ordered(one, list(enumerate(runs)))
-    for i, rc in enumerate(results):
+    results = ex._map_ordered(one, list(enumerate(runs)))  # (exit code, stdout lines)
+    print("".join(f"{line}\n" for _, lines in results for line in lines), end="")
+    for i, (rc, _) in enumerate(results):
         print(f"run-{i:03d}: {'PASS' if rc == 0 else 'FAIL'}")
-    return max(results)
+    return max(rc for rc, _ in results)
 
 
-def _load_spec(path: str | None) -> RunSpec:
-    if path is None:
-        return RunSpec()
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+def _spec_and_out(args) -> tuple:
+    """The config ``args`` names, parsed, and its output directory, created."""
+    text = ""
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+    spec = parse_config(text)
+    out_dir = args.out or spec.out_dir()
+    os.makedirs(out_dir, exist_ok=True)
+    return spec, out_dir
 
 
 def main(argv=None) -> int:
@@ -608,38 +600,26 @@ def main(argv=None) -> int:
     p_emb.add_argument("--s", type=float, required=True)
     p_emb.add_argument("--tol", type=float, default=1e-9)
 
-    p_cert = sub.add_parser("certify-potential",
-                            help="certify a regularized family from a config file")
-    p_cert.add_argument("config")
-    p_cert.add_argument("--out", default=None)
-
-    p_swp = sub.add_parser("sweep", help="run a Cartesian parameter sweep")
-    p_swp.add_argument("config")
-    p_swp.add_argument("--out", default=None)
+    for name, text in (("certify-potential", "certify a regularized family from a config file"),
+                       ("sweep", "run a Cartesian parameter sweep")):
+        p_cfg = sub.add_parser(name, help=text)
+        p_cfg.add_argument("config")
+        p_cfg.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    commands = {
+        "simulate": lambda: cmd_simulate(*_spec_and_out(args)),
+        "experiment": lambda: cmd_experiment(*_spec_and_out(args), args.name),
+        "embed-const": lambda: cmd_embed_const(args.d, args.s, args.tol),
+        "certify-potential": lambda: cmd_certify(*_spec_and_out(args)),
+        "sweep": lambda: cmd_sweep(*_spec_and_out(args)),
+    }
     try:
-        if args.command == "embed-const":
-            return cmd_embed_const(args.d, args.s, args.tol)
-        spec = _load_spec(getattr(args, "config", None))
-        out_dir = args.out or spec.out_dir()
-        os.makedirs(out_dir, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(spec, out_dir)
-        if args.command == "experiment":
-            return cmd_experiment(spec, args.name, out_dir)
-        if args.command == "certify-potential":
-            return cmd_certify(spec, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(spec, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return commands[args.command]()
     except dyn.BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, sp.GridMismatchError) as exc:
+    except ValueError as exc:  # ConfigError, DomainError, SimConfigError, GridMismatchError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

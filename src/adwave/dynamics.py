@@ -455,14 +455,16 @@ def sine_field(domain: Domain, k=1, amplitude: float = 1.0) -> np.ndarray:
 
 
 def scale_to_hs(op: SpectralOperator, f: np.ndarray, target: float) -> np.ndarray:
-    current = hs_norm(op, f)
-    if current == 0.0:
-        raise ValueError("cannot scale a zero field to a positive norm")
-    return f * (target / current)
+    return _scaled(f, hs_norm(op, f), target)
 
 
 def scale_to_l2(domain: Domain, f: np.ndarray, target: float) -> np.ndarray:
-    current = l2_norm(domain, f)
+    return _scaled(f, l2_norm(domain, f), target)
+
+
+def _scaled(f: np.ndarray, current: float, target: float) -> np.ndarray:
     if current == 0.0:
         raise ValueError("cannot scale a zero field to a positive norm")
+    if not math.isfinite(target):
+        raise ValueError(f"target norm must be finite, got {target!r}")
     return f * (target / current)

@@ -236,7 +236,7 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
 def run_small_data(family: pot.RegularizedFamily | None = None,
                    eps1: float = 0.05, eps2: float = 0.0,
                    domain: sp.Domain | None = None, T: float = 1.0,
-                   family_eps: float = 0.05, record_every: int = 1,
+                   family_eps: float = 0.05,
                    out_dir: str | None = None) -> ExperimentReport:
     """Small-data confinement: the full a-priori bound chain, measured.
 
@@ -301,7 +301,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
 
     dt = _auto_dt(domain, member, T)
     cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=dt,
-                        u0=u0, v0=v0, record_every=record_every)
+                        u0=u0, v0=v0, record_every=1)
     traj = dyn.simulate(cfg)
     cfg_base = replace(cfg, potential=base, enforce_cfl=False)
     traj_base = dyn.simulate(cfg_base)
@@ -351,9 +351,8 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
                         xlabel="t", ylabel="max |u|", hlines=(1.0,)))])
 
 
-def _sampled_value_gap(base: pot.Potential, member: pot.Potential,
-                       reach: float = 3.0) -> float:
-    pts = np.linspace(-reach, reach, 4001)
+def _sampled_value_gap(base: pot.Potential, member: pot.Potential) -> float:
+    pts = np.linspace(-3.0, 3.0, 4001)
     return float(np.max(np.abs(member.value(pts) - base.value(pts))))
 
 

@@ -126,8 +126,8 @@ def clipped_quadratic(u_star: float) -> Potential:
     +-2u*, so the restoring force is still 'on' exactly at the layer edge.
     """
     u_star = float(u_star)
-    if u_star <= 0:
-        raise ValueError("u_star must be positive")
+    if not 0 < u_star < math.inf:
+        raise ValueError(f"u_star must be positive and finite, got {u_star!r}")
     top = u_star * u_star
 
     def value(u):
@@ -400,13 +400,13 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     if base.profile is None:
         raise ValueError(f"{base.name} exposes no one-dimensional profile to smooth")
     ratio = float(kernel_width_ratio)
-    if ratio <= 0:
-        raise ValueError("kernel_width_ratio must be positive")
+    if not 0 < ratio < math.inf:
+        raise ValueError("kernel_width_ratio must be positive and finite")
 
     def make(eps: float) -> Potential:
         eps = float(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         prof = MollifiedProfile(base.profile, eps * ratio)
         value, grad = _radial(prof, base.m)
         return Potential(

@@ -119,10 +119,10 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence | str]) 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def svg_line_plot(path: str, x, series: dict, title: str = "",

@@ -113,21 +113,23 @@ class Domain:
     def __post_init__(self):
         if not 1 <= self.d <= 3:
             raise DomainError("d", f"spatial dimension must be 1..3, got {self.d}")
-        if not self.s > 0:
-            raise DomainError("s", f"fractional order s must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise DomainError("s", f"fractional order s must be positive and finite, "
+                              f"got {self.s}")
         object.__setattr__(self, "omega_extent",
                            _as_tuple(self.omega_extent, self.d, float, "omega_extent"))
         object.__setattr__(self, "n", _as_tuple(self.n, self.d, int, "n"))
-        if any(e <= 0 for e in self.omega_extent):
-            raise DomainError("omega_extent", "omega_extent must be positive on every axis")
+        if not all(0 < e < math.inf for e in self.omega_extent):
+            raise DomainError("omega_extent",
+                              "omega_extent must be positive and finite on every axis")
         if any(m <= 0 or m % 2 for m in self.n):
             raise DomainError("n", "grid sizes must be positive even integers")
         if self.boundary_mode not in _MODES:
             raise DomainError("boundary_mode", f"unknown boundary mode {self.boundary_mode!r}")
         if self.boundary_mode == EXTERIOR_DIRICHLET:
-            if not self.pad_factor > 1:
-                raise DomainError("pad_factor", "exterior-dirichlet mode needs pad_factor > 1 "
-                                  "(nonempty exterior collar)")
+            if not 1 < self.pad_factor < math.inf:
+                raise DomainError("pad_factor", "exterior-dirichlet mode needs a finite "
+                                  "pad_factor > 1 (nonempty exterior collar)")
         else:
             if self.pad_factor != 1:
                 raise DomainError("pad_factor",

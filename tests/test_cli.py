@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adwave import experiments as ex
 from adwave.cli import (
     ConfigError,
     Descriptor,
@@ -489,3 +491,129 @@ class TestExperimentRegistry:
         assert set(EXPERIMENTS) == {"energy-inequality", "epsilon-convergence",
                                     "limit-obstruction", "small-data",
                                     "dispersion"}
+
+
+def _run(tmp_path, capsys, text, command="simulate"):
+    """Exit code and captured output of ``adwave command`` on config ``text``."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    rc = main([command, str(cfg), "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr()
+
+
+def _assert_one_error_at(err, line):
+    """``err`` is one ``config error:`` line with one prefix, ``line N:``."""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(f"config error: line {line}: "), err
+    assert len(re.findall(r"line \d+:", err)) == 1, err
+
+
+class TestBadDescriptors:
+    # MINIMAL: kind on line 8, u0 on 11, v0 on 12, T on 15
+    @pytest.mark.parametrize("old, new, line, what", [
+        ("clipped_quadratic(u_star=1.0)", "clipped_quadratic(ustar=0.5)", 8,
+         "clipped_quadratic takes no argument 'ustar'; it takes u_star"),
+        ("u0 = zero()", "u0 = bump(amplitud=0.9)", 11,
+         "bump takes no argument 'amplitud'; it takes amplitude, width_frac"),
+        ("clipped_quadratic(u_star=1.0)", "mollified(base=1.0, eps=0.1)", 8,
+         "base must be a potential kind(...), got 1.0"),
+        ("clipped_quadratic(u_star=1.0)\n\n[data]\nu0 = zero()",
+         "ball(m=2)\n\n[data]\nu0 = bump()", 11,
+         "invalid data bump(): data kind 'bump' is scalar-only"),
+        ("clipped_quadratic(u_star=1.0)", "mollified(base=ball(m=1.5), eps=0.1)", 8,
+         "invalid potential ball(m=1.5): m must be a whole number, got 1.5"),
+        ("clipped_quadratic(u_star=1.0)", "ball(m=1, m=1)", 8,
+         "descriptor argument 'm' given twice"),
+    ], ids=["misspelt-potential-argument", "misspelt-data-argument", "numeric-base",
+            "vector-bump", "nested-fractional-m", "repeated-argument"])
+    def test_exit_2_with_one_prefix(self, tmp_path, capsys, old, new, line, what):
+        rc, (_, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new))
+        assert rc == 2
+        _assert_one_error_at(err, line)
+        assert what in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_constant_family_without_base_exits_2(self, tmp_path, capsys):
+        rc, (_, err) = _run(tmp_path, capsys, "[family]\nkind = constant()\n",
+                                  "certify-potential")
+        assert rc == 2
+        _assert_one_error_at(err, 2)
+        assert "base must be a potential kind(...), got None" in err
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("n = 64", "n = 64,", 5),
+        ("u0 = zero()", "u0 = bump(amplitude=0.5,)", 11),
+        ("T = 0.5", "T = 0.5\n\n[sweep]\nsimulation.T = 0.25, 0.5,", 18),
+    ], ids=["float-list", "descriptor", "sweep"])
+    def test_stray_comma_is_an_error_at_its_line(self, tmp_path, capsys, old, new, line):
+        command = "sweep" if "[sweep]" in new else "simulate"
+        rc, (_, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new), command)
+        assert rc == 2
+        _assert_one_error_at(err, line)
+
+    def test_swept_multi_argument_descriptor_runs_every_value(self, tmp_path, capsys):
+        text = MINIMAL + ("\n[sweep]\npotential.kind = "
+                          "mollified(eps=0.1, ratio=1.5), zero()\n")
+        assert parse_config(text).get("sweep", "potential.kind") == [
+            Descriptor("mollified", (("eps", 0.1), ("ratio", 1.5))), Descriptor("zero", ())]
+        rc, (_, err) = _run(tmp_path, capsys, text, "sweep")
+        assert rc == 0 and err == ""
+        for i in range(2):
+            assert (tmp_path / "out" / f"run-{i:03d}" / "trajectory.csv").exists()
+        assert "mollified(eps=0.1, ratio=1.5)" in \
+            (tmp_path / "out" / "run-000" / "config.ini").read_text()
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("old, new, line", [
+        ("s = 1.0", "s = inf", 3),
+        ("omega_extent = 6.283185307179586", "omega_extent = inf", 4),
+        ("omega_extent = 6.283185307179586", "omega_extent = nan", 4),
+        ("n = 64", "n = 64\npad_factor = inf", 6),
+        ("u_star=1.0", "u_star=nan", 8),
+        ("u_star=1.0", "u_star=inf", 8),
+        ("clipped_quadratic(u_star=1.0)", "mollified(eps=inf)", 8),
+        ("T = 0.5", "T = nan", 15),
+        ("T = 0.5", "T = inf", 15),
+        ("T = 0.5", "T = 0.5\ncfl_safety = nan", 16),
+        ("T = 0.5", "T = 0.5\ncfl_safety = 0", 16),
+        ("u0 = zero()\nv0 = zero()", "u0 = bump()\nv0 = zero()\nu0_hs = nan", 13),
+        ("u0 = zero()\nv0 = zero()", "u0 = bump()\nv0 = bump()\nv0_l2 = inf", 13),
+    ], ids=["s-inf", "omega-inf", "omega-nan", "pad-inf", "u_star-nan", "u_star-inf",
+            "eps-inf", "T-nan", "T-inf", "cfl-nan", "cfl-zero", "u0_hs-nan", "v0_l2-inf"])
+    def test_exit_2_at_the_line_of_the_key(self, tmp_path, capsys, old, new, line):
+        rc, (_, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new))
+        assert rc == 2
+        _assert_one_error_at(err, line)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
+    """Sub-runs that finish in reverse order still print in run order."""
+    def reversed_map(fn, items):
+        return [fn(item) for item in reversed(items)][::-1]
+
+    monkeypatch.setattr(ex, "_map_ordered", reversed_map)
+    rc, (out, err) = _run(tmp_path, capsys,
+                          MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n", "sweep")
+    assert rc == 0 and err == ""
+    runs = [tmp_path / "out" / f"run-{i:03d}" for i in range(2)]
+    assert out.splitlines() == [
+        "simulated 2 snapshots to t = 0.25",
+        f"wrote {runs[0] / 'trajectory.csv'}", f"wrote {runs[0] / 'energy.csv'}",
+        "simulated 2 snapshots to t = 0.5",
+        f"wrote {runs[1] / 'trajectory.csv'}", f"wrote {runs[1] / 'energy.csv'}",
+        "run-000: PASS", "run-001: PASS"]
+
+
+@pytest.mark.parametrize("data, line", [
+    ("u0 = constant()\nv0 = zero()\nu0_hs = 0.1", 11),
+    ("v0 = zero()\nu0_hs = 0.1", 12),
+], ids=["zero-field-line", "defaulted-field"])
+def test_scaling_a_zero_field_names_the_field_or_else_the_norm(tmp_path, capsys, data, line):
+    """A zero u0 cannot reach u0_hs: the error names u0's line, or u0_hs's
+    when u0 takes its default."""
+    rc, (_, err) = _run(tmp_path, capsys, MINIMAL.replace("u0 = zero()\nv0 = zero()", data))
+    assert rc == 2
+    _assert_one_error_at(err, line)
+    assert "u0_hs: cannot scale a zero field to a positive norm" in err
