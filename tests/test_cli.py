@@ -226,6 +226,30 @@ class TestTrajectoryCsv:
                     for name in ("trajectory.csv", "energy.csv"))
         assert got == hashes
 
+    @pytest.mark.parametrize("domain, potential, hashes", [
+        ("d = 2\nn = 16", "mollified(eps=0.1)",
+         ("087fb021ef7e9c3b355c3e1f81f16d77048c1372497f8242d52e9d1aa5793d80",
+          "5ef6103577057ae1ea75d735ecf88da6a1fc0db4c13884aefe572489dd1dfe52")),
+        ("d = 3\nn = 8", "linear_taper(eps=0.2)",
+         ("cbf4cfc48db0bfc33e993712714dd95145d3e837512cd5286efcb3eff4f15f3b",
+          "b8fef8941b13e93a26b85adbc6ccc422807397a54d84b5997a7ea00b361bf560")),
+    ], ids=["exterior-2d-mollified-bump", "exterior-3d-linear-taper-bump"])
+    def test_exterior_runs_have_fixed_hashes(self, tmp_path, domain, potential, hashes):
+        """trajectory.csv and energy.csv of exterior-dirichlet runs in d >= 2,
+        whose exterior cells print as 0 and -0, as the code gave them before
+        trajectory.csv was formatted one grid line per %-template."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[domain]\n{domain}\ns = 1.0\nomega_extent = 6.283185307179586\n\n"
+                       f"[potential]\nkind = {potential}\n\n"
+                       "[data]\nu0 = bump(amplitude=1.2)\nv0 = zero()\n\n"
+                       "[simulation]\nT = 1.0\nrecord_every = 2\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        data = (tmp_path / "out" / "trajectory.csv").read_bytes()
+        assert b",-0\n" in data and b",0\n" in data
+        got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("trajectory.csv", "energy.csv"))
+        assert got == hashes
+
 
 class TestDescriptors:
     def test_nested_descriptor(self):
