@@ -9,7 +9,8 @@ Lists, swept values and descriptor arguments split at top-level commas.
 Unknown sections, keys, kinds and arguments and stray commas are rejected
 at their line. Every physical parameter of a simulation, a non-finite one
 included, is validated against the module invariants at its line before
-any computation starts.
+any computation starts; an experiment's [experiment] numbers must be
+finite, and a [family] section it does not read is an error.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
@@ -423,28 +424,43 @@ def _epsilon_convergence(family=None, eps_list=(0.2, 0.1, 0.05, 0.025), T=5.0, n
     return ex.run_epsilon_convergence(family, eps_list, cfg, out_dir=out_dir)
 
 
-def _entry(name: str, run):
+class _Entry:
     """The CLI entry ``(spec, out_dir)`` of experiment ``name``, run by
     ``run()`` (looked up per call). Its keyword parameters in the schema are
     the [experiment] keys it reads, and a ``family`` one takes [family]."""
-    params = inspect.signature(run()).parameters
-    reads = [key for key in params if key in _SCHEMA["experiment"]]
 
-    def experiment(spec: RunSpec, out_dir: str):
+    def __init__(self, name: str, run):
+        self.name, self.run = name, run
+        params = inspect.signature(run()).parameters
+        self.reads = [key for key in params if key in _SCHEMA["experiment"]]
+        self.takes_family = "family" in params
+
+    def bind(self, spec: RunSpec):
+        """``spec``'s run, a function of the output directory. Every key and
+        section it sets is checked, and [family] built, before it runs."""
         keys = {k: v for k, v in spec.sections.get("experiment", {}).items() if k != "name"}
-        for key in keys:
-            if key not in reads:
-                raise ConfigError(f"experiment {name!r} does not read [experiment] key "
-                                  f"{key!r}; it reads {', '.join(reads)}",
-                                  spec.line_of("experiment", key))
-        if "family" in params and "family" in spec.sections:
+        for key, value in keys.items():
+            line = spec.line_of("experiment", key)
+            if key not in self.reads:
+                raise ConfigError(f"experiment {self.name!r} does not read [experiment] "
+                                  f"key {key!r}; it reads {', '.join(self.reads)}", line)
+            bad = [v for v in (value if isinstance(value, list) else [value])
+                   if not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"invalid [experiment]: {key} must be finite, "
+                                  f"got {bad[0]!r}", line)
+        if "family" in spec.sections:
+            if not self.takes_family:
+                raise ConfigError(f"experiment {self.name!r} does not read [family]",
+                                  spec.line_of("family", "kind"))
             keys["family"] = spec.build("family")
-        return run()(**keys, out_dir=out_dir)
+        return lambda out_dir: self.run()(**keys, out_dir=out_dir)
 
-    return experiment
+    def __call__(self, spec: RunSpec, out_dir: str):
+        return self.bind(spec)(out_dir)
 
 
-EXPERIMENTS = {name: _entry(name, run) for name, run in (
+EXPERIMENTS = {name: _Entry(name, run) for name, run in (
     ("energy-inequality", lambda: _energy_inequality),
     ("epsilon-convergence", lambda: _epsilon_convergence),
     ("limit-obstruction", lambda: ex.run_limit_obstruction),
@@ -469,18 +485,17 @@ def _trajectory_blocks(traj: dyn.Trajectory):
     """The rows of trajectory.csv as text blocks, one per grid line of a
     snapshot: ``t,idx0,...,comp,value`` in ``np.ndindex`` order with the
     component innermost, which is the C order of ``u.ravel()``. Each block
-    holds one line of the last axis, so a block stays small on any grid."""
+    holds one line of the last axis, so a block stays small on any grid, and
+    is formatted by one ``%`` over the line's rows, joined at each row's
+    ``t,idx0,...,`` prefix; ``"%.17g" % x`` is fmt(x) for every float."""
     dom = traj.config.domain
     m = dom.field_components(traj.states[0].u)
     leads = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*dom.n[:-1])]
-    cells = [f"{i},{comp}," for i in range(dom.n[-1]) for comp in range(m)]
+    parts = ["", *(f"{i},{comp},%.17g\n" for i in range(dom.n[-1]) for comp in range(m))]
     for t, st in zip(traj.times, traj.states):
         head = fmt(t) + ","
         for lead, line in zip(leads, st.u.reshape(len(leads), -1)):
-            prefix = head + lead
-            # format(x, ".17g") is fmt(x) for every float, nan and -0 included
-            yield "".join(f"{prefix}{cell}{format(x, '.17g')}\n"
-                          for cell, x in zip(cells, line.tolist()))
+            yield (head + lead).join(parts) % tuple(line.tolist())
 
 
 def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
@@ -495,16 +510,16 @@ def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
     ]
 
 
-def _simulate(spec: RunSpec, out_dir: str) -> list[str]:
-    """Run ``spec``'s simulation into ``out_dir``; the lines reporting it."""
-    traj = dyn.simulate(spec.build_simconfig())
+def _simulate(config: dyn.SimConfig, out_dir: str) -> list[str]:
+    """Run ``config`` into ``out_dir``; the lines reporting it."""
+    traj = dyn.simulate(config)
     paths = _write_trajectory(traj, out_dir)
     return [f"simulated {len(traj.times)} snapshots to t = {fmt(float(traj.times[-1]))}",
             *(f"wrote {p}" for p in paths)]
 
 
 def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
-    print("\n".join(_simulate(spec, out_dir)))
+    print("\n".join(_simulate(spec.build_simconfig(), out_dir)))
     return 0
 
 
@@ -536,7 +551,7 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
     sweep = spec.sections.get("sweep", {})
     if not sweep:
         raise ConfigError("sweep requires a [sweep] section")
-    runs = []  # (sub-run spec, its experiment entry or None), all checked up front
+    runs = []  # (sub-run spec, its SimConfig or bound experiment), all built up front
     for combo in itertools.product(*sweep.values()):
         sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items() if s != "sweep"},
                       dict(spec.lines))
@@ -545,17 +560,18 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
             sub.sections.setdefault(section, {})[name] = value
             sub.lines[(section, name)] = spec.line_of("sweep", key)
         name = sub.get("experiment", "name")
-        runs.append((sub, _experiment(sub, name) if name else None))
+        runs.append((sub, _experiment(sub, name).bind(sub) if name
+                     else sub.build_simconfig()))
 
     def one(item):
-        i, (sub, experiment) = item
+        i, (sub, run) = item
         run_dir = os.path.join(out_dir, f"run-{i:03d}")
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "config.ini"), "w") as fh:
             fh.write(format_runspec(sub))
-        if experiment:
-            return (0 if experiment(sub, run_dir).passed else 1), []
-        return 0, _simulate(sub, run_dir)
+        if isinstance(run, dyn.SimConfig):
+            return 0, _simulate(run, run_dir)
+        return (0 if run(run_dir).passed else 1), []
 
     results = ex._map_ordered(one, list(enumerate(runs)))  # (exit code, stdout lines)
     print("".join(f"{line}\n" for _, lines in results for line in lines), end="")

@@ -14,6 +14,7 @@ from adwave.cli import (
     ConfigError,
     Descriptor,
     EXPERIMENTS,
+    _trajectory_blocks,
     _write_trajectory,
     build_family,
     build_potential,
@@ -24,6 +25,7 @@ from adwave.cli import (
 )
 from adwave.dynamics import EnergyBreakdown, FieldState, SimConfig, Trajectory
 from adwave.potentials import zero_potential
+from adwave.reporting import fmt
 from adwave.spectral import PERIODIC, Domain
 from oracles import trajectory_csv_oracle
 
@@ -191,6 +193,32 @@ class TestTrajectoryCsv:
             _write_trajectory(traj, out)
             with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
                 assert fh.read() == trajectory_csv_oracle(traj).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats())
+    def test_percent_template_formats_every_float_as_fmt(self, x):
+        """Each grid line is formatted by one ``%`` over ``%.17g`` cells."""
+        for y in [*_AWKWARD, x]:
+            assert "%.17g" % y == fmt(y)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_block_holds_one_grid_line(self, d, m):
+        """A block is one line of the last axis, n[-1] * m rows, so the text
+        held at once stays small on any grid."""
+        n = (2, 4, 6)[-d:]
+        shape = n if m == 1 else n + (m,)
+        domain = Domain(d=d, s=1.0, omega_extent=1.0, n=n, pad_factor=1.0,
+                        boundary_mode=PERIODIC)
+        config = SimConfig(domain=domain, potential=zero_potential(m), T=1.0, dt=0.5,
+                           u0=np.zeros(shape), v0=np.zeros(shape), enforce_cfl=False)
+        times = [0.0, 0.5, 1.0]
+        states = [FieldState(np.full(shape, t), np.zeros(shape), t) for t in times]
+        traj = Trajectory(config, np.array(times), states,
+                          [EnergyBreakdown.of(0.0, 0.0, 0.0)] * len(times))
+        blocks = list(_trajectory_blocks(traj))
+        assert len(blocks) == len(times) * int(np.prod(n[:-1]))
+        assert [b.count("\n") for b in blocks] == [n[-1] * m] * len(blocks)
 
     def test_minimal_bump_run_has_a_fixed_hash(self, tmp_path):
         """The file this config gave before trajectory.csv was written in
@@ -610,6 +638,53 @@ class TestNonFiniteNumbers:
         assert rc == 2
         _assert_one_error_at(err, line)
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("name, text, line", [
+        ("limit-obstruction", "[experiment]\nT = inf\n", 2),
+        ("energy-inequality", "[experiment]\nn = 16\neps = inf\n", 3),
+        ("small-data", "[experiment]\neps1 = nan\n", 2),
+        ("epsilon-convergence", "[experiment]\neps_list = 0.2, nan\n", 2),
+    ], ids=["limit-obstruction-T-inf", "energy-inequality-eps-inf", "small-data-eps1-nan",
+            "epsilon-convergence-eps_list-nan"])
+    def test_non_finite_number_exits_2_at_its_line(self, tmp_path, capsys, name, text, line):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        assert main(["experiment", name, str(cfg), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        _assert_one_error_at(err, line)
+        assert "must be finite" in err and out == ""
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_non_finite_swept_number_exits_2_at_its_sweep_line_before_any_run(
+            self, tmp_path, capsys):
+        rc, (_, err) = _run(tmp_path, capsys, "[experiment]\nname = small-data\n\n"
+                            "[sweep]\nexperiment.eps1 = 0.05, nan\n", "sweep")
+        assert rc == 2
+        _assert_one_error_at(err, 5)
+        assert not list((tmp_path / "out").glob("run-*"))
+
+    def test_family_an_experiment_does_not_read_exits_2_at_its_kind_line(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[experiment]\nn = 16\n\n[family]\nkind = wishful()\n")
+        assert main(["experiment", "dispersion", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        _assert_one_error_at(err, 5)
+        assert "experiment 'dispersion' does not read [family]" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_sweep_builds_every_sub_run_before_any_run(tmp_path, capsys):
+    """A bad swept potential is found before run-000 is simulated or any
+    run-NNN directory is made."""
+    rc, (out, err) = _run(tmp_path, capsys,
+                          MINIMAL + "\n[sweep]\npotential.kind = zero(), bogus()\n", "sweep")
+    assert rc == 2 and out == ""
+    _assert_one_error_at(err, 18)
+    assert "unknown potential kind 'bogus'" in err
+    assert not list((tmp_path / "out").glob("run-*"))
 
 
 def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
