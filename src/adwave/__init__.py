@@ -17,6 +17,7 @@ from .spectral import (
     DomainError,
     EmbeddingReport,
     GridMismatchError,
+    ParameterError,
     SpectralOperator,
     apply_fractional_laplacian,
     build_operator,

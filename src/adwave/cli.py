@@ -7,10 +7,10 @@ argument defaults are in ``_POTENTIALS``, ``_FAMILIES`` or ``_DATA``; and an
 experiment reads the [experiment] keys among its keyword parameters.
 Lists, swept values and descriptor arguments split at top-level commas.
 Unknown sections, keys, kinds and arguments and stray commas are rejected
-at their line. Every physical parameter of a simulation, a non-finite one
-included, is validated against the module invariants at its line before
-any computation starts; an experiment's [experiment] numbers must be
-finite, and a [family] section it does not read is an error.
+at their line, as is a section or key the command does not read. Every
+physical parameter of a simulation, a non-finite one included, is validated
+against the module invariants at its line before any computation starts;
+an [experiment] number must be finite, and a library range error names it.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
@@ -26,7 +26,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -294,6 +294,7 @@ class RunSpec:
         return build(desc, self.line_of(section, "kind"))
 
     def build_simconfig(self) -> dyn.SimConfig:
+        _checked(self, "simulate", _READS["simulate"])
         domain = self.build_domain()
         potential = self.build("potential")
         u0, v0 = (build_data(self.get("data", key, Descriptor("zero", ())), domain,
@@ -424,37 +425,61 @@ def _epsilon_convergence(family=None, eps_list=(0.2, 0.1, 0.05, 0.025), T=5.0, n
     return ex.run_epsilon_convergence(family, eps_list, cfg, out_dir=out_dir)
 
 
+# command -> {section it reads: the keys it reads there, or None for all}; an
+# experiment's is its ``_Entry.reads``; a sweep reads [sweep], its sub-runs the rest
+_READS = {"simulate": dict.fromkeys(("domain", "potential", "data", "simulation", "run")),
+          "certify-potential": {"family": None, "run": None, "experiment": ["eps_list"]}}
+
+
+def _checked(spec: RunSpec, who: str, reads: dict) -> dict:
+    """``spec``'s [experiment] keys but ``name``, once every section and key
+    it sets is one that ``who`` ``reads`` and every [experiment] number is
+    finite; else the error at the line of the first offending key."""
+    for section, keys in spec.sections.items():
+        if section not in reads:
+            raise ConfigError(f"{who} does not read [{section}]",
+                              spec.line_of(section, next(iter(keys), None)))
+        for key in keys:
+            if reads[section] is not None and key not in reads[section]:
+                raise ConfigError(f"{who} does not read [{section}] key {key!r}; it reads "
+                                  + ", ".join(reads[section]), spec.line_of(section, key))
+    keys = {k: v for k, v in spec.sections.get("experiment", {}).items() if k != "name"}
+    for key, x in keys.items():
+        bad = [v for v in (x if isinstance(x, list) else [x]) if not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"invalid [experiment]: {key} must be finite, got {bad[0]!r}",
+                              spec.line_of("experiment", key))
+    return keys
+
+
+def _at_lines(spec: RunSpec, run, *args, **kwargs):
+    """``run(*args, **kwargs)``; a library :class:`~adwave.spectral.ParameterError`
+    is an error at the line of the [experiment] key its ``field`` names."""
+    try:
+        return run(*args, **kwargs)
+    except sp.ParameterError as exc:
+        raise ConfigError(f"invalid [experiment]: {exc}",
+                          spec.line_of("experiment", exc.field)) from None
+
+
 class _Entry:
     """The CLI entry ``(spec, out_dir)`` of experiment ``name``, run by
-    ``run()`` (looked up per call). Its keyword parameters in the schema are
-    the [experiment] keys it reads, and a ``family`` one takes [family]."""
+    ``run()`` (looked up per call)."""
 
     def __init__(self, name: str, run):
         self.name, self.run = name, run
         params = inspect.signature(run()).parameters
-        self.reads = [key for key in params if key in _SCHEMA["experiment"]]
-        self.takes_family = "family" in params
+        self.reads = {"run": None,
+                      "experiment": ["name", *(k for k in params if k in _SCHEMA["experiment"])],
+                      **({"family": None} if "family" in params else {})}
 
     def bind(self, spec: RunSpec):
         """``spec``'s run, a function of the output directory. Every key and
         section it sets is checked, and [family] built, before it runs."""
-        keys = {k: v for k, v in spec.sections.get("experiment", {}).items() if k != "name"}
-        for key, value in keys.items():
-            line = spec.line_of("experiment", key)
-            if key not in self.reads:
-                raise ConfigError(f"experiment {self.name!r} does not read [experiment] "
-                                  f"key {key!r}; it reads {', '.join(self.reads)}", line)
-            bad = [v for v in (value if isinstance(value, list) else [value])
-                   if not math.isfinite(v)]
-            if bad:
-                raise ConfigError(f"invalid [experiment]: {key} must be finite, "
-                                  f"got {bad[0]!r}", line)
+        keys = _checked(spec, f"experiment {self.name!r}", self.reads)
         if "family" in spec.sections:
-            if not self.takes_family:
-                raise ConfigError(f"experiment {self.name!r} does not read [family]",
-                                  spec.line_of("family", "kind"))
             keys["family"] = spec.build("family")
-        return lambda out_dir: self.run()(**keys, out_dir=out_dir)
+        return lambda out_dir: _at_lines(spec, self.run(), **keys, out_dir=out_dir)
 
     def __call__(self, spec: RunSpec, out_dir: str):
         return self.bind(spec)(out_dir)
@@ -499,14 +524,13 @@ def _trajectory_blocks(traj: dyn.Trajectory):
 
 
 def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
-    dom = traj.config.domain
-    idx_cols = [f"idx{i}" for i in range(dom.d)]
+    idx_cols = [f"idx{i}" for i in range(traj.config.domain.d)]
     return [
         write_csv(os.path.join(out_dir, "trajectory.csv"),
                   ["t", *idx_cols, "comp", "value"], _trajectory_blocks(traj)),
         write_csv(os.path.join(out_dir, "energy.csv"),
-                  ["t", "kinetic", "elastic", "adhesive", "total"],
-                  traj.energy_rows()),
+                  ["t", *(f.name for f in fields(dyn.EnergyBreakdown))],
+                  ((t, *astuple(e)) for t, e in zip(traj.times, traj.energies))),
     ]
 
 
@@ -535,9 +559,9 @@ def cmd_embed_const(d: int, s: float, tol: float) -> int:
 
 
 def cmd_certify(spec: RunSpec, out_dir: str) -> int:
-    family = spec.build("family")
-    eps_list = spec.get("experiment", "eps_list", [0.4, 0.2, 0.1])
-    cert = pot.certify_family(family, eps_list, seed=spec.seed())
+    eps_list = _checked(spec, "certify-potential", _READS["certify-potential"]).get(
+        "eps_list", [0.4, 0.2, 0.1])
+    cert = _at_lines(spec, pot.certify_family, spec.build("family"), eps_list, seed=spec.seed())
     write_csv(os.path.join(out_dir, "certification.csv"),
               ["eps", "sup_W_dist", "sup_grad_dist", "lipschitz", "grad_bound"],
               cert.rows())
@@ -560,8 +584,7 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
             sub.sections.setdefault(section, {})[name] = value
             sub.lines[(section, name)] = spec.line_of("sweep", key)
         name = sub.get("experiment", "name")
-        runs.append((sub, _experiment(sub, name).bind(sub) if name
-                     else sub.build_simconfig()))
+        runs.append((sub, _experiment(sub, name).bind(sub) if name else sub.build_simconfig()))
 
     def one(item):
         i, (sub, run) = item

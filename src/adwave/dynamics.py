@@ -31,8 +31,10 @@ from .potentials import Potential
 from .spectral import (
     EXTERIOR_DIRICHLET,
     Domain,
+    ParameterError,
     SpectralOperator,
     _fitted,
+    _placed,
     apply_fractional_laplacian,
     build_operator,
     embedding_constant,
@@ -43,12 +45,8 @@ from .spectral import (
 )
 
 
-class SimConfigError(ValueError):
-    """An invalid :class:`SimConfig` parameter; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
+class SimConfigError(ParameterError):
+    """An invalid :class:`SimConfig` parameter."""
 
 
 class BlowUpError(RuntimeError):
@@ -177,25 +175,11 @@ class Trajectory:
     def totals(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
 
-    def energy_rows(self):
-        for t, e in zip(self.times, self.energies):
-            yield (t, e.kinetic, e.elastic, e.adhesive, e.total)
-
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(st.u))) for st in self.states)
+        return float(np.max(self.max_abs_series()))
 
     def max_abs_series(self) -> np.ndarray:
         return np.array([float(np.max(np.abs(st.u))) for st in self.states])
-
-
-def _embed(slab: np.ndarray, lines: tuple, shape: tuple) -> np.ndarray:
-    """A fresh full-box array holding ``slab`` on the grid lines ``[lines]``
-    and +0 off them; ``slab`` itself when it already spans the box."""
-    if slab.shape == shape:
-        return slab
-    out = np.zeros(shape)
-    out[lines] = slab
-    return out
 
 
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray) -> np.ndarray:
@@ -238,7 +222,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     u1 += u
     if mask is not None:
         u1 *= mask
-    u1_box = _embed(u1, lines, state.u.shape) if lines else u1
+    u1_box = _placed(u1, lines, state.u.shape) if lines else u1
     v1 = force(op, potential, u1_box)
     if lines:
         v1 = v1[lines]
@@ -248,7 +232,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
         v1 *= mask
     if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
         raise BlowUpError("non-finite field values during time step")
-    v1_box = _embed(v1, lines, state.u.shape) if lines else v1
+    v1_box = _placed(v1, lines, state.u.shape) if lines else v1
     return FieldState(u1_box, v1_box, state.t + dt)
 
 
@@ -308,11 +292,13 @@ def apriori_l2_bound(energy0: float, u0_l2: float, T: float) -> float:
 
 
 def sup_bound_from_energy(traj: Trajectory) -> float:
-    """Embedding bound on max|u|: constant times the largest H^s norm seen."""
+    """Embedding bound on max|u|: constant times the largest H^s norm seen,
+    read from the recorded energies with no transform: the elastic term is
+    half the squared order-s seminorm, so H^s^2 = L2^2 + 2 * elastic."""
     dom = traj.config.domain
     const = embedding_constant(dom.d, dom.s)
-    op = build_operator(dom)
-    return const * max(hs_norm(op, st.u) for st in traj.states)
+    return const * max(math.sqrt(l2_norm(dom, st.u) ** 2 + 2.0 * e.elastic)
+                       for st, e in zip(traj.states, traj.energies))
 
 
 @dataclass(frozen=True)
@@ -402,9 +388,8 @@ def constant_trajectory(domain: Domain, potential: Potential, value,
     """Synthetic trajectory frozen at a constant state (v = 0 throughout)."""
     u = constant_field(domain, value, m)
     v = zero_field(domain, m)
-    op = build_operator(domain)
     states = [FieldState(u.copy(), v.copy(), float(t)) for t in times]
-    energies = [energy(op, potential, st) for st in states]
+    energies = [energy(build_operator(domain), potential, states[0])] * len(times)
     # a nominal step that divides T: recorded times may end with a short gap
     config = SimConfig(domain=domain, potential=potential, T=float(times[-1]),
                        dt=float(times[-1]) / max(len(times) - 1, 1),

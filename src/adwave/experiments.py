@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -93,11 +93,6 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
         report.check(f"energy_inequality(dt/{fac})", rise <= tol,
                      measured=rise, threshold=tol)
         report.series[f"energy_total(dt/{fac})"] = list(totals)
-        if fac == dt_refinements[0]:
-            report.series["time"] = list(traj.times)
-            report.series["energy_kinetic"] = [e.kinetic for e in traj.energies]
-            report.series["energy_elastic"] = [e.elastic for e in traj.energies]
-            report.series["energy_adhesive"] = [e.adhesive for e in traj.energies]
     for i in range(len(dt_refinements) - 1):
         lo = max(drifts[i + 1], 1e-300)
         ratio = drifts[i] / lo
@@ -108,11 +103,12 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
                      measured=ratio, threshold=expected, comparator="~",
                      note="drift should shrink ~4x per dt halving")
     report.series["drift"] = drifts
-    time = report.series["time"]
-    energy = {"kinetic": report.series["energy_kinetic"],
-              "elastic": report.series["energy_elastic"],
-              "adhesive": report.series["energy_adhesive"],
-              "total": report.series[f"energy_total(dt/{dt_refinements[0]})"]}
+    first = runs[0][1]  # the first run; each run's total is a series of its own
+    time = list(first.times)
+    energy = {f.name: [getattr(e, f.name) for e in first.energies]
+              for f in fields(dyn.EnergyBreakdown)}
+    report.series.update(time=time, **{f"energy_{k}": v for k, v in energy.items()
+                                       if k != "total"})
     return _emit(report, out_dir, [("energy.csv", {"t": time, **energy})],
                  [("energy.svg", time, energy,
                    dict(title="energy vs time", xlabel="t", ylabel="energy"))])
@@ -144,19 +140,14 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
     dom = config.domain
     dists = []
     for i in range(len(eps_list) - 1):
-        a, b = trajs[i], trajs[i + 1]
-        if len(a.times) != len(b.times):
-            raise ValueError("trajectories must share snapshot times")
         dists.append(max(sp.l2_norm(dom, sa.u - sb.u)
-                         for sa, sb in zip(a.states, b.states)))
+                         for sa, sb in zip(trajs[i].states, trajs[i + 1].states)))
     for i in range(len(dists) - 1):
         report.check(f"cauchy_decrease({eps_list[i]:g}->{eps_list[i + 1]:g})",
                      dists[i + 1] < dists[i],
                      measured=dists[i + 1], threshold=dists[i], comparator="<")
-    report.series["eps"] = eps_list
-    report.series["sup_W_dist"] = cert.sup_value_gap
-    report.series["sup_grad_dist"] = cert.sup_grad_gap
-    report.series["l2_cauchy_dist"] = dists + [math.nan]
+    report.series.update(eps=eps_list, sup_W_dist=cert.sup_value_gap,
+                         sup_grad_dist=cert.sup_grad_gap, l2_cauchy_dist=dists + [math.nan])
     return _emit(report, out_dir, [("epsilon_study.csv", report.series)],
                  [("epsilon_study.svg", eps_list[:-1], {"l2 cauchy distance": dists},
                    dict(title="consecutive-eps trajectory distance",
@@ -277,7 +268,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
         v0 = dyn.zero_field(domain)
 
     omega = math.prod(domain.omega_extent)
-    eps3 = _sampled_value_gap(base, member)
+    eps3 = _sampled_gap(member.value, base.value, 3.0, 4001)
     e_cap = 0.5 * eps2 ** 2 + 0.5 * eps1 ** 2 + omega * eps1 ** 2 + eps3 * omega
     l2_cap = dyn.apriori_l2_bound(e_cap, eps1, T)
     const = sp.embedding_constant(domain.d, domain.s)
@@ -315,9 +306,8 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     report.check("energy_bound", max_energy <= e_cap,
                  measured=max_energy, threshold=e_cap)
 
-    max_l2 = max(sp.l2_norm(domain, st.u) for st in traj.states)
-    report.check("l2_apriori_bound", max_l2 <= l2_cap,
-                 measured=max_l2, threshold=l2_cap)
+    l2_u = [sp.l2_norm(domain, st.u) for st in traj.states]
+    report.check("l2_apriori_bound", max(l2_u) <= l2_cap, measured=max(l2_u), threshold=l2_cap)
 
     sup_bound = dyn.sup_bound_from_energy(traj)
     max_abs = traj.max_abs()
@@ -331,7 +321,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     gap = max(float(np.max(np.abs(sa.u - sb.u)))
               for sa, sb in zip(traj.states, traj_base.states))
     region = max(0.0, 1.0 - eta)
-    dev_region = _sampled_grad_gap(base, member, region)
+    dev_region = _sampled_gap(member.grad, base.grad, region, 2001)
     agree_tol = dev_region * T ** 2 / 2.0 + 1e-12
     report.check("smooth_region_agreement", gap <= agree_tol,
                  measured=gap, threshold=agree_tol,
@@ -340,7 +330,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     report.parameters["eta"] = eta
     time = list(traj.times)
     columns = {"max_abs_u": list(traj.max_abs_series()),
-               "l2_u": [sp.l2_norm(domain, st.u) for st in traj.states],
+               "l2_u": l2_u,
                "energy_total": list(traj.totals)}
     report.series.update(time=time, **columns)
     return _emit(report, out_dir, [("small_data.csv", {"t": time, **columns})],
@@ -351,17 +341,12 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
                         xlabel="t", ylabel="max |u|", hlines=(1.0,)))])
 
 
-def _sampled_value_gap(base: pot.Potential, member: pot.Potential) -> float:
-    pts = np.linspace(-3.0, 3.0, 4001)
-    return float(np.max(np.abs(member.value(pts) - base.value(pts))))
-
-
-def _sampled_grad_gap(base: pot.Potential, member: pot.Potential,
-                      radius: float) -> float:
+def _sampled_gap(f, g, radius: float, count: int) -> float:
+    """max |f - g| at ``count`` points evenly over [-radius, radius]; 0 if radius <= 0."""
     if radius <= 0:
         return 0.0
-    pts = np.linspace(-radius, radius, 2001)
-    return float(np.max(np.abs(member.grad(pts) - base.grad(pts))))
+    pts = np.linspace(-radius, radius, count)
+    return float(np.max(np.abs(f(pts) - g(pts))))
 
 
 def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
@@ -386,10 +371,9 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
         op = sp.build_operator(domain)
         xi = 2.0 * math.pi * k / box
         omega = xi ** s
-        dt = fitted_dt(periods * 2.0 * math.pi / omega,
-                       min(0.45 * dyn.stability_limit(op, potential),
-                           0.05 * 2.0 * math.pi / omega))
         T = periods * 2.0 * math.pi / omega
+        dt = fitted_dt(T, min(0.45 * dyn.stability_limit(op, potential),
+                              0.05 * 2.0 * math.pi / omega))
         cfg = dyn.SimConfig(domain=domain, potential=potential, T=T, dt=dt,
                             u0=dyn.sine_field(domain, k=k),
                             v0=dyn.zero_field(domain), record_every=1)
@@ -406,10 +390,8 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
         report.check(f"dispersion(k={k},s={s:g})", abs(fitted - omega) <= tol,
                      measured=fitted, threshold=omega, comparator="==",
                      note=f"allowance {tol:.3g}")
-    report.series["k"] = [r[0] for r in rows]
-    report.series["s"] = [r[1] for r in rows]
-    report.series["omega_expected"] = [r[3] for r in rows]
-    report.series["omega_fitted"] = [r[5] for r in rows]
+    report.series.update(k=[r[0] for r in rows], s=[r[1] for r in rows],
+                         omega_expected=[r[3] for r in rows], omega_fitted=[r[5] for r in rows])
     return _emit(report, out_dir, [("dispersion.csv", report.series)])
 
 

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .reporting import Check
+from .spectral import ParameterError
 
 C1_UNIFORM = "c1-uniform"
 DISCONTINUOUS_GRAD = "discontinuous-gradient"
@@ -204,7 +205,7 @@ def linear_taper_family() -> RegularizedFamily:
     def make(eps: float) -> Potential:
         eps = float(eps)
         if not 0.0 < eps < 2.0:
-            raise ValueError(f"taper width must lie in (0, 2), got {eps}")
+            raise ParameterError("eps", f"taper width must lie in (0, 2), got {eps}")
         slope = 2.0 - eps
         plateau = 1.0 + 0.5 * eps - 0.5 * eps * eps
 
@@ -406,7 +407,7 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     def make(eps: float) -> Potential:
         eps = float(eps)
         if not 0 < eps < math.inf:
-            raise ValueError("eps must be positive and finite")
+            raise ParameterError("eps", "eps must be positive and finite")
         prof = MollifiedProfile(base.profile, eps * ratio)
         value, grad = _radial(prof, base.m)
         return Potential(
@@ -520,9 +521,9 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
-        raise ValueError("eps_list must be nonempty")
+        raise ParameterError("eps_list", "eps_list must be nonempty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise ParameterError("eps_list", "eps_list must be strictly decreasing")
     base = family.base
     rng = np.random.default_rng(seed)
     reach = (max(abs(k) for k in base.profile.knots) + 2.0) if base.profile \
@@ -536,7 +537,6 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
                                eps_list=eps_list, sup_value_gap=[],
                                sup_grad_gap=[], grad_region=[],
                                lipschitz_estimate=[], grad_bound=[])
-    checks = []
     for eps in eps_list:
         member = family.make(eps)
         val_gap = float(np.max(np.abs(member.value(pts) - base_val)))
@@ -551,18 +551,17 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
         cert.lipschitz_estimate.append(_lipschitz_estimate(member, pts, rng))
         cert.grad_bound.append(float(np.max(member.grad_norm(pts))))
         min_val = float(np.min(member.value(pts)))
-        checks.append(Check(f"nonnegative(eps={eps:g})", min_val >= -1e-12,
-                            measured=min_val, threshold=0.0, comparator=">="))
+        cert.checks.append(Check(f"nonnegative(eps={eps:g})", min_val >= -1e-12,
+                                 measured=min_val, threshold=0.0, comparator=">="))
         top = max(float(np.max(member.value(pts))), cert.grad_bound[-1])
-        checks.append(Check(f"uniform_bound(eps={eps:g})",
-                            top <= member.bound + 1e-12,
-                            measured=top, threshold=member.bound, comparator="<="))
+        cert.checks.append(Check(f"uniform_bound(eps={eps:g})",
+                                 top <= member.bound + 1e-12,
+                                 measured=top, threshold=member.bound, comparator="<="))
     for label, seq in (("value_gap", cert.sup_value_gap),
                        ("grad_gap", cert.sup_grad_gap)):
         for i in range(len(eps_list) - 1):
             ok = seq[i + 1] <= 1.1 * seq[i] + 1e-15
-            checks.append(Check(
+            cert.checks.append(Check(
                 f"monotone_{label}({eps_list[i]:g}->{eps_list[i + 1]:g})", ok,
                 measured=seq[i + 1], threshold=1.1 * seq[i], comparator="<="))
-    cert.checks = checks
     return cert

@@ -6,7 +6,6 @@ with equal inputs produce byte-identical files and diffs stay meaningful.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Sequence
@@ -16,11 +15,7 @@ def fmt(x) -> str:
     """Canonical text for one CSV cell."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int,)):
-        return str(x)
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return format(x, ".17g")
     return str(x)
 
@@ -59,14 +54,11 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
+        return self.first_failure is None
 
     @property
     def first_failure(self) -> str | None:
-        for c in self.checks:
-            if c.passed is False:
-                return c.name
-        return None
+        return next((c.name for c in self.checks if c.passed is False), None)
 
     def check(self, name: str, passed, measured, threshold,
               comparator: str = "<=", note: str = "") -> Check:
@@ -120,8 +112,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 

@@ -63,12 +63,16 @@ class GridMismatchError(ValueError):
     """A field's shape does not match the grid it is used with."""
 
 
-class DomainError(ValueError):
-    """An invalid :class:`Domain` parameter; ``field`` names it."""
+class ParameterError(ValueError):
+    """An invalid parameter of a library call; ``field`` names it."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+class DomainError(ParameterError):
+    """An invalid :class:`Domain` parameter."""
 
 
 def _as_tuple(value, d: int, kind: type, field: str) -> tuple:
@@ -164,13 +168,8 @@ class Domain:
 
     def axes(self) -> list[np.ndarray]:
         """Per-axis sample coordinates (midpoints in neumann-1d mode)."""
-        out = []
-        for L, m, hh in zip(self.box_extent, self.n, self.h):
-            if self.boundary_mode == NEUMANN_1D:
-                out.append((np.arange(m) + 0.5) * hh)
-            else:
-                out.append(np.arange(m) * hh)
-        return out
+        offset = 0.5 if self.boundary_mode == NEUMANN_1D else 0.0
+        return [(np.arange(m) + offset) * hh for m, hh in zip(self.n, self.h)]
 
     def grids(self) -> list[np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
@@ -286,6 +285,16 @@ def _fitted(domain: Domain, f: np.ndarray, grid: np.ndarray) -> np.ndarray:
 _WHOLE_LINES = ((), (slice(None),), (slice(None),) * 2)
 
 
+def _placed(block: np.ndarray, index: tuple, shape: tuple) -> np.ndarray:
+    """``block`` itself when it has ``shape``, else a fresh zero array of
+    ``shape`` that holds ``block`` at ``index``."""
+    if block.shape == shape:
+        return block
+    out = np.zeros(shape, dtype=block.dtype)
+    out[index] = block
+    return out
+
+
 def _rfft(f: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
     """Half spectrum of ``f`` over its spatial axes, read from the grid
     lines ``f[lead]`` alone, where ``lead`` holds one slice per leading
@@ -300,10 +309,7 @@ def _rfft(f: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
         return _fft.rfft(f, axis=0)
     g = _fft.rfft(f[lead], axis=len(lead))
     for ax, sl in enumerate(lead):
-        if g.shape[ax] != n[ax]:
-            full = np.zeros(g.shape[:ax] + (n[ax],) + g.shape[ax + 1:], dtype=g.dtype)
-            full[(slice(None),) * ax + (sl,)] = g
-            g = full
+        g = _placed(g, (slice(None),) * ax + (sl,), g.shape[:ax] + (n[ax],) + g.shape[ax + 1:])
         g = _fft.fft(g, axis=ax, overwrite_x=True)
     return g
 
@@ -324,11 +330,7 @@ def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
     for ax, sl in enumerate(lead):
         g = _fft.ifft(g, axis=ax, overwrite_x=True)[(slice(None),) * ax + (sl,)]
     lines = _fft.irfft(g, axis=len(lead), overwrite_x=True)
-    if lines.shape[:len(lead)] == n[:len(lead)]:
-        return lines
-    out = np.zeros(n + lines.shape[len(n):])
-    out[lead] = lines
-    return out
+    return _placed(lines, lead, n + lines.shape[len(n):])
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
@@ -356,9 +358,7 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
     """Rectangle-rule L2 norm over the computational box."""
-    f = np.asarray(f, dtype=float)
-    domain.field_components(f)
-    return math.sqrt(float(np.sum(f * f)) * domain.cell_volume)
+    return math.sqrt(l2_inner(domain, f, f))
 
 
 def l2_inner(domain: Domain, f: np.ndarray, g: np.ndarray) -> float:

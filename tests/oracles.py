@@ -15,6 +15,9 @@ from adwave.spectral import (
     EXTERIOR_DIRICHLET,
     NEUMANN_1D,
     apply_fractional_laplacian,
+    build_operator,
+    embedding_constant,
+    hs_norm,
     l2_norm,
     seminorm_s,
 )
@@ -137,6 +140,14 @@ def energy_oracle(op, potential, u, v):
     ela = 0.5 * seminorm_s(op, u) ** 2
     adh = float(np.sum(potential.value(u) * interior_mask_oracle(dom))) * dom.cell_volume
     return kin, ela, adh, kin + ela + adh
+
+
+def sup_bound_oracle(traj) -> float:
+    """The embedding bound on max|u| from the snapshots alone: the embedding
+    constant times the largest H^s norm, each transformed anew."""
+    dom = traj.config.domain
+    op = build_operator(dom)
+    return embedding_constant(dom.d, dom.s) * max(hs_norm(op, st.u) for st in traj.states)
 
 
 def ball_oracle(m: int):

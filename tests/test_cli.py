@@ -676,6 +676,62 @@ class TestExperimentConfig:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+_TAPER = "[family]\nkind = linear_taper()\n\n"
+
+
+def _run_command(tmp_path, capsys, command, text):
+    """Exit code and captured output of ``adwave *command cfg``."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    rc = main([*command.split(), str(cfg), "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr()
+
+
+class TestWhatEachCommandReads:
+    @pytest.mark.parametrize("command, text, line, what", [
+        ("simulate", MINIMAL + "\n[family]\nkind = wishful()\n\n"
+         "[experiment]\nname = bogus\nT = inf\n", 18, "simulate does not read [family]"),
+        ("simulate", MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n", 18,
+         "simulate does not read [sweep]"),
+        ("experiment dispersion", "[domain]\nd = 1\n\n[sweep]\nexperiment.n = 16, 32\n", 2,
+         "experiment 'dispersion' does not read [domain]"),
+        ("certify-potential", _TAPER + "[domain]\nd = 1\n", 5,
+         "certify-potential does not read [domain]"),
+        ("certify-potential", _TAPER + "[experiment]\nT = 3\n", 5,
+         "certify-potential does not read [experiment] key 'T'; it reads eps_list"),
+        ("certify-potential", _TAPER + "[experiment]\neps_list = 0.2, nan\n", 5,
+         "invalid [experiment]: eps_list must be finite, got nan"),
+    ], ids=["simulate-family-experiment", "simulate-sweep", "dispersion-domain-sweep",
+            "certify-domain", "certify-experiment-T", "certify-eps_list-nan"])
+    def test_an_unread_section_or_key_exits_2_at_its_first_key(self, tmp_path, capsys,
+                                                              command, text, line, what):
+        rc, (out, err) = _run_command(tmp_path, capsys, command, text)
+        assert rc == 2 and out == ""
+        _assert_one_error_at(err, line)
+        assert what in err
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, text, line, what", [
+        ("experiment energy-inequality", "[experiment]\nn = 16\neps = -1\n", 3,
+         "eps must be positive and finite"),
+        ("experiment limit-obstruction", "[experiment]\nT = -1\n", 2,
+         "final time T must be positive and finite"),
+        ("experiment dispersion", "[experiment]\nn = 1\n", 2,
+         "grid sizes must be positive even integers"),
+        ("certify-potential", _TAPER + "[experiment]\neps_list = 0.1, 0.2\n", 5,
+         "eps_list must be strictly decreasing"),
+    ], ids=["energy-inequality-eps", "limit-obstruction-T", "dispersion-n",
+            "certify-eps_list-increasing"])
+    def test_a_library_range_error_names_the_line_of_its_key(
+            self, tmp_path, capsys, monkeypatch, workers, command, text, line, what):
+        monkeypatch.setenv("ADWAVE_WORKERS", workers)
+        rc, (out, err) = _run_command(tmp_path, capsys, command, text)
+        assert rc == 2 and out == ""
+        _assert_one_error_at(err, line)
+        assert f"invalid [experiment]: {what}" in err
+
+
 def test_sweep_builds_every_sub_run_before_any_run(tmp_path, capsys):
     """A bad swept potential is found before run-000 is simulated or any
     run-NNN directory is made."""

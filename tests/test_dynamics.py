@@ -1,11 +1,13 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adwave import spectral
 from adwave.dynamics import (
     BlowUpError,
     FieldState,
@@ -48,7 +50,7 @@ from adwave.spectral import (
     l2_norm,
 )
 
-from oracles import energy_oracle, interior_mask_oracle, step_oracle
+from oracles import energy_oracle, interior_mask_oracle, step_oracle, sup_bound_oracle
 
 
 
@@ -292,12 +294,13 @@ def _band_limited_in_omega(dom, m, rng, band, amplitude):
 
 
 @st.composite
-def _step_cases(draw):
+def _step_cases(draw, embedding=False):
+    """``(op, W, dt, state)``; with ``embedding``, 2s > d."""
     mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
     d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
     sizes = [2, 4, 6] if d == 3 else [2, 4, 6, 8, 10]
     n = tuple(draw(st.lists(st.sampled_from(sizes), min_size=d, max_size=d)))
-    s = 1.0 if mode == NEUMANN_1D else draw(st.floats(0.5, 2.0))
+    s = 1.0 if mode == NEUMANN_1D else draw(st.floats(d / 2 + 0.05 if embedding else 0.5, 2.0))
     pad = draw(st.floats(1.25, 3.0)) if mode == EXTERIOR_DIRICHLET else 1.0
     dom = Domain(d=d, s=s, omega_extent=draw(st.floats(1.0, 8.0)), n=n,
                  pad_factor=pad, boundary_mode=mode)
@@ -455,6 +458,17 @@ class TestWeakResidual:
         res = weak_residual(traj, [tf], W)[0]
         assert res == pytest.approx(2.0 * (T / 2.0) * 1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("dom, W, value, m", [
+        (neumann_domain(n=32), linear_taper_family().make(0.3), 1.2, 1),
+        (periodic_domain(n=16), ball_potential(2), (0.3, -0.4), 2),
+    ], ids=["neumann-taper", "periodic-ball-m2"])
+    def test_constant_trajectory_energies_are_those_of_its_states(self, dom, W, value, m):
+        traj = constant_trajectory(dom, W, value, np.linspace(0.0, 2.0, 5), m=m)
+        op = build_operator(dom)
+        assert traj.energies == [energy(op, W, st) for st in traj.states]
+        assert traj.energies[0] == energy(op, W, FieldState(constant_field(dom, value, m),
+                                                            zero_field(dom, m)))
+
     def test_taper_flat_state_residual_zero(self):
         eps = 0.3
         member = linear_taper_family().make(eps)
@@ -574,6 +588,18 @@ class TestAprioriBounds:
         bound = sup_bound_from_energy(traj)
         assert bound >= expected_floor * (1 - 1e-10)
         assert traj.max_abs() <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_step_cases(embedding=True), steps=st.integers(1, 3))
+    def test_sup_bound_reads_the_recorded_energies(self, case, steps):
+        """The bound from the recorded elastic energies equals the one from
+        the H^s norm of every snapshot bit for bit, and transforms nothing."""
+        op, W, dt, state = case
+        traj = simulate(SimConfig(domain=op.domain, potential=W, T=steps * dt, dt=dt,
+                                  u0=state.u, v0=state.v, record_every=1, enforce_cfl=False))
+        want = sup_bound_oracle(traj)
+        with mock.patch.object(spectral, "_fft", None):  # any transform would raise
+            assert sup_bound_from_energy(traj) == want
 
     def test_sup_bound_requires_embedding_regime(self):
         dom = periodic_domain(n=32, s=0.5)

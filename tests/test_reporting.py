@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ class TestCsv:
         rows = [(0.1, 1, "a"), (0.2, 2, "b")]
         p1 = write_csv(str(tmp_path / "x.csv"), ["t", "i", "s"], rows)
         p2 = write_csv(str(tmp_path / "y.csv"), ["t", "i", "s"], rows)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        lines = open(p1).read().splitlines()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        lines = Path(p1).read_text().splitlines()
         assert lines[0] == "t,i,s"
         assert lines[1] == "0.10000000000000001,1,a"
 
@@ -46,7 +47,7 @@ class TestCsv:
     ])
     def test_written_bytes(self, tmp_path, rows, body):
         path = write_csv(str(tmp_path / "x.csv"), ["t", "i", "s"], iter(rows))
-        assert open(path, "rb").read() == ("t,i,s\n" + body).encode()
+        assert Path(path).read_bytes() == ("t,i,s\n" + body).encode()
 
 
 class TestReport:
@@ -69,10 +70,10 @@ class TestReport:
         rep = ExperimentReport("demo", parameters={"b": 1, "a": 2})
         rep.check("only", True, 1.0, 1.0)
         path = rep.write(str(tmp_path))
-        text1 = open(path).read()
+        text1 = Path(path).read_text()
         rep2 = ExperimentReport("demo", parameters={"b": 1, "a": 2})
         rep2.check("only", True, 1.0, 1.0)
-        assert open(rep2.write(str(tmp_path / "again"))).read() == text1
+        assert Path(rep2.write(str(tmp_path / "again"))).read_text() == text1
         payload = json.loads(text1)
         assert payload["parameters"] == {"a": 2, "b": 1}
 
@@ -85,7 +86,7 @@ class TestSvg:
                              {"one": np.sin(x), "two": np.cos(x)},
                              title="demo", xlabel="t", ylabel="y", hlines=(1.0,))
         doc = xml.dom.minidom.parse(path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "polyline" in text
         assert "demo" in text
         assert text.count("polyline") >= 2
