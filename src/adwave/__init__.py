@@ -49,6 +49,7 @@ from .dynamics import (
     Trajectory,
     apriori_l2_bound,
     bump_field,
+    energies,
     energy,
     simulate,
     step,

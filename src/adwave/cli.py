@@ -10,7 +10,8 @@ Unknown sections, keys, kinds and arguments and stray commas are rejected
 at their line, as is a section or key the command does not read. Every
 physical parameter of a simulation, a non-finite one included, is validated
 against the module invariants at its line before any computation starts;
-an [experiment] number must be finite, and a library range error names it.
+an [experiment] number must be finite, a library range error names it, and
+an [experiment] name must be the experiment the command runs.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
@@ -452,14 +453,22 @@ def _checked(spec: RunSpec, who: str, reads: dict) -> dict:
     return keys
 
 
+# library parameter -> the [experiment] keys whose values reach it under
+# another name; a command reads at most one of them
+_PASSED_AS = {"eps": ("eps", "eps_list", "family_eps")}
+
+
 def _at_lines(spec: RunSpec, run, *args, **kwargs):
     """``run(*args, **kwargs)``; a library :class:`~adwave.spectral.ParameterError`
-    is an error at the line of the [experiment] key its ``field`` names."""
+    is an error at the line of the [experiment] key its ``field`` names, or
+    that passes its value on (``family_eps`` and ``eps_list`` pass ``eps``)."""
     try:
         return run(*args, **kwargs)
     except sp.ParameterError as exc:
+        lines = (spec.line_of("experiment", key)
+                 for key in _PASSED_AS.get(exc.field, (exc.field,)))
         raise ConfigError(f"invalid [experiment]: {exc}",
-                          spec.line_of("experiment", exc.field)) from None
+                          next((n for n in lines if n), None)) from None
 
 
 class _Entry:
@@ -495,11 +504,15 @@ EXPERIMENTS = {name: _Entry(name, run) for name, run in (
 
 
 def _experiment(spec: RunSpec, name: str):
-    """The entry of experiment ``name``; an unknown name is an error at the
-    line that sets it."""
+    """The entry of experiment ``name``; an unknown name, or an [experiment]
+    ``name`` other than ``name``, is an error at the line that sets it."""
+    line = spec.line_of("experiment", "name")
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; known: "
-                          + ", ".join(sorted(EXPERIMENTS)), spec.line_of("experiment", "name"))
+                          + ", ".join(sorted(EXPERIMENTS)), line)
+    if spec.get("experiment", "name", name) != name:
+        raise ConfigError(f"[experiment] name = {spec.get('experiment', 'name')} "
+                          f"disagrees with the experiment {name!r} to run", line)
     return EXPERIMENTS[name]
 
 

@@ -18,6 +18,15 @@ the last spatial axis through Omega. ``step`` works on those lines alone.
 On their points outside Omega the force holds the nonlocal term
 -(-Delta)^s u alone, which the step's projection discards (a negative value
 leaves -0 there); off them a new state is +0.
+
+Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
+(u, v): :func:`energies` takes a stack's energies with one transform, one
+``potential.value`` and one row sum per term, and :func:`weak_residual`
+reads the snapshots in the same stacks. On the experiments' 1-D grids a
+transform or potential call costs several times its arithmetic in dispatch,
+and the stacks pay it once per few hundred snapshots; a 2-D 128^2 snapshot
+or larger is evaluated alone at its record step, with no extra copy. Every
+value equals the one-state one bit for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ from .potentials import Potential
 from .spectral import (
     EXTERIOR_DIRICHLET,
     Domain,
+    GridMismatchError,
     ParameterError,
     SpectralOperator,
     _fitted,
@@ -41,7 +51,8 @@ from .spectral import (
     hs_norm,
     l2_inner,
     l2_norm,
-    seminorm_s,
+    row_sums,
+    seminorms_sq,
 )
 
 
@@ -144,9 +155,8 @@ class SimConfig:
             raise SimConfigError("record_every", "record_every must be >= 1")
         if not 0 < self.cfl_safety <= 1:
             raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
-        outside = ~self.domain.interior_mask
         for label, f in (("u0", self.u0), ("v0", self.v0)):
-            if np.any(f[outside] != 0.0):
+            if not self.domain.vanishes_off_omega(f):
                 raise SimConfigError(label, f"{label} must vanish outside Omega")
         if self.enforce_cfl:
             limit = self.cfl_safety * stability_limit(
@@ -180,6 +190,13 @@ class Trajectory:
 
     def max_abs_series(self) -> np.ndarray:
         return np.array([float(np.max(np.abs(st.u))) for st in self.states])
+
+    def u_stacks(self):
+        """The recorded ``u`` along a new leading axis, in the stacks of
+        :func:`stack_size` snapshots that :func:`simulate` evaluates."""
+        k = stack_size(self.states[0])
+        for i in range(0, len(self.states), k):
+            yield _stacked([st.u for st in self.states[i:i + k]])
 
 
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray) -> np.ndarray:
@@ -239,31 +256,78 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
 def energy(op: SpectralOperator, potential: Potential,
            state: FieldState) -> EnergyBreakdown:
     """Energy of a state: kinetic + elastic + adhesive over Omega."""
+    return energies(op, potential, [state])[0]
+
+
+def energies(op: SpectralOperator, potential: Potential,
+             states: list[FieldState]) -> list[EnergyBreakdown]:
+    """Energies of a nonempty list of equally shaped states, evaluated as
+    one stack: one transform of the stacked ``u``, one ``potential.value``
+    and one row sum per term. Each equals the energy of its state alone,
+    bit for bit; a lone state is viewed as a stack, not copied."""
     dom = op.domain
-    kin = 0.5 * l2_norm(dom, state.v) ** 2
-    ela = 0.5 * seminorm_s(op, state.u, in_omega=True) ** 2
-    adh = float(np.sum(potential.value(state.u[dom.interior]))) * dom.cell_volume
-    return EnergyBreakdown.of(kin, ela, adh)
+    us, vs = _stacked([st.u for st in states]), _stacked([st.v for st in states])
+    kin = row_sums(vs * vs)
+    ela = seminorms_sq(op, us, in_omega=True)
+    adh = row_sums(potential.value(us[(slice(None),) + dom.interior]))
+    cv = dom.cell_volume
+    return [EnergyBreakdown.of(0.5 * math.sqrt(float(k) * cv) ** 2,
+                               0.5 * math.sqrt(max(e, 0.0)) ** 2, float(a) * cv)
+            for k, e, a in zip(kin, ela, adh)]
+
+
+def _stacked(fields: list[np.ndarray]) -> np.ndarray:
+    """``fields`` along a new leading axis; a view of a lone field."""
+    return fields[0][None] if len(fields) == 1 else np.stack(fields)
+
+
+# bytes of (u, v) per stack of recorded snapshots: 1-D snapshots of 32 to 256
+# points stack by the hundreds, a 2-D 128^2 one or larger stands alone, and a
+# stack with its spectrum stays within a core's L2 cache
+STACK_BYTES = 1 << 18
+
+
+def stack_size(state: FieldState) -> int:
+    """How many snapshots shaped like ``state`` fill one stack of
+    :data:`STACK_BYTES`; at least 1."""
+    return max(1, STACK_BYTES // (state.u.nbytes + state.v.nbytes))
 
 
 def simulate(config: SimConfig) -> Trajectory:
-    """Integrate to T, recording a snapshot every ``record_every`` steps."""
+    """Integrate to T, recording a snapshot every ``record_every`` steps.
+
+    Recorded energies are evaluated by :func:`energies` in stacks of
+    :func:`stack_size` snapshots: when a stack is full, at the end, and at
+    a blow-up.
+    """
     op = build_operator(config.domain)
     nsteps = config.nsteps
     # step never writes into its input, so recorded states need no copies
     state = FieldState(config.u0.copy(), config.v0.copy(), 0.0)
-    times = [0.0]
-    states = [state]
-    energies = [energy(op, config.potential, state)]
+    times, states, recorded = [], [], []  # recorded: the energies evaluated so far
+    per_stack = stack_size(state)
+
+    def flush():
+        if len(recorded) < len(states):
+            recorded.extend(energies(op, config.potential, states[len(recorded):]))
+
+    def record(st: FieldState):
+        times.append(st.t)
+        states.append(st)
+        if len(states) - len(recorded) == per_stack:
+            flush()
+
+    record(state)
     for i in range(1, nsteps + 1):
         try:
             nxt = step(state, op, config.potential, config.dt)
         except BlowUpError:
+            flush()
             t = i * config.dt
             with np.errstate(all="ignore"):
                 last = energy(op, config.potential, state).total
             if not math.isfinite(last):
-                last = next((e.total for e in reversed(energies)
+                last = next((e.total for e in reversed(recorded)
                              if math.isfinite(e.total)), last)
             raise BlowUpError(f"blow-up at step {i} (t = {t:g})", step=i, t=t,
                               energy=last,
@@ -271,10 +335,9 @@ def simulate(config: SimConfig) -> Trajectory:
         state = nxt
         state.t = i * config.dt
         if i % config.record_every == 0 or i == nsteps:
-            times.append(state.t)
-            states.append(state)
-            energies.append(energy(op, config.potential, state))
-    return Trajectory(config, np.array(times), states, energies)
+            record(state)
+    flush()
+    return Trajectory(config, np.array(times), states, recorded)
 
 
 def energy_drift_tolerance(config: SimConfig) -> float:
@@ -352,26 +415,36 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
     Time integrals use the composite trapezoid rule on snapshot times. A
     trajectory of a genuine weak solution drives these values to zero under
     (dt, recording) refinement. Test fields must vanish outside Omega, so
-    grad W(u) enters on the interior block only.
+    grad W(u) enters on the interior block only. Snapshots are read in the
+    stacks of :meth:`Trajectory.u_stacks`, with one ``potential.grad`` per
+    stack for every test field.
     """
-    config = traj.config
-    dom = config.domain
+    dom = traj.config.domain
     op = build_operator(dom)
-    inner, outside = dom.interior, ~dom.interior_mask
-    times = traj.times
-    T = float(times[-1])
-    out = []
+    shape = traj.states[0].u.shape
+    tests = []  # (test field, psi, (-Delta)^s psi, psi on Omega)
     for tf in test_fields:
         psi = np.asarray(tf.psi, dtype=float)
         dom.field_components(psi)
-        if np.any(psi[outside] != 0.0):
+        if not dom.vanishes_off_omega(psi):
             raise ValueError("test field must be supported in Omega")
-        lpsi = apply_fractional_laplacian(op, psi, in_omega=True)
-        psi_in = psi[inner]
-        a = np.array([l2_inner(dom, st.u, psi) for st in traj.states])
-        b = np.array([l2_inner(dom, st.u, lpsi) for st in traj.states])
-        c = np.array([float(np.sum(potential.grad(st.u[inner]) * psi_in)) * dom.cell_volume
-                      for st in traj.states])
+        if psi.shape != shape:
+            raise GridMismatchError("inner product requires matching field shapes")
+        tests.append((tf, psi, apply_fractional_laplacian(op, psi, in_omega=True),
+                      psi[dom.interior]))
+    # per test field, the per-snapshot sums of <u, psi>, <u, lpsi>, <grad W(u), psi>
+    sums = [([], [], []) for _ in tests]
+    for us in traj.u_stacks():
+        grads = potential.grad(us[(slice(None),) + dom.interior])
+        for (_, psi, lpsi, psi_in), (a, b, c) in zip(tests, sums):
+            a.append(row_sums(us * psi))
+            b.append(row_sums(us * lpsi))
+            c.append(row_sums(grads * psi_in))
+    times = traj.times
+    T = float(times[-1])
+    out = []
+    for (tf, psi, _, _), parts in zip(tests, sums):
+        a, b, c = (np.concatenate(p) * dom.cell_volume for p in parts)
         chi = np.array([tf.window.value(t) for t in times])
         chi2 = np.array([tf.window.d2(t) for t in times])
         boundary = (tf.window.value(T) * l2_inner(dom, traj.states[-1].v, psi)

@@ -181,7 +181,7 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
                             u0=dyn.constant_field(domain, 1.0 + eps),
                             v0=dyn.zero_field(domain), record_every=1)
         traj = dyn.simulate(cfg)
-        dev = max(float(np.max(np.abs(st.u - (1.0 + eps)))) for st in traj.states)
+        dev = max(float(np.max(np.abs(us - (1.0 + eps)))) for us in traj.u_stacks())
         res = dyn.weak_residual(traj, [test], member)[0]
         return traj, dev, res
 
@@ -192,7 +192,7 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
                      measured=dev, threshold=1e-10)
         report.check(f"approx_residual(eps={eps:g})", abs(res) <= 1e-10,
                      measured=abs(res), threshold=1e-10)
-        gap = max(float(np.max(np.abs(st.u - 1.0))) for st in traj.states)
+        gap = max(float(np.max(np.abs(us - 1.0))) for us in traj.u_stacks())
         limit_dev.append(gap)
         report.check(f"uniform_limit_gap(eps={eps:g})", abs(gap - eps) <= 1e-10,
                      measured=gap, threshold=eps, comparator="==",
@@ -380,7 +380,7 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
         traj = dyn.simulate(cfg)
         x = domain.axes()[0]
         mode = np.sin(2.0 * math.pi * k * x / box)
-        amp = np.array([2.0 / n * float(np.sum(st.u * mode)) for st in traj.states])
+        amp = np.concatenate([2.0 / n * sp.row_sums(us * mode) for us in traj.u_stacks()])
         fitted = _fit_frequency(amp, dt)
         return k, s, xi, omega, dt, fitted
 

@@ -539,7 +539,8 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
                                lipschitz_estimate=[], grad_bound=[])
     for eps in eps_list:
         member = family.make(eps)
-        val_gap = float(np.max(np.abs(member.value(pts) - base_val)))
+        member_val = member.value(pts)
+        val_gap = float(np.max(np.abs(member_val - base_val)))
         region = family.grad_region(eps)
         in_region = radius <= region + 1e-12
         diff = member.grad(pts) - base_grad
@@ -550,10 +551,10 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
         cert.grad_region.append(region)
         cert.lipschitz_estimate.append(_lipschitz_estimate(member, pts, rng))
         cert.grad_bound.append(float(np.max(member.grad_norm(pts))))
-        min_val = float(np.min(member.value(pts)))
+        min_val = float(np.min(member_val))
         cert.checks.append(Check(f"nonnegative(eps={eps:g})", min_val >= -1e-12,
                                  measured=min_val, threshold=0.0, comparator=">="))
-        top = max(float(np.max(member.value(pts))), cert.grad_bound[-1])
+        top = max(float(np.max(member_val)), cert.grad_bound[-1])
         cert.checks.append(Check(f"uniform_bound(eps={eps:g})",
                                  top <= member.bound + 1e-12,
                                  measured=top, threshold=member.bound, comparator="<="))

@@ -203,6 +203,18 @@ class Domain:
         mask[self.interior] = True
         return mask
 
+    def vanishes_off_omega(self, f: np.ndarray) -> bool:
+        """Whether the field ``f`` is +0 or -0 at every grid point off
+        :attr:`interior` (NaN is not zero). Reads the collar slabs alone:
+        per axis the index ranges below and above Omega's, within Omega's
+        ranges of the axes before it, which together tile the exterior."""
+        for ax, (sl, m) in enumerate(zip(self.interior, self.n)):
+            lo, hi, _ = sl.indices(m)
+            for collar in (slice(None, lo), slice(hi, None)):
+                if np.any(f[self.interior[:ax] + (collar,)] != 0.0):
+                    return False
+        return True
+
     def field_components(self, f: np.ndarray) -> int:
         """Validate a field's shape against the grid; return its component count."""
         f = np.asarray(f)
@@ -295,10 +307,11 @@ def _placed(block: np.ndarray, index: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
-def _rfft(f: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
+def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
     """Half spectrum of ``f`` over its spatial axes, read from the grid
     lines ``f[lead]`` alone, where ``lead`` holds one slice per leading
-    spatial axis: ``f`` must vanish off those lines.
+    spatial axis: ``f`` must vanish off those lines. The first ``stacked``
+    axes of ``f`` index a stack of fields, each transformed alone.
 
     One pass per axis, in ``rfftn``'s order: real-to-complex along the last
     spatial axis on the lines, then complex along each leading axis, after
@@ -306,10 +319,11 @@ def _rfft(f: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
     axes this is ``rfftn`` bit for bit.
     """
     if not lead:
-        return _fft.rfft(f, axis=0)
-    g = _fft.rfft(f[lead], axis=len(lead))
-    for ax, sl in enumerate(lead):
-        g = _placed(g, (slice(None),) * ax + (sl,), g.shape[:ax] + (n[ax],) + g.shape[ax + 1:])
+        return _fft.rfft(f, axis=stacked)
+    g = _fft.rfft(f[(slice(None),) * stacked + lead], axis=stacked + len(lead))
+    for ax, sl in enumerate(lead, start=stacked):
+        g = _placed(g, (slice(None),) * ax + (sl,),
+                    g.shape[:ax] + (n[ax - stacked],) + g.shape[ax + 1:])
         g = _fft.fft(g, axis=ax, overwrite_x=True)
     return g
 
@@ -370,6 +384,13 @@ def l2_inner(domain: Domain, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum(f * g)) * domain.cell_volume
 
 
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each entry of ``x`` along its leading axis. For a
+    C-contiguous ``x`` each entry is one contiguous run, summed bit for bit
+    as ``np.sum`` of that entry alone sums it."""
+    return np.sum(x.reshape(len(x), -1), axis=1)
+
+
 def seminorm_s(op: SpectralOperator, f: np.ndarray, *,
                in_omega: bool = False) -> float:
     """Order-s seminorm: L2 norm of (-Delta)^(s/2) f via Parseval.
@@ -378,18 +399,25 @@ def seminorm_s(op: SpectralOperator, f: np.ndarray, *,
     transform reads Omega's grid lines only; the value is the same.
     """
     f = np.asarray(f, dtype=float)
+    return math.sqrt(max(seminorms_sq(op, f[None], in_omega=in_omega)[0], 0.0))
+
+
+def seminorms_sq(op: SpectralOperator, fs: np.ndarray, *,
+                 in_omega: bool = False) -> list[float]:
+    """Squared order-s seminorm of each field of the stack ``fs`` (the
+    fields along its leading axis), from one transform of the whole stack;
+    each equals ``seminorm_s(op, f) ** 2`` before the square root, bit for
+    bit. ``in_omega`` as in :func:`seminorm_s`."""
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
-        sym = _fitted(dom, f, op.symbol)
-        coeff = _fft.dct(f, type=2, axis=0, norm="ortho")
-        val = float(np.sum(sym * coeff * coeff)) * dom.cell_volume
-    else:
-        sym = _fitted(dom, f, op.parseval_symbol)
-        lead = dom.interior_lines if in_omega else _WHOLE_LINES[dom.d - 1]
-        fhat = _rfft(f, lead, dom.n)
-        val = float(np.sum(sym * (fhat.real ** 2 + fhat.imag ** 2)))
-        val *= dom.cell_volume / math.prod(dom.n)
-    return math.sqrt(max(val, 0.0))
+        sym = _fitted(dom, fs[0], op.symbol)
+        coeff = _fft.dct(fs, type=2, axis=1, norm="ortho")
+        return [float(x) * dom.cell_volume for x in row_sums(sym * coeff * coeff)]
+    sym = _fitted(dom, fs[0], op.parseval_symbol)
+    lead = dom.interior_lines if in_omega else _WHOLE_LINES[dom.d - 1]
+    fhat = _rfft(fs, lead, dom.n, stacked=1)
+    scale = dom.cell_volume / math.prod(dom.n)
+    return [float(x) * scale for x in row_sums(sym * (fhat.real ** 2 + fhat.imag ** 2))]
 
 
 def hs_norm(op: SpectralOperator, f: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from adwave.spectral import (
     build_operator,
     embedding_constant,
     hs_norm,
+    l2_inner,
     l2_norm,
     seminorm_s,
 )
@@ -140,6 +141,61 @@ def energy_oracle(op, potential, u, v):
     ela = 0.5 * seminorm_s(op, u) ** 2
     adh = float(np.sum(potential.value(u) * interior_mask_oracle(dom))) * dom.cell_volume
     return kin, ela, adh, kin + ela + adh
+
+
+def energy_per_state_oracle(op, potential, state):
+    """(kinetic, elastic, adhesive, total) of one state alone, the
+    reference for stacked energies: each term is one ``np.sum`` over that
+    state's arrays, the elastic term from per-axis passes over the whole
+    box in ``rfftn``'s order (rfft along the last spatial axis, then fft
+    along each leading one), or from the cosine transform in neumann-1d
+    mode, and W on the interior block."""
+    dom = op.domain
+    u, v = state.u, state.v
+    if dom.boundary_mode == NEUMANN_1D:
+        sym = op.symbol if u.ndim == dom.d else op.symbol[..., None]
+        coeff = fft.dct(u, type=2, axis=0, norm="ortho")
+        val = float(np.sum(sym * coeff * coeff)) * dom.cell_volume
+    else:
+        sym = op.parseval_symbol if u.ndim == dom.d else op.parseval_symbol[..., None]
+        g = fft.rfft(u, axis=dom.d - 1)
+        for ax in range(dom.d - 1):
+            g = fft.fft(g, axis=ax)
+        val = float(np.sum(sym * (g.real ** 2 + g.imag ** 2)))
+        val *= dom.cell_volume / math.prod(dom.n)
+    kin = 0.5 * math.sqrt(float(np.sum(v * v)) * dom.cell_volume) ** 2
+    ela = 0.5 * math.sqrt(max(val, 0.0)) ** 2
+    adh = float(np.sum(potential.value(u[dom.interior]))) * dom.cell_volume
+    return kin, ela, adh, kin + ela + adh
+
+
+def weak_residual_oracle(traj, test_fields, potential) -> list:
+    """The weak-form defect of ``dynamics.weak_residual`` taken one snapshot
+    at a time: per snapshot and test field, three inner products, each one
+    ``np.sum`` over that snapshot alone, and ``grad W`` anew for each."""
+    dom = traj.config.domain
+    op = build_operator(dom)
+    inner = dom.interior
+    times = traj.times
+    T = float(times[-1])
+    out = []
+    for tf in test_fields:
+        psi = np.asarray(tf.psi, dtype=float)
+        lpsi = apply_fractional_laplacian(op, psi, in_omega=True)
+        psi_in = psi[inner]
+        a = np.array([l2_inner(dom, st.u, psi) for st in traj.states])
+        b = np.array([l2_inner(dom, st.u, lpsi) for st in traj.states])
+        c = np.array([float(np.sum(potential.grad(st.u[inner]) * psi_in)) * dom.cell_volume
+                      for st in traj.states])
+        chi = np.array([tf.window.value(t) for t in times])
+        chi2 = np.array([tf.window.d2(t) for t in times])
+        boundary = (tf.window.value(T) * l2_inner(dom, traj.states[-1].v, psi)
+                    - tf.window.value(0.0) * l2_inner(dom, traj.states[0].v, psi)
+                    - tf.window.d1(T) * a[-1] + tf.window.d1(0.0) * a[0])
+        val = (boundary + np.trapezoid(chi2 * a, times)
+               + np.trapezoid(chi * b, times) + np.trapezoid(chi * c, times))
+        out.append(float(val))
+    return out
 
 
 def sup_bound_oracle(traj) -> float:

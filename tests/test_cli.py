@@ -711,6 +711,15 @@ class TestWhatEachCommandReads:
         assert what in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_an_experiment_name_other_than_the_commands_exits_2_at_its_line(
+            self, tmp_path, capsys):
+        rc, (out, err) = _run_command(tmp_path, capsys, "experiment dispersion",
+                                      "[experiment]\nn = 16\nname = small-data\n")
+        assert rc == 2 and out == ""
+        _assert_one_error_at(err, 3)
+        assert "name = small-data disagrees with the experiment 'dispersion'" in err
+        assert not list((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("command, text, line, what", [
         ("experiment energy-inequality", "[experiment]\nn = 16\neps = -1\n", 3,
@@ -721,8 +730,15 @@ class TestWhatEachCommandReads:
          "grid sizes must be positive even integers"),
         ("certify-potential", _TAPER + "[experiment]\neps_list = 0.1, 0.2\n", 5,
          "eps_list must be strictly decreasing"),
+        ("experiment small-data", "[experiment]\nfamily_eps = -1\n", 2,
+         "eps must be positive and finite"),
+        ("experiment epsilon-convergence", "[experiment]\nT = 1\neps_list = 0.2, -0.1\n", 3,
+         "eps must be positive and finite"),
+        ("certify-potential", _TAPER + "[experiment]\neps_list = 3, 0.1\n", 5,
+         "taper width must lie in (0, 2), got 3.0"),
     ], ids=["energy-inequality-eps", "limit-obstruction-T", "dispersion-n",
-            "certify-eps_list-increasing"])
+            "certify-eps_list-increasing", "small-data-family_eps",
+            "epsilon-convergence-eps_list", "certify-eps_list-member"])
     def test_a_library_range_error_names_the_line_of_its_key(
             self, tmp_path, capsys, monkeypatch, workers, command, text, line, what):
         monkeypatch.setenv("ADWAVE_WORKERS", workers)

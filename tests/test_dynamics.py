@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adwave import spectral
+from adwave import dynamics, spectral
 from adwave.dynamics import (
     BlowUpError,
     FieldState,
@@ -18,12 +19,14 @@ from adwave.dynamics import (
     bump_field,
     constant_field,
     constant_trajectory,
+    energies,
     energy,
     energy_drift_tolerance,
     scale_to_hs,
     sine_field,
     simulate,
     stability_limit,
+    stack_size,
     step,
     sup_bound_from_energy,
     weak_residual,
@@ -50,7 +53,14 @@ from adwave.spectral import (
     l2_norm,
 )
 
-from oracles import energy_oracle, interior_mask_oracle, step_oracle, sup_bound_oracle
+from oracles import (
+    energy_oracle,
+    energy_per_state_oracle,
+    interior_mask_oracle,
+    step_oracle,
+    sup_bound_oracle,
+    weak_residual_oracle,
+)
 
 
 
@@ -341,6 +351,78 @@ class TestStepAgainstFullBoxOracle:
             e = energy(op, W, state)
             kin, ela, adh, total = energy_oracle(op, W, ou, ov)
             assert abs(e.total - total) <= 1e-13 * (abs(kin) + abs(ela) + abs(adh))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestStackedEvaluation:
+    """Recorded snapshots are evaluated in stacks; every value equals the
+    one-snapshot-at-a-time one bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_step_cases(), steps=st.integers(1, 9), per_stack=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_energies_and_residuals_equal_per_state_ones(self, case, steps,
+                                                                 per_stack, seed):
+        """simulate's energies, in stacks of ``per_stack`` snapshots with a
+        shorter last one, and energies of stacks of 1, 2 and every snapshot
+        equal the per-state oracle; weak_residual in the same stacks equals
+        the per-snapshot oracle."""
+        op, W, dt, state = case
+        dom = op.domain
+        cfg = SimConfig(domain=dom, potential=W, T=steps * dt, dt=dt, u0=state.u,
+                        v0=state.v, record_every=1, enforce_cfl=False)
+        rng = np.random.default_rng(seed)
+        tests = [WeakTestField(_band_limited_in_omega(dom, W.m, rng, 2, 1.0), window)
+                 for window in (window_one(), window_sin_sq(cfg.T))]
+        budget = per_stack * (state.u.nbytes + state.v.nbytes)
+        with mock.patch.object(dynamics, "STACK_BYTES", budget), \
+                mock.patch.object(dynamics, "energies", wraps=dynamics.energies) as spy:
+            traj = simulate(cfg)
+            residuals = weak_residual(traj, tests, W)
+        count = len(traj.states)
+        assert [len(c.args[2]) for c in spy.call_args_list] == \
+            [per_stack] * (count // per_stack) + [count % per_stack] * (count % per_stack > 0)
+        want = [energy_per_state_oracle(op, W, st) for st in traj.states]
+        assert _bits([astuple(e) for e in traj.energies]) == _bits(want)
+        for stack in (traj.states[:1], traj.states[:2], traj.states):
+            got = energies(op, W, stack)
+            assert _bits([astuple(e) for e in got]) == _bits(want[:len(stack)])
+        assert _bits(residuals) == _bits(weak_residual_oracle(traj, tests, W))
+
+    def test_one_d_snapshots_stack_by_the_hundreds_and_large_ones_stand_alone(self):
+        def per_stack(shape):
+            u = np.zeros(shape)
+            return stack_size(FieldState(u, u))
+
+        assert per_stack((32,)) >= per_stack((64,)) >= 200
+        assert per_stack((128, 128)) == per_stack((256, 256)) == 1
+        assert per_stack((64, 64, 64, 2)) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_blow_up_energy_reads_the_pending_snapshots(self, record_every):
+        """The last finite state's energy overflows, so BlowUpError.energy is
+        the latest finite recorded one, although no stack was full yet."""
+        dom = periodic_domain(n=64)
+        op, W = build_operator(dom), zero_potential()
+        cfg = SimConfig(domain=dom, potential=W, T=300.0, dt=0.5, u0=sine_field(dom, k=31),
+                        v0=zero_field(dom), record_every=record_every, enforce_cfl=False)
+        with pytest.raises(BlowUpError) as info:
+            simulate(cfg)
+        err = info.value
+        state, totals = FieldState(cfg.u0, cfg.v0), []
+        for i in range(err.step):
+            state = state if i == 0 else step(state, op, W, cfg.dt)
+            if i % record_every == 0:
+                totals.append(energy_per_state_oracle(op, W, state)[3])
+        assert len(totals) < stack_size(state)
+        assert not math.isfinite(energy_per_state_oracle(op, W, state)[3])
+        latest = next(t for t in reversed(totals) if math.isfinite(t))
+        assert _bits(err.energy) == _bits(latest)
+        assert err.max_abs == float(np.max(np.abs(state.u)))
 
 
 class TestSimConfig:
