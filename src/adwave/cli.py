@@ -11,13 +11,15 @@ at their line, as is a section or key the command does not read. Every
 physical parameter of a simulation, a non-finite one included, is validated
 against the module invariants at its line before any computation starts;
 an [experiment] number must be finite, a library range error names it, and
-an [experiment] name must be the experiment the command runs.
+an [experiment] name must be the experiment the command runs. An output
+directory that cannot be created, and a negative [run] seed where a command
+uses it, are errors at their line when the config sets them.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
 
 Environment: ``ADWAVE_OUT`` overrides the output directory, ``ADWAVE_WORKERS``
-sets the fan-out width for sweeps and per-parameter experiment runs.
+(a whole number >= 1, default 1) sets how many sweep sub-runs run at once.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import itertools
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -336,7 +339,11 @@ class RunSpec:
         return os.environ.get("ADWAVE_OUT") or self.get("run", "out")
 
     def seed(self) -> int:
-        return self.get("run", "seed")
+        seed = self.get("run", "seed")
+        if seed < 0:
+            raise ConfigError(f"invalid [run]: seed must be a non-negative integer, "
+                              f"got {seed}", self.line_of("run", "seed"))
+        return seed
 
 
 def parse_config(text: str) -> RunSpec:
@@ -584,6 +591,19 @@ def cmd_certify(spec: RunSpec, out_dir: str) -> int:
     return 0 if cert.passed else 1
 
 
+def _map_ordered(fn, items):
+    """``[fn(item) for item in items]``, with up to ``ADWAVE_WORKERS`` calls
+    running at once (default 1, no pool)."""
+    raw = os.environ.get("ADWAVE_WORKERS", "1")
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ConfigError(f"ADWAVE_WORKERS must be a whole number >= 1, got {raw!r}")
+    if workers == 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
     sweep = spec.sections.get("sweep", {})
     if not sweep:
@@ -609,7 +629,7 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
             return 0, _simulate(run, run_dir)
         return (0 if run(run_dir).passed else 1), []
 
-    results = ex._map_ordered(one, list(enumerate(runs)))  # (exit code, stdout lines)
+    results = _map_ordered(one, list(enumerate(runs)))  # (exit code, stdout lines)
     print("".join(f"{line}\n" for _, lines in results for line in lines), end="")
     for i, (rc, _) in enumerate(results):
         print(f"run-{i:03d}: {'PASS' if rc == 0 else 'FAIL'}")
@@ -627,7 +647,12 @@ def _spec_and_out(args) -> tuple:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     spec = parse_config(text)
     out_dir = args.out or spec.out_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        line = None if args.out or os.environ.get("ADWAVE_OUT") else spec.line_of("run", "out")
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}",
+                          line) from None
     return spec, out_dir
 
 

@@ -5,15 +5,13 @@ a chain of named inequalities or convergence proxies, and returns an
 :class:`~adwave.reporting.ExperimentReport`. Each ends by declaring its CSV
 tables and SVG plots, which :func:`_emit` writes, followed by
 ``report.json``, when an output directory is given.
-Fan-out over independent parameter values (per eps, per s) uses a pool of
-``ADWAVE_WORKERS`` threads (default 1, no pool); results are assembled in
-parameter order, never completion order.
+An experiment runs, checks and records its parameter values (per eps, per
+dt, per mode) one at a time, in their order, in the calling thread.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -52,14 +50,6 @@ def _emit(report: ExperimentReport, out_dir: str | None, tables=(),
     return report
 
 
-def _map_ordered(fn, items):
-    workers = int(os.environ.get("ADWAVE_WORKERS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
                           dt_refinements=(1, 2, 4),
                           out_dir: str | None = None) -> ExperimentReport:
@@ -77,14 +67,11 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
     report = ExperimentReport("energy-inequality", parameters={
         "potential": potential.name, "T": config.T, "dt": config.dt,
         "refinements": list(dt_refinements)})
-
-    def one(fac: int):
+    first, drifts = None, []  # energy.csv tabulates the first run
+    for fac in dt_refinements:
         cfg = replace(config, potential=potential, dt=config.dt / fac)
-        return cfg, dyn.simulate(cfg)
-
-    runs = _map_ordered(one, list(dt_refinements))
-    drifts = []
-    for fac, (cfg, traj) in zip(dt_refinements, runs):
+        traj = dyn.simulate(cfg)
+        first = traj if first is None else first
         totals = traj.totals
         tol = dyn.energy_drift_tolerance(cfg)
         rise = float(np.max(totals - totals[0]))
@@ -103,7 +90,6 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
                      measured=ratio, threshold=expected, comparator="~",
                      note="drift should shrink ~4x per dt halving")
     report.series["drift"] = drifts
-    first = runs[0][1]  # the first run; each run's total is a series of its own
     time = list(first.times)
     energy = {f.name: [getattr(e, f.name) for e in first.energies]
               for f in fields(dyn.EnergyBreakdown)}
@@ -131,21 +117,17 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
         "T": config.T, "dt": config.dt})
     report.check("family_certified", cert.passed, measured=float(cert.passed),
                  threshold=1.0, comparator="==")
-
-    def one(eps: float):
-        cfg = replace(config, potential=family.make(eps))
-        return dyn.simulate(cfg)
-
-    trajs = _map_ordered(one, eps_list)
-    dom = config.domain
-    dists = []
-    for i in range(len(eps_list) - 1):
-        dists.append(max(sp.l2_norm(dom, sa.u - sb.u)
-                         for sa, sb in zip(trajs[i].states, trajs[i + 1].states)))
-    for i in range(len(dists) - 1):
-        report.check(f"cauchy_decrease({eps_list[i]:g}->{eps_list[i + 1]:g})",
-                     dists[i + 1] < dists[i],
-                     measured=dists[i + 1], threshold=dists[i], comparator="<")
+    prev, dists = None, []  # dists[i]: from the run of eps_list[i] to the next
+    for i, eps in enumerate(eps_list):
+        traj = dyn.simulate(replace(config, potential=family.make(eps)))
+        if i > 0:
+            dists.append(max(sp.l2_norm(config.domain, sa.u - sb.u)
+                             for sa, sb in zip(prev.states, traj.states)))
+        if i > 1:
+            report.check(f"cauchy_decrease({eps_list[i - 2]:g}->{eps_list[i - 1]:g})",
+                         dists[-1] < dists[-2],
+                         measured=dists[-1], threshold=dists[-2], comparator="<")
+        prev = traj
     report.series.update(eps=eps_list, sup_W_dist=cert.sup_value_gap,
                          sup_grad_dist=cert.sup_grad_gap, l2_cauchy_dist=dists + [math.nan])
     return _emit(report, out_dir, [("epsilon_study.csv", report.series)],
@@ -173,31 +155,29 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
         "eps": eps_list, "T": T, "L": L, "n": n})
     psi = np.ones(domain.n)
     test = dyn.TestField(psi=psi, window=dyn.window_one(), label="chi=1 psi=1")
-
-    def one(eps: float):
+    times = None  # the first run's; the limit is sampled at them
+    devs, residuals, limit_dev = [], [], []
+    for eps in eps_list:
         member = family.make(eps)
         dt = _auto_dt(domain, member, T)
         cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=dt,
                             u0=dyn.constant_field(domain, 1.0 + eps),
                             v0=dyn.zero_field(domain), record_every=1)
         traj = dyn.simulate(cfg)
+        times = traj.times if times is None else times
         dev = max(float(np.max(np.abs(us - (1.0 + eps)))) for us in traj.u_stacks())
         res = dyn.weak_residual(traj, [test], member)[0]
-        return traj, dev, res
-
-    results = _map_ordered(one, eps_list)
-    limit_dev = []
-    for eps, (traj, dev, res) in zip(eps_list, results):
         report.check(f"flat_state(eps={eps:g})", dev <= 1e-10,
                      measured=dev, threshold=1e-10)
         report.check(f"approx_residual(eps={eps:g})", abs(res) <= 1e-10,
                      measured=abs(res), threshold=1e-10)
         gap = max(float(np.max(np.abs(us - 1.0))) for us in traj.u_stacks())
-        limit_dev.append(gap)
         report.check(f"uniform_limit_gap(eps={eps:g})", abs(gap - eps) <= 1e-10,
                      measured=gap, threshold=eps, comparator="==",
                      note="distance of the flat state to the constant 1")
-    times = results[0][0].times
+        devs.append(dev)
+        residuals.append(res)
+        limit_dev.append(gap)
     base = pot.clipped_quadratic(1.0)
     limit_traj = dyn.constant_trajectory(domain, base, 1.0, times)
     limit_res = dyn.weak_residual(limit_traj, [test], base)[0]
@@ -206,20 +186,20 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
                  abs(limit_res - expected) <= 1e-6 * expected,
                  measured=limit_res, threshold=expected, comparator="==",
                  note="the constant limit is not a weak solution")
-    worst_eps_res = max(abs(r) for _, _, r in results)
+    worst_eps_res = max(abs(r) for r in residuals)
     report.check("obstruction_gap",
                  abs((limit_res - worst_eps_res) - expected) <= 1e-6 * expected + 1e-9,
                  measured=limit_res - worst_eps_res, threshold=expected,
                  comparator="==")
     columns = {"eps": eps_list,
-               "max_dev_from_flat": [dev for _, dev, _ in results],
-               "residual_eps": [res for _, _, res in results],
+               "max_dev_from_flat": devs,
+               "residual_eps": residuals,
                "limit_gap": limit_dev}
     report.series.update(columns, limit_residual=[limit_res])
     return _emit(report, out_dir, [("limit_obstruction.csv", columns)],
                  [("limit_obstruction.svg", eps_list,
                    {"max |u - 1|": limit_dev,
-                    "|weak residual| of u_eps": [abs(r) for _, _, r in results]},
+                    "|weak residual| of u_eps": [abs(r) for r in residuals]},
                    dict(title="flat approximate solutions vs their limit",
                         xlabel="eps", ylabel="measured"))])
 
@@ -363,8 +343,9 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
     report = ExperimentReport("dispersion", parameters={
         "cases": [list(c) for c in cases], "n": n, "box": box})
     potential = pot.zero_potential()
-
-    def one(case):
+    columns = report.series
+    columns.update(k=[], s=[], omega_expected=[], omega_fitted=[])
+    for case in cases:
         k, s = int(case[0]), float(case[1])
         domain = sp.Domain(d=1, s=s, omega_extent=box, n=n, pad_factor=1.0,
                            boundary_mode=sp.PERIODIC)
@@ -382,17 +363,13 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
         mode = np.sin(2.0 * math.pi * k * x / box)
         amp = np.concatenate([2.0 / n * sp.row_sums(us * mode) for us in traj.u_stacks()])
         fitted = _fit_frequency(amp, dt)
-        return k, s, xi, omega, dt, fitted
-
-    rows = _map_ordered(one, list(cases))
-    for k, s, xi, omega, dt, fitted in rows:
         tol = 5.0 * dt ** 2 * xi ** (3.0 * s)
         report.check(f"dispersion(k={k},s={s:g})", abs(fitted - omega) <= tol,
                      measured=fitted, threshold=omega, comparator="==",
                      note=f"allowance {tol:.3g}")
-    report.series.update(k=[r[0] for r in rows], s=[r[1] for r in rows],
-                         omega_expected=[r[3] for r in rows], omega_fitted=[r[5] for r in rows])
-    return _emit(report, out_dir, [("dispersion.csv", report.series)])
+        for key, value in zip(columns, (k, s, omega, fitted)):
+            columns[key].append(value)
+    return _emit(report, out_dir, [("dispersion.csv", columns)])
 
 
 def _fit_frequency(amplitude: np.ndarray, dt: float) -> float:

@@ -391,15 +391,10 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     return np.sum(x.reshape(len(x), -1), axis=1)
 
 
-def seminorm_s(op: SpectralOperator, f: np.ndarray, *,
-               in_omega: bool = False) -> float:
-    """Order-s seminorm: L2 norm of (-Delta)^(s/2) f via Parseval.
-
-    ``in_omega=True`` promises that ``f`` vanishes outside Omega, so the
-    transform reads Omega's grid lines only; the value is the same.
-    """
+def seminorm_s(op: SpectralOperator, f: np.ndarray) -> float:
+    """Order-s seminorm: L2 norm of (-Delta)^(s/2) f via Parseval."""
     f = np.asarray(f, dtype=float)
-    return math.sqrt(max(seminorms_sq(op, f[None], in_omega=in_omega)[0], 0.0))
+    return math.sqrt(max(seminorms_sq(op, f[None])[0], 0.0))
 
 
 def seminorms_sq(op: SpectralOperator, fs: np.ndarray, *,
@@ -407,7 +402,9 @@ def seminorms_sq(op: SpectralOperator, fs: np.ndarray, *,
     """Squared order-s seminorm of each field of the stack ``fs`` (the
     fields along its leading axis), from one transform of the whole stack;
     each equals ``seminorm_s(op, f) ** 2`` before the square root, bit for
-    bit. ``in_omega`` as in :func:`seminorm_s`."""
+    bit. ``in_omega=True`` promises that every field vanishes outside
+    Omega, so the transform reads Omega's grid lines only; the values are
+    the same."""
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
         sym = _fitted(dom, fs[0], op.symbol)
@@ -461,8 +458,10 @@ def embedding_constant(d: int, s: float, tol: float = 1e-9) -> float:
     The integral is evaluated adaptively up to r = 50 plus an analytic
     alternating-series tail whose truncation error joins the error budget;
     the returned constant is within ``tol`` of the exact value. Requires
-    2s > d, otherwise the integral diverges.
+    2s > d, otherwise the integral diverges, and a positive finite ``tol``.
     """
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tol", f"tol must be positive and finite, got {tol!r}")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if not 2.0 * s > d:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adwave import experiments as ex
+from adwave import cli
 from adwave.cli import (
     ConfigError,
     Descriptor,
@@ -357,6 +357,13 @@ class TestCommands:
     def test_embed_const_rejects_bad_regime(self, capsys):
         assert main(["embed-const", "--d", "2", "--s", "0.9"]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_embed_const_rejects_a_tol_not_positive_and_finite(self, capsys, tol):
+        assert main(["embed-const", "--d", "1", "--s", "1", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: tol must be positive and finite, got {float(tol)!r}\n"
+
     def test_experiment_dispersion(self, tmp_path, capsys):
         rc = main(["experiment", "dispersion", "--out", str(tmp_path / "disp")])
         assert rc == 0
@@ -457,7 +464,8 @@ class TestCommands:
         assert report["parameters"] == {"eps": [0.4, 0.2, 0.1], "T": 2.0,
                                         "L": 1.0, "n": 64}
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default output directory is ./out
         cfg = self.write(tmp_path, "[domain]\nd = 1\ns = -3\n")
         assert main(["simulate", cfg]) == 2
 
@@ -764,7 +772,7 @@ def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
     def reversed_map(fn, items):
         return [fn(item) for item in reversed(items)][::-1]
 
-    monkeypatch.setattr(ex, "_map_ordered", reversed_map)
+    monkeypatch.setattr(cli, "_map_ordered", reversed_map)
     rc, (out, err) = _run(tmp_path, capsys,
                           MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n", "sweep")
     assert rc == 0 and err == ""
@@ -775,6 +783,52 @@ def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
         "simulated 2 snapshots to t = 0.5",
         f"wrote {runs[1] / 'trajectory.csv'}", f"wrote {runs[1] / 'energy.csv'}",
         "run-000: PASS", "run-001: PASS"]
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-1"])
+def test_a_worker_count_not_a_whole_number_above_zero_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("ADWAVE_WORKERS", workers)
+    rc, (out, err) = _run(tmp_path, capsys,
+                          MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n", "sweep")
+    assert rc == 2 and out == ""
+    assert err == ("config error: ADWAVE_WORKERS must be a whole number >= 1, "
+                   f"got {workers!r}\n")
+    assert not list((tmp_path / "out").glob("run-*"))
+
+
+class TestRunSection:
+    def test_an_empty_out_exits_2_at_its_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ADWAVE_OUT", raising=False)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL + "\n[run]\nout =\n")
+        assert main(["simulate", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        _assert_one_error_at(err, 18)
+        assert "cannot create output directory ''" in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.ini"]
+
+    def test_an_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "taken")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: cannot create output directory "
+                       f"{str(tmp_path / 'taken')!r}: File exists\n")
+        assert (tmp_path / "taken").read_text() == ""
+
+    def test_a_negative_seed_exits_2_at_its_line(self, tmp_path, capsys):
+        rc, (out, err) = _run(tmp_path, capsys,
+                              "[family]\nkind = linear_taper()\n\n[run]\nseed = -1\n",
+                              "certify-potential")
+        assert rc == 2 and out == ""
+        _assert_one_error_at(err, 5)
+        assert "invalid [run]: seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "out" / "certification.csv").exists()
 
 
 @pytest.mark.parametrize("data, line", [

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -214,34 +215,61 @@ class TestReportMechanics:
         assert payload["checks"][0]["name"].startswith("dispersion")
 
     def test_workers_give_same_result(self, monkeypatch):
-        rep1 = run_limit_obstruction(eps_list=(0.4, 0.2), T=2.0, n=32)
+        """``ADWAVE_WORKERS`` widens sweeps only: the experiments that run a
+        parameter list run it in the calling thread, whatever its value."""
+        W = mollified_family(clipped_quadratic(1.0)).make(0.1)
+        family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
+        eps_list = [0.2, 0.1, 0.05]
+        runs = [
+            lambda: run_energy_inequality(W, energy_config(n=32, T=1.0, potential=W)),
+            lambda: run_epsilon_convergence(family, eps_list, energy_config(
+                n=32, T=1.0, potential=family.make(eps_list[-1]))),  # the stiffest
+            lambda: run_limit_obstruction(eps_list=(0.4, 0.2), T=2.0, n=32),
+            lambda: run_dispersion_check(cases=((1, 1.0), (2, 1.0)), n=16),
+        ]
+        serial = [json.dumps(run().to_dict()) for run in runs]
+
+        def no_thread(thread):
+            raise AssertionError(f"an experiment started thread {thread.name}")
+
         monkeypatch.setenv("ADWAVE_WORKERS", "3")
-        rep2 = run_limit_obstruction(eps_list=(0.4, 0.2), T=2.0, n=32)
-        assert rep1.series["residual_eps"] == rep2.series["residual_eps"]
-        assert rep1.series["limit_residual"] == rep2.series["limit_residual"]
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert [json.dumps(run().to_dict()) for run in runs] == serial
 
 
-# SHA-256 of every table and plot the five experiments write at their CLI
-# defaults, recorded before the experiments declared their outputs
+# SHA-256 of every file the five experiments write at their CLI defaults:
+# the tables and plots recorded before the experiments declared their
+# outputs, each report.json (artifact paths reduced to file names) before
+# the experiments ran their parameter lists in one serial loop
 OUTPUT_SHA256 = {
     "dispersion/dispersion.csv":
         "402ff4916cf4f3f9a8faf83924a707def506839a7944444bd932b16ac750c20e",
+    "dispersion/report.json":
+        "22debbf8310b9c6809e59f1280010cf9ea615c9e6cf71ec69e7a75149c0a326c",
     "energy-inequality/energy.csv":
         "a1a7ed57429eafd69a1811583de2457a5c7b09baea58479c5a35451d4c9b374f",
     "energy-inequality/energy.svg":
         "83c652d5b04bec8e746dd39fcec91e0594982c955d04e6170298eadc0e891090",
+    "energy-inequality/report.json":
+        "897740bffe470d175d69d1e579d437cb39413e92b04bb0477967af97ea1fad7e",
     "epsilon-convergence/epsilon_study.csv":
         "701fafd503082a63bbdf924b316a7eba744d826181c48844c4baa04f6c5cab65",
     "epsilon-convergence/epsilon_study.svg":
         "71ada8b6c6a604a327339c5983e54c51a42c97916e62bc82a79613150b38fb6f",
+    "epsilon-convergence/report.json":
+        "24ac7679fdec200cf2f9aadc667ba5a654fc8c6b075b8da6782538cd26088812",
     "limit-obstruction/limit_obstruction.csv":
         "5157f39909e5360257b79ba21e4ccf4f61b56af317a8ee33b253147b9b759881",
     "limit-obstruction/limit_obstruction.svg":
         "15b25b22267a339d80532b9116a0b1b893de5b7678a9d4f2d216fcc8f117258b",
+    "limit-obstruction/report.json":
+        "58b9e8048a55e6a5fdc0c7df45948bebcd6123bceaf5d5701b35bdbe8f4995be",
     "small-data/small_data.csv":
         "4c6dfbb371b00e20c222873545567c6ff6fcbaa9a98400636de88a19e85a0a69",
     "small-data/small_data.svg":
         "afa94dfffb0e04dd8636863d715360bde87c3da36ced0d4726ed2812d87cba5b",
+    "small-data/report.json":
+        "638de030b0a6467d20f36fa81b9a4a6d96589409d22d8b2812fcbacb488ec7eb",
 }
 
 
@@ -251,10 +279,11 @@ class TestDeclaredOutputs:
             assert cli.main(["experiment", name, "--out", str(tmp_path / name)]) == 0
         written = {}
         for name in cli.EXPERIMENTS:
+            # report.json lists its artifacts by path: keep their file names
+            prefix = json.dumps(str(tmp_path / name) + os.sep)[1:-1].encode()
             for entry in sorted(os.listdir(tmp_path / name)):
-                if entry.endswith((".csv", ".svg")):
-                    data = (tmp_path / name / entry).read_bytes()
-                    written[f"{name}/{entry}"] = hashlib.sha256(data).hexdigest()
+                data = (tmp_path / name / entry).read_bytes().replace(prefix, b"")
+                written[f"{name}/{entry}"] = hashlib.sha256(data).hexdigest()
         assert written == OUTPUT_SHA256
 
     def test_artifacts_list_tables_then_plots_then_report(self, tmp_path):
