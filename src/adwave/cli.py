@@ -12,8 +12,8 @@ physical parameter of a simulation, a non-finite one included, is validated
 against the module invariants at its line before any computation starts;
 an [experiment] number must be finite, a library range error names it, and
 an [experiment] name must be the experiment the command runs. An output
-directory that cannot be created, and a negative [run] seed where a command
-uses it, are errors at their line when the config sets them.
+directory that cannot be created, and a negative [run] seed, are errors at
+their line when the config sets them; only certify-potential reads a seed.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
@@ -221,7 +221,7 @@ _DEFAULTS = {
     "domain": {"pad_factor": 2.0, "boundary": sp.EXTERIOR_DIRICHLET},
     "simulation": {"dt": "auto", "record_every": 10, "cfl_safety": 0.9,
                    "enforce_cfl": True},
-    "run": {"seed": 0, "out": "out"},
+    "run": {"out": "out"},
 }
 
 
@@ -306,17 +306,13 @@ class RunSpec:
         op = sp.build_operator(domain)
         u0 = self._scaled("u0", "u0_hs", lambda f, x: dyn.scale_to_hs(op, f, x), u0)
         v0 = self._scaled("v0", "v0_l2", lambda f, x: dyn.scale_to_l2(domain, f, x), v0)
-        T = self.get("simulation", "T", 1.0)
-        cfl_safety = self.get("simulation", "cfl_safety")
         dt = self.get("simulation", "dt")
-        if dt == "auto":  # no step fits a T or cfl_safety that SimConfig rejects
-            limit = cfl_safety * dyn.stability_limit(op, potential)
-            dt = ex.fitted_dt(T, limit) if limit > 0 and 0 < T / limit < math.inf else T
         try:
             return dyn.SimConfig(
-                domain=domain, potential=potential, T=T, dt=dt, u0=u0, v0=v0,
+                domain=domain, potential=potential, T=self.get("simulation", "T", 1.0),
+                dt=None if dt == "auto" else dt, u0=u0, v0=v0,
                 record_every=self.get("simulation", "record_every"),
-                cfl_safety=cfl_safety,
+                cfl_safety=self.get("simulation", "cfl_safety"),
                 enforce_cfl=self.get("simulation", "enforce_cfl"))
         except dyn.SimConfigError as exc:
             section = "data" if exc.field in ("u0", "v0") else "simulation"
@@ -339,7 +335,7 @@ class RunSpec:
         return os.environ.get("ADWAVE_OUT") or self.get("run", "out")
 
     def seed(self) -> int:
-        seed = self.get("run", "seed")
+        seed = self.get("run", "seed", 0)
         if seed < 0:
             raise ConfigError(f"invalid [run]: seed must be a non-negative integer, "
                               f"got {seed}", self.line_of("run", "seed"))
@@ -407,35 +403,34 @@ def format_runspec(spec: RunSpec) -> str:
 
 def _bump_run(members: list, T: float, n: int, extent: float, amplitude: float,
               record_every: int) -> dyn.SimConfig:
-    """A bump at rest on a 1-D exterior-dirichlet grid under ``members[0]``,
-    with the auto dt of the stiffest of ``members``."""
+    """A bump at rest on a 1-D exterior-dirichlet grid under the stiffest of
+    ``members`` (largest ``grad_lipschitz``), whose auto dt is the smallest."""
     domain = sp.Domain(d=1, s=1.0, omega_extent=extent, n=n)
-    return dyn.SimConfig(domain=domain, potential=members[0], T=T,
-                         dt=min(ex._auto_dt(domain, m, T) for m in members),
+    return dyn.SimConfig(domain=domain, T=T, dt=None,
+                         potential=max(members, key=lambda m: m.grad_lipschitz),
                          u0=dyn.bump_field(domain, amplitude), v0=dyn.zero_field(domain),
                          record_every=record_every)
 
 
-def _energy_inequality(eps=0.1, T=5.0, n=64, extent=2.0 * math.pi, amplitude=0.5,
-                       out_dir=None):
+def _energy_inequality(eps=0.1, T=5.0, n=64, extent=2.0 * math.pi, amplitude=0.5):
     """The energy inequality for W_eps of the default mollified family."""
     potential = build_family(Descriptor("mollified", ())).make(eps)
-    return ex.run_energy_inequality(
-        potential, _bump_run([potential], T, n, extent, amplitude, 2), out_dir=out_dir)
+    return ex.run_energy_inequality(_bump_run([potential], T, n, extent, amplitude, 2))
 
 
 def _epsilon_convergence(family=None, eps_list=(0.2, 0.1, 0.05, 0.025), T=5.0, n=128,
-                         extent=2.0 * math.pi, amplitude=0.98, out_dir=None):
+                         extent=2.0 * math.pi, amplitude=0.98):
     """eps -> 0 along ``family``, by default the mollified one of kernel ratio 2."""
     if family is None:
         family = build_family(Descriptor("mollified", (("ratio", 2.0),)))
     cfg = _bump_run([family.make(v) for v in eps_list], T, n, extent, amplitude, 4)
-    return ex.run_epsilon_convergence(family, eps_list, cfg, out_dir=out_dir)
+    return ex.run_epsilon_convergence(family, eps_list, cfg)
 
 
 # command -> {section it reads: the keys it reads there, or None for all}; an
 # experiment's is its ``_Entry.reads``; a sweep reads [sweep], its sub-runs the rest
-_READS = {"simulate": dict.fromkeys(("domain", "potential", "data", "simulation", "run")),
+_READS = {"simulate": {**dict.fromkeys(("domain", "potential", "data", "simulation")),
+                       "run": ["out"]},
           "certify-potential": {"family": None, "run": None, "experiment": ["eps_list"]}}
 
 
@@ -479,26 +474,27 @@ def _at_lines(spec: RunSpec, run, *args, **kwargs):
 
 
 class _Entry:
-    """The CLI entry ``(spec, out_dir)`` of experiment ``name``, run by
-    ``run()`` (looked up per call)."""
+    """The CLI entry ``(spec, out_dir)`` of experiment ``name``, computed by
+    ``run()`` (looked up per call) and written by :func:`adwave.experiments.write`."""
 
     def __init__(self, name: str, run):
         self.name, self.run = name, run
         params = inspect.signature(run()).parameters
-        self.reads = {"run": None,
+        self.reads = {"run": ["out"],
                       "experiment": ["name", *(k for k in params if k in _SCHEMA["experiment"])],
                       **({"family": None} if "family" in params else {})}
 
     def bind(self, spec: RunSpec):
-        """``spec``'s run, a function of the output directory. Every key and
-        section it sets is checked, and [family] built, before it runs."""
+        """``spec``'s run, a call that computes its report and writes
+        nothing. Every key and section it sets is checked, and [family]
+        built, before it runs."""
         keys = _checked(spec, f"experiment {self.name!r}", self.reads)
         if "family" in spec.sections:
             keys["family"] = spec.build("family")
-        return lambda out_dir: _at_lines(spec, self.run(), **keys, out_dir=out_dir)
+        return lambda: _at_lines(spec, self.run(), **keys)
 
     def __call__(self, spec: RunSpec, out_dir: str):
-        return self.bind(spec)(out_dir)
+        return ex.write(self.bind(spec)(), out_dir)
 
 
 EXPERIMENTS = {name: _Entry(name, run) for name, run in (
@@ -605,10 +601,12 @@ def _map_ordered(fn, items):
 
 
 def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
+    """Check every sub-run, compute every experiment and make every run-NNN
+    before any sub-run writes: an experiment sweep writes all or nothing."""
     sweep = spec.sections.get("sweep", {})
     if not sweep:
         raise ConfigError("sweep requires a [sweep] section")
-    runs = []  # (sub-run spec, its SimConfig or bound experiment), all built up front
+    subs, runs = [], []  # each sub-run's spec and its SimConfig or bound experiment
     for combo in itertools.product(*sweep.values()):
         sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items() if s != "sweep"},
                       dict(spec.lines))
@@ -617,19 +615,20 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
             sub.sections.setdefault(section, {})[name] = value
             sub.lines[(section, name)] = spec.line_of("sweep", key)
         name = sub.get("experiment", "name")
-        runs.append((sub, _experiment(sub, name).bind(sub) if name else sub.build_simconfig()))
+        subs.append(sub)
+        runs.append(_experiment(sub, name).bind(sub) if name else sub.build_simconfig())
+    runs = _map_ordered(lambda run: run if isinstance(run, dyn.SimConfig) else run(), runs)
+    run_dirs = [_made(os.path.join(out_dir, f"run-{i:03d}")) for i in range(len(runs))]
 
     def one(item):
-        i, (sub, run) = item
-        run_dir = os.path.join(out_dir, f"run-{i:03d}")
-        os.makedirs(run_dir, exist_ok=True)
+        sub, run, run_dir = item
         with open(os.path.join(run_dir, "config.ini"), "w") as fh:
             fh.write(format_runspec(sub))
         if isinstance(run, dyn.SimConfig):
             return 0, _simulate(run, run_dir)
-        return (0 if run(run_dir).passed else 1), []
+        return (0 if ex.write(run, run_dir).passed else 1), []
 
-    results = _map_ordered(one, list(enumerate(runs)))  # (exit code, stdout lines)
+    results = _map_ordered(one, list(zip(subs, runs, run_dirs)))  # (exit code, stdout lines)
     print("".join(f"{line}\n" for _, lines in results for line in lines), end="")
     for i, (rc, _) in enumerate(results):
         print(f"run-{i:03d}: {'PASS' if rc == 0 else 'FAIL'}")
@@ -646,14 +645,19 @@ def _spec_and_out(args) -> tuple:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     spec = parse_config(text)
-    out_dir = args.out or spec.out_dir()
+    line = None if args.out or os.environ.get("ADWAVE_OUT") else spec.line_of("run", "out")
+    return spec, _made(args.out or spec.out_dir(), line)
+
+
+def _made(path: str, line: int | None = None) -> str:
+    """``path``, created as a directory if it is none; a path that cannot
+    be is a configuration error that names it, at ``line``."""
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        line = None if args.out or os.environ.get("ADWAVE_OUT") else spec.line_of("run", "out")
-        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}",
+        raise ConfigError(f"cannot create output directory {path!r}: {exc.strerror}",
                           line) from None
-    return spec, out_dir
+    return path
 
 
 def main(argv=None) -> int:

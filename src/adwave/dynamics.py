@@ -111,20 +111,27 @@ def stability_limit(op: SpectralOperator, potential: Potential) -> float:
     return 2.0 / math.sqrt(lam + lip) if lam + lip > 0 else math.inf
 
 
+def fitted_dt(T: float, dt_max: float) -> float:
+    """Largest dt <= dt_max that splits T into whole steps; T if no finite count does."""
+    steps = T / dt_max if dt_max > 0 else math.inf
+    return T / max(1, math.ceil(steps - 1e-12)) if steps < math.inf else T
+
+
 @dataclass
 class SimConfig:
     """Fully validated description of one simulation run.
 
     ``dt`` must split ``T`` into a whole number of steps, to a relative
-    1e-9, so that the run ends at ``T``; :func:`~adwave.experiments.fitted_dt`
-    picks such a step below a bound. Invalid parameters raise
-    :class:`SimConfigError`.
+    1e-9, so that the run ends at ``T``; :func:`fitted_dt` picks such a step
+    below a bound. ``dt=None`` is the auto step, ``fitted_dt(T, cfl_safety *
+    stability_limit(op, potential))``, taken once ``T`` and ``cfl_safety``
+    are checked. Invalid parameters raise :class:`SimConfigError`.
     """
 
     domain: Domain
     potential: Potential
     T: float
-    dt: float
+    dt: float | None
     u0: np.ndarray
     v0: np.ndarray
     record_every: int = 10
@@ -143,6 +150,12 @@ class SimConfig:
                                  f"{self.potential.name} expects {self.potential.m}")
         if not 0 < self.T < math.inf:
             raise SimConfigError("T", "final time T must be positive and finite")
+        if not 0 < self.cfl_safety <= 1:
+            raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
+        limit = self.cfl_safety * stability_limit(build_operator(self.domain),
+                                                  self.potential)
+        if self.dt is None:
+            self.dt = fitted_dt(self.T, limit)
         if not 0 < self.dt < math.inf:
             raise SimConfigError("dt", "time step dt must be positive and finite")
         steps = self.T / self.dt
@@ -153,18 +166,12 @@ class SimConfig:
                 f"= {self.T / math.ceil(steps)!r}")
         if self.record_every < 1:
             raise SimConfigError("record_every", "record_every must be >= 1")
-        if not 0 < self.cfl_safety <= 1:
-            raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
         for label, f in (("u0", self.u0), ("v0", self.v0)):
             if not self.domain.vanishes_off_omega(f):
                 raise SimConfigError(label, f"{label} must vanish outside Omega")
-        if self.enforce_cfl:
-            limit = self.cfl_safety * stability_limit(
-                build_operator(self.domain), self.potential)
-            if self.dt > limit * (1 + 1e-12):
-                raise SimConfigError(
-                    "dt", f"dt = {self.dt:g} exceeds the stability bound "
-                    f"{limit:g} (cfl_safety = {self.cfl_safety:g})")
+        if self.enforce_cfl and self.dt > limit * (1 + 1e-12):
+            raise SimConfigError("dt", f"dt = {self.dt:g} exceeds the stability bound "
+                                 f"{limit:g} (cfl_safety = {self.cfl_safety:g})")
 
     @property
     def nsteps(self) -> int:

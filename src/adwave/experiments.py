@@ -2,11 +2,10 @@
 
 Each experiment assembles simulations from the lower-level modules, measures
 a chain of named inequalities or convergence proxies, and returns an
-:class:`~adwave.reporting.ExperimentReport`. Each ends by declaring its CSV
-tables and SVG plots, which :func:`_emit` writes, followed by
-``report.json``, when an output directory is given.
-An experiment runs, checks and records its parameter values (per eps, per
-dt, per mode) one at a time, in their order, in the calling thread.
+:class:`~adwave.reporting.ExperimentReport` that declares its CSV tables and
+SVG plots; it writes nothing, :func:`write` does. An experiment runs, checks
+and records its parameter values (per eps, per dt, per mode) one at a time,
+in their order, in the calling thread.
 """
 from __future__ import annotations
 
@@ -19,57 +18,44 @@ import numpy as np
 from . import dynamics as dyn
 from . import potentials as pot
 from . import spectral as sp
+from .dynamics import fitted_dt
 from .reporting import ExperimentReport, svg_line_plot, write_csv
 
 
-def fitted_dt(T: float, dt_max: float) -> float:
-    """Largest dt <= dt_max such that T is an integer number of steps."""
-    nsteps = max(1, math.ceil(T / dt_max - 1e-12))
-    return T / nsteps
-
-
-def _auto_dt(domain: sp.Domain, potential: pot.Potential, T: float) -> float:
-    op = sp.build_operator(domain)
-    return fitted_dt(T, 0.9 * dyn.stability_limit(op, potential))
-
-
-def _emit(report: ExperimentReport, out_dir: str | None, tables=(),
-          plots=()) -> ExperimentReport:
-    """Write the CSV ``tables``, the SVG ``plots`` and ``report.json`` into
-    ``out_dir`` and list them in ``report.artifacts``; no-op without
-    ``out_dir``. A table is ``(file, {header: column})``, a plot
-    ``(file, x, series, labels)``, ``labels`` passed to ``svg_line_plot``."""
-    if out_dir:
-        for name, columns in tables:
-            report.artifacts.append(write_csv(os.path.join(out_dir, name), list(columns),
-                                              zip(*columns.values())))
-        for name, x, series, labels in plots:
-            report.artifacts.append(svg_line_plot(os.path.join(out_dir, name), x,
-                                                  series, **labels))
-        report.write(out_dir)
+def write(report: ExperimentReport, out_dir: str) -> ExperimentReport:
+    """Write ``report``'s CSV tables, its SVG plots and then ``report.json``
+    into ``out_dir``, each listed in ``report.artifacts``; return
+    ``report``. A table is ``(file, {header: column})``, a plot ``(file, x,
+    series, labels)``, ``labels`` passed to ``svg_line_plot``."""
+    for name, columns in report.tables:
+        report.artifacts.append(write_csv(os.path.join(out_dir, name), list(columns),
+                                          zip(*columns.values())))
+    for name, x, series, labels in report.plots:
+        report.artifacts.append(svg_line_plot(os.path.join(out_dir, name), x,
+                                              series, **labels))
+    report.write(out_dir)
     return report
 
 
-def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
-                          dt_refinements=(1, 2, 4),
-                          out_dir: str | None = None) -> ExperimentReport:
+def run_energy_inequality(config: dyn.SimConfig,
+                          dt_refinements=(1, 2, 4)) -> ExperimentReport:
     """Energy never rises above its initial value, and the leftover drift
     shrinks quadratically under dt refinement.
 
     ``config.dt`` is the coarsest step; refined runs divide it by each
     entry of ``dt_refinements``.
     """
-    if potential.regularity != pot.C1_UNIFORM:
+    if config.potential.regularity != pot.C1_UNIFORM:
         raise ValueError("energy inequality experiment needs a potential "
                          "with continuous bounded gradient")
     if not dt_refinements:
         raise ValueError("dt_refinements must be nonempty")
     report = ExperimentReport("energy-inequality", parameters={
-        "potential": potential.name, "T": config.T, "dt": config.dt,
+        "potential": config.potential.name, "T": config.T, "dt": config.dt,
         "refinements": list(dt_refinements)})
     first, drifts = None, []  # energy.csv tabulates the first run
     for fac in dt_refinements:
-        cfg = replace(config, potential=potential, dt=config.dt / fac)
+        cfg = replace(config, dt=config.dt / fac)
         traj = dyn.simulate(cfg)
         first = traj if first is None else first
         totals = traj.totals
@@ -95,14 +81,14 @@ def run_energy_inequality(potential: pot.Potential, config: dyn.SimConfig,
               for f in fields(dyn.EnergyBreakdown)}
     report.series.update(time=time, **{f"energy_{k}": v for k, v in energy.items()
                                        if k != "total"})
-    return _emit(report, out_dir, [("energy.csv", {"t": time, **energy})],
-                 [("energy.svg", time, energy,
-                   dict(title="energy vs time", xlabel="t", ylabel="energy"))])
+    report.tables.append(("energy.csv", {"t": time, **energy}))
+    report.plots.append(("energy.svg", time, energy,
+                         dict(title="energy vs time", xlabel="t", ylabel="energy")))
+    return report
 
 
 def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
-                            config: dyn.SimConfig,
-                            out_dir: str | None = None) -> ExperimentReport:
+                            config: dyn.SimConfig) -> ExperimentReport:
     """Cauchy proxy for convergence of the regularized runs as eps -> 0.
 
     Simulates the same data under each member W_eps and measures consecutive
@@ -130,15 +116,15 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
         prev = traj
     report.series.update(eps=eps_list, sup_W_dist=cert.sup_value_gap,
                          sup_grad_dist=cert.sup_grad_gap, l2_cauchy_dist=dists + [math.nan])
-    return _emit(report, out_dir, [("epsilon_study.csv", report.series)],
-                 [("epsilon_study.svg", eps_list[:-1], {"l2 cauchy distance": dists},
-                   dict(title="consecutive-eps trajectory distance",
-                        xlabel="eps", ylabel="max_t L2 distance"))])
+    report.tables.append(("epsilon_study.csv", report.series))
+    report.plots.append(("epsilon_study.svg", eps_list[:-1], {"l2 cauchy distance": dists},
+                         dict(title="consecutive-eps trajectory distance",
+                              xlabel="eps", ylabel="max_t L2 distance")))
+    return report
 
 
 def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
-                          L: float = 1.0, n: int = 64,
-                          out_dir: str | None = None) -> ExperimentReport:
+                          L: float = 1.0, n: int = 64) -> ExperimentReport:
     """Flat states 1+eps solve the tapered problems exactly, converge
     uniformly to the constant 1, yet the limit fails the weak form.
 
@@ -159,8 +145,7 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
     devs, residuals, limit_dev = [], [], []
     for eps in eps_list:
         member = family.make(eps)
-        dt = _auto_dt(domain, member, T)
-        cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=dt,
+        cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=None,
                             u0=dyn.constant_field(domain, 1.0 + eps),
                             v0=dyn.zero_field(domain), record_every=1)
         traj = dyn.simulate(cfg)
@@ -196,19 +181,19 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
                "residual_eps": residuals,
                "limit_gap": limit_dev}
     report.series.update(columns, limit_residual=[limit_res])
-    return _emit(report, out_dir, [("limit_obstruction.csv", columns)],
-                 [("limit_obstruction.svg", eps_list,
-                   {"max |u - 1|": limit_dev,
-                    "|weak residual| of u_eps": [abs(r) for r in residuals]},
-                   dict(title="flat approximate solutions vs their limit",
-                        xlabel="eps", ylabel="measured"))])
+    report.tables.append(("limit_obstruction.csv", columns))
+    report.plots.append(("limit_obstruction.svg", eps_list,
+                         {"max |u - 1|": limit_dev,
+                          "|weak residual| of u_eps": [abs(r) for r in residuals]},
+                         dict(title="flat approximate solutions vs their limit",
+                              xlabel="eps", ylabel="measured")))
+    return report
 
 
 def run_small_data(family: pot.RegularizedFamily | None = None,
                    eps1: float = 0.05, eps2: float = 0.0,
                    domain: sp.Domain | None = None, T: float = 1.0,
-                   family_eps: float = 0.05,
-                   out_dir: str | None = None) -> ExperimentReport:
+                   family_eps: float = 0.05) -> ExperimentReport:
     """Small-data confinement: the full a-priori bound chain, measured.
 
     With ||u0||_{H^s} <= eps1 and ||v0||_L2 <= eps2 small, the trajectory
@@ -268,10 +253,9 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
                      "sup_embedding_bound", "confinement", "smooth_region_agreement"):
             report.check(name, None, measured=math.nan, threshold=math.nan,
                          note="skipped: small-data hypothesis violated")
-        return _emit(report, out_dir)
+        return report
 
-    dt = _auto_dt(domain, member, T)
-    cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=dt,
+    cfg = dyn.SimConfig(domain=domain, potential=member, T=T, dt=None,
                         u0=u0, v0=v0, record_every=1)
     traj = dyn.simulate(cfg)
     cfg_base = replace(cfg, potential=base, enforce_cfl=False)
@@ -290,7 +274,8 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     report.check("l2_apriori_bound", max(l2_u) <= l2_cap, measured=max(l2_u), threshold=l2_cap)
 
     sup_bound = dyn.sup_bound_from_energy(traj)
-    max_abs = traj.max_abs()
+    max_abs_u = traj.max_abs_series()
+    max_abs = float(np.max(max_abs_u))
     report.check("sup_embedding_bound", max_abs <= sup_bound,
                  measured=max_abs, threshold=sup_bound)
 
@@ -309,16 +294,17 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
 
     report.parameters["eta"] = eta
     time = list(traj.times)
-    columns = {"max_abs_u": list(traj.max_abs_series()),
+    columns = {"max_abs_u": list(max_abs_u),
                "l2_u": l2_u,
                "energy_total": list(traj.totals)}
     report.series.update(time=time, **columns)
-    return _emit(report, out_dir, [("small_data.csv", {"t": time, **columns})],
-                 [("small_data.svg", time,
-                   {"max |u|": columns["max_abs_u"],
-                    "sup bound": [sup_bound] * len(time)},
-                   dict(title="confinement below the critical amplitude",
-                        xlabel="t", ylabel="max |u|", hlines=(1.0,)))])
+    report.tables.append(("small_data.csv", {"t": time, **columns}))
+    report.plots.append(("small_data.svg", time,
+                         {"max |u|": columns["max_abs_u"],
+                          "sup bound": [sup_bound] * len(time)},
+                         dict(title="confinement below the critical amplitude",
+                              xlabel="t", ylabel="max |u|", hlines=(1.0,))))
+    return report
 
 
 def _sampled_gap(f, g, radius: float, count: int) -> float:
@@ -329,8 +315,8 @@ def _sampled_gap(f, g, radius: float, count: int) -> float:
     return float(np.max(np.abs(f(pts) - g(pts))))
 
 
-def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
-                         out_dir: str | None = None) -> ExperimentReport:
+def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)),
+                         n: int = 32) -> ExperimentReport:
     """Free-wave dispersion: a single mode k oscillates at |xi_k|^s.
 
     Each mode runs for 6 periods on a periodic box of side 2*pi. Fits the
@@ -369,7 +355,8 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)), n: int = 32,
                      note=f"allowance {tol:.3g}")
         for key, value in zip(columns, (k, s, omega, fitted)):
             columns[key].append(value)
-    return _emit(report, out_dir, [("dispersion.csv", columns)])
+    report.tables.append(("dispersion.csv", columns))
+    return report
 
 
 def _fit_frequency(amplitude: np.ndarray, dt: float) -> float:

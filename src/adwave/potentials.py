@@ -461,7 +461,6 @@ class FamilyCertification:
     eps_list: list[float]
     sup_value_gap: list[float]
     sup_grad_gap: list[float]
-    grad_region: list[float]
     lipschitz_estimate: list[float]
     grad_bound: list[float]
     checks: list[Check] = field(default_factory=list)
@@ -535,20 +534,17 @@ def certify_family(family: RegularizedFamily, eps_list, samples: int = 4096,
 
     cert = FamilyCertification(family=family.name, mode=family.mode,
                                eps_list=eps_list, sup_value_gap=[],
-                               sup_grad_gap=[], grad_region=[],
-                               lipschitz_estimate=[], grad_bound=[])
+                               sup_grad_gap=[], lipschitz_estimate=[], grad_bound=[])
     for eps in eps_list:
         member = family.make(eps)
         member_val = member.value(pts)
         val_gap = float(np.max(np.abs(member_val - base_val)))
-        region = family.grad_region(eps)
-        in_region = radius <= region + 1e-12
+        in_region = radius <= family.grad_region(eps) + 1e-12
         diff = member.grad(pts) - base_grad
         dev = _radius(diff, base.m)
         grad_gap = float(np.max(dev[in_region])) if np.any(in_region) else 0.0
         cert.sup_value_gap.append(val_gap)
         cert.sup_grad_gap.append(grad_gap)
-        cert.grad_region.append(region)
         cert.lipschitz_estimate.append(_lipschitz_estimate(member, pts, rng))
         cert.grad_bound.append(float(np.max(member.grad_norm(pts))))
         min_val = float(np.min(member_val))

@@ -46,11 +46,16 @@ class Check:
 
 @dataclass
 class ExperimentReport:
+    """An experiment's checks and series; ``tables`` and ``plots``, kept out
+    of :meth:`to_dict`, declare what :func:`adwave.experiments.write` writes."""
+
     name: str
     parameters: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
+    tables: list = field(default_factory=list)
+    plots: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:

@@ -471,7 +471,10 @@ def embedding_constant(d: int, s: float, tol: float = 1e-9) -> float:
     budget = 0.1 * tol / sphere
 
     def integrand(r):
-        return r ** (d - 1) / (1.0 + r ** s) ** 2
+        try:
+            return r ** (d - 1) / (1.0 + r ** s) ** 2
+        except OverflowError:  # r^s > 1e154, so 1 + r^s rounds to r^s
+            return r ** (d - 1 - 2.0 * s)
 
     radial, quad_err = _integrate.quad(integrand, 0.0, c,
                                        epsabs=budget, epsrel=1e-13, limit=400)

@@ -106,7 +106,7 @@ def test_criterion_4_energy_inequality_with_refinement():
     config = SimConfig(domain=dom, potential=potential, T=T, dt=dt,
                        u0=bump_field(dom, amplitude=0.5),
                        v0=zero_field(dom), record_every=2)
-    rep = run_energy_inequality(potential, config, dt_refinements=(1, 2, 4))
+    rep = run_energy_inequality(config, dt_refinements=(1, 2, 4))
     assert rep.passed, rep.first_failure
     drifts = rep.series["drift"]
     ratios = [drifts[i] / drifts[i + 1] for i in range(2)]
@@ -203,9 +203,6 @@ v0 = zero()
 [simulation]
 T = 2.0
 record_every = 2
-
-[run]
-seed = 5
 """
     cfg = tmp_path / "run.ini"
     cfg.write_text(cfg_text)

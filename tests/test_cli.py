@@ -354,6 +354,13 @@ class TestCommands:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(2.0 / np.sqrt(2 * np.pi), abs=1e-9)
 
+    @pytest.mark.parametrize("s", ["150", "1e308"])
+    def test_embed_const_of_a_huge_s_prints_the_limit(self, capsys, s):
+        assert main(["embed-const", "--d", "1", "--s", s]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert float(out) == pytest.approx(2.0 / np.sqrt(2 * np.pi), rel=5e-3)
+
     def test_embed_const_rejects_bad_regime(self, capsys):
         assert main(["embed-const", "--d", "2", "--s", "0.9"]) == 2
 
@@ -709,8 +716,18 @@ class TestWhatEachCommandReads:
          "certify-potential does not read [experiment] key 'T'; it reads eps_list"),
         ("certify-potential", _TAPER + "[experiment]\neps_list = 0.2, nan\n", 5,
          "invalid [experiment]: eps_list must be finite, got nan"),
+        ("simulate", MINIMAL + "\n[run]\nseed = 3\n", 18,
+         "simulate does not read [run] key 'seed'; it reads out"),
+        ("experiment dispersion", "[experiment]\nn = 16\n\n[run]\nseed = -1\n", 5,
+         "experiment 'dispersion' does not read [run] key 'seed'; it reads out"),
+        ("sweep", "[experiment]\nname = dispersion\n\n[run]\nout = x\nseed = 0\n\n"
+         "[sweep]\nexperiment.n = 16, 32\n", 6,
+         "experiment 'dispersion' does not read [run] key 'seed'; it reads out"),
+        ("sweep", MINIMAL + "\n[sweep]\nrun.seed = 1, 2\n", 18,
+         "simulate does not read [run] key 'seed'; it reads out"),
     ], ids=["simulate-family-experiment", "simulate-sweep", "dispersion-domain-sweep",
-            "certify-domain", "certify-experiment-T", "certify-eps_list-nan"])
+            "certify-domain", "certify-experiment-T", "certify-eps_list-nan",
+            "simulate-seed", "dispersion-seed", "sweep-dispersion-seed", "swept-seed"])
     def test_an_unread_section_or_key_exits_2_at_its_first_key(self, tmp_path, capsys,
                                                               command, text, line, what):
         rc, (out, err) = _run_command(tmp_path, capsys, command, text)
@@ -767,6 +784,32 @@ def test_sweep_builds_every_sub_run_before_any_run(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("run-*"))
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_experiment_sweep_computes_every_sub_run_before_it_writes(
+        tmp_path, capsys, monkeypatch, workers):
+    """run-000 computes and passes, run-001's eps is out of range: the error
+    names the sweep line and no run-NNN is made."""
+    monkeypatch.setenv("ADWAVE_WORKERS", workers)
+    rc, (out, err) = _run(tmp_path, capsys, "[experiment]\nname = energy-inequality\n"
+                          "T = 0.5\n\n[sweep]\nexperiment.eps = 0.1, -1\n", "sweep")
+    assert rc == 2 and out == ""
+    _assert_one_error_at(err, 6)
+    assert "invalid [experiment]: eps must be positive and finite" in err
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_a_sweep_whose_run_directory_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "run-001").write_text("")
+    rc, (out, err) = _run(tmp_path, capsys, "[experiment]\nname = dispersion\n\n"
+                          "[sweep]\nexperiment.n = 16, 32\n", "sweep")
+    run_dir = str(tmp_path / "out" / "run-001")
+    assert rc == 2 and out == ""
+    assert err == f"config error: cannot create output directory {run_dir!r}: File exists\n"
+    assert (tmp_path / "out" / "run-001").read_text() == ""
+    assert not (tmp_path / "out" / "run-000" / "config.ini").exists()
+
+
 def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
     """Sub-runs that finish in reverse order still print in run order."""
     def reversed_map(fn, items):
@@ -820,6 +863,18 @@ class TestRunSection:
         assert err == (f"config error: cannot create output directory "
                        f"{str(tmp_path / 'taken')!r}: File exists\n")
         assert (tmp_path / "taken").read_text() == ""
+
+    def test_a_sweep_sub_runs_config_runs_again(self, tmp_path, capsys):
+        """A [run] section fills in no seed, so the config.ini of a sweep
+        sub-run, which lists [run] out, is one its command reads."""
+        rc, _ = _run(tmp_path, capsys, MINIMAL + "\n[run]\nout = x\n\n"
+                     "[sweep]\nsimulation.T = 0.25, 0.5\n", "sweep")
+        assert rc == 0
+        config = tmp_path / "out" / "run-001" / "config.ini"
+        assert config.read_text().endswith("[run]\nout = x\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "out" / "run-001" / "trajectory.csv").read_bytes()
 
     def test_a_negative_seed_exits_2_at_its_line(self, tmp_path, capsys):
         rc, (out, err) = _run(tmp_path, capsys,

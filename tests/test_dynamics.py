@@ -22,6 +22,7 @@ from adwave.dynamics import (
     energies,
     energy,
     energy_drift_tolerance,
+    fitted_dt,
     scale_to_hs,
     sine_field,
     simulate,
@@ -34,7 +35,6 @@ from adwave.dynamics import (
     window_sin_sq,
     zero_field,
 )
-from adwave.experiments import fitted_dt
 from adwave.potentials import (
     clipped_quadratic,
     linear_taper_family,
@@ -463,6 +463,31 @@ class TestSimConfig:
         assert cfg.nsteps == nsteps
         assert traj.times[-1] == pytest.approx(T, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=_step_cases(), T=st.floats(0.01, 10.0), cfl=st.floats(0.05, 1.0))
+    def test_auto_dt_is_the_fitted_stability_step(self, case, T, cfl):
+        """``dt=None`` takes fitted_dt(T, cfl_safety * stability_limit),
+        bit for bit, and the run then ends at T."""
+        op, W, _, state = case
+        cfg = SimConfig(domain=op.domain, potential=W, T=T, dt=None, u0=state.u,
+                        v0=state.v, cfl_safety=cfl)
+        assert _bits(cfg.dt) == _bits(fitted_dt(T, cfl * stability_limit(op, W)))
+        assert cfg.nsteps * cfg.dt == pytest.approx(T, rel=1e-12)
+
+    @pytest.mark.parametrize("field, T, cfl", [
+        ("T", 0.0, 0.9), ("T", -1.0, 0.9), ("T", math.inf, 0.9), ("T", math.nan, 0.9),
+        ("cfl_safety", 1.0, 0.0), ("cfl_safety", 1.0, 1.5), ("cfl_safety", 1.0, math.nan)])
+    def test_auto_dt_with_a_bad_T_or_cfl_safety_raises_on_that_field(self, field, T, cfl):
+        dom = periodic_domain(n=8)
+        with pytest.raises(SimConfigError) as info:
+            SimConfig(domain=dom, potential=zero_potential(), T=T, dt=None,
+                      u0=zero_field(dom), v0=zero_field(dom), cfl_safety=cfl)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("T, dt_max", [(1e308, 1e-10), (1.0, 0.0)])
+    def test_fitted_dt_is_T_where_no_finite_step_count_fits(self, T, dt_max):
+        assert fitted_dt(T, dt_max) == T
+
     def test_trajectory_time_grid(self):
         dom = periodic_domain(n=32)
         cfg = SimConfig(domain=dom, potential=zero_potential(), T=1.0, dt=0.01,
@@ -760,7 +785,6 @@ class TestApproximationKnobs:
         for pad, n in ((1.5, 96), (2.0, 128), (4.0, 256)):
             dom = Domain(d=1, s=1.0, omega_extent=2.0, n=n, pad_factor=pad)
             op = build_operator(dom)
-            from adwave.experiments import fitted_dt
             dt = fitted_dt(T, 0.5 * stability_limit(op, W))
             cfg = SimConfig(domain=dom, potential=W, T=T, dt=dt,
                             u0=bump_field(dom, 0.8, width_frac=0.6),
@@ -781,7 +805,6 @@ class TestApproximationKnobs:
         W = mollified_family(clipped_quadratic(1.0)).make(0.1)
         dom = Domain(d=1, s=1.0, omega_extent=2.0, n=128, pad_factor=2.0)
         op = build_operator(dom)
-        from adwave.experiments import fitted_dt
         psi = bump_field(dom, 1.0, width_frac=0.5, center=[1.7])
         vals = []
         for k in (1, 2):

@@ -46,6 +46,15 @@ class TestConstant:
         assert embedding_constant(1, 0.55) == pytest.approx(
             embedding_constant_oracle(1, 0.55), abs=1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [91.0, 150.0, 1e3, 1e308])
+    def test_huge_s_matches_the_one_dimensional_closed_form(self, s):
+        # d = 1: I = 2 Gamma(1 + 1/s) Gamma(2 - 1/s); (1 + r^s)^2 overflows
+        # a double inside the quadrature for every s above about 90
+        closed = math.sqrt(2.0 / (2.0 * math.pi)) * math.sqrt(
+            2.0 * math.gamma(1.0 + 1.0 / s) * math.gamma(2.0 - 1.0 / s))
+        assert embedding_constant(1, s) == pytest.approx(closed, abs=2.3e-16)
+
     def test_hypothesis_violations_rejected(self):
         with pytest.raises(ValueError, match="2s > d"):
             embedding_constant(2, 0.9)

@@ -25,6 +25,7 @@ from adwave.potentials import (
     mollified_family,
     zero_potential,
 )
+from adwave.reporting import ExperimentReport
 from adwave.spectral import Domain, build_operator
 
 
@@ -56,8 +57,7 @@ class TestFittedDt:
 class TestEnergyInequality:
     def test_report_structure_and_pass(self, tmp_path):
         W = mollified_family(clipped_quadratic(1.0)).make(0.1)
-        rep = run_energy_inequality(W, energy_config(potential=W),
-                                    out_dir=str(tmp_path))
+        rep = ex.write(run_energy_inequality(energy_config(potential=W)), str(tmp_path))
         assert rep.passed
         names = [c.name for c in rep.checks]
         assert any(n.startswith("energy_inequality") for n in names)
@@ -73,15 +73,14 @@ class TestEnergyInequality:
         W = mollified_family(clipped_quadratic(1.0)).make(0.2)
         cfg = SimConfig(domain=dom, potential=W, T=1.0, dt=0.05,
                         u0=zero_field(dom), v0=zero_field(dom))
-        rep = run_energy_inequality(W, cfg, dt_refinements=(1, 2))
+        rep = run_energy_inequality(cfg, dt_refinements=(1, 2))
         for c in rep.checks:
             if c.name.startswith("energy_inequality"):
                 assert c.passed
 
     def test_rejects_discontinuous_gradient(self):
         with pytest.raises(ValueError, match="continuous"):
-            run_energy_inequality(clipped_quadratic(1.0),
-                                  energy_config(potential=clipped_quadratic(1.0)))
+            run_energy_inequality(energy_config(potential=clipped_quadratic(1.0)))
 
 
 class TestEpsilonConvergence:
@@ -98,7 +97,7 @@ class TestEpsilonConvergence:
         family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
         eps_list = [0.2, 0.1, 0.05, 0.025]
         cfg = self.make_config(family, eps_list)
-        rep = run_epsilon_convergence(family, eps_list, cfg, out_dir=str(tmp_path))
+        rep = ex.write(run_epsilon_convergence(family, eps_list, cfg), str(tmp_path))
         assert rep.passed
         dists = rep.series["l2_cauchy_dist"]
         assert all(b < a for a, b in zip(dists[:-2], dists[1:-1]))
@@ -130,8 +129,8 @@ class TestEpsilonConvergence:
 
 class TestLimitObstruction:
     def test_full_story(self, tmp_path):
-        rep = run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T=10.0, L=1.0,
-                                    n=64, out_dir=str(tmp_path))
+        rep = ex.write(run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T=10.0, L=1.0,
+                                             n=64), str(tmp_path))
         assert rep.passed
         limit_res = rep.series["limit_residual"][0]
         assert limit_res == pytest.approx(20.0, rel=1e-6)
@@ -155,7 +154,7 @@ class TestLimitObstruction:
 
 class TestSmallData:
     def test_chain_passes(self, tmp_path):
-        rep = run_small_data(out_dir=str(tmp_path))
+        rep = ex.write(run_small_data(), str(tmp_path))
         assert rep.passed
         order = [c.name for c in rep.checks]
         assert order == ["small_data_regime", "initial_adhesive_bound",
@@ -187,7 +186,7 @@ class TestSmallData:
 
 class TestDispersion:
     def test_default_cases(self, tmp_path):
-        rep = run_dispersion_check(out_dir=str(tmp_path))
+        rep = ex.write(run_dispersion_check(), str(tmp_path))
         assert rep.passed
         fitted = rep.series["omega_fitted"]
         expected = rep.series["omega_expected"]
@@ -208,7 +207,7 @@ class TestReportMechanics:
         assert rep.first_failure == "small_data_regime"
 
     def test_json_roundtrip(self, tmp_path):
-        rep = run_dispersion_check(cases=((1, 1.0),), n=16, out_dir=str(tmp_path))
+        ex.write(run_dispersion_check(cases=((1, 1.0),), n=16), str(tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["name"] == "dispersion"
         assert isinstance(payload["checks"], list)
@@ -221,7 +220,7 @@ class TestReportMechanics:
         family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
         eps_list = [0.2, 0.1, 0.05]
         runs = [
-            lambda: run_energy_inequality(W, energy_config(n=32, T=1.0, potential=W)),
+            lambda: run_energy_inequality(energy_config(n=32, T=1.0, potential=W)),
             lambda: run_epsilon_convergence(family, eps_list, energy_config(
                 n=32, T=1.0, potential=family.make(eps_list[-1]))),  # the stiffest
             lambda: run_limit_obstruction(eps_list=(0.4, 0.2), T=2.0, n=32),
@@ -292,14 +291,31 @@ class TestDeclaredOutputs:
             "energy.csv", "energy.svg", "report.json"]
         assert all(os.path.dirname(a) == str(tmp_path) for a in rep.artifacts)
 
-    def test_no_files_without_out_dir(self, monkeypatch):
+    def test_no_files_without_out_dir(self, tmp_path, monkeypatch):
+        """None of the five experiments writes a file: each returns its
+        report, which declares its tables and plots for ``ex.write``."""
         def forbidden(*args, **kwargs):
             raise AssertionError("wrote a file without an output directory")
 
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(ex, "write_csv", forbidden)
         monkeypatch.setattr(ex, "svg_line_plot", forbidden)
-        rep = run_dispersion_check(cases=((1, 1.0),), n=16)
-        assert rep.passed and rep.artifacts == []
+        monkeypatch.setattr(ExperimentReport, "write", forbidden)
+        W = mollified_family(clipped_quadratic(1.0)).make(0.1)
+        family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
+        reports = [
+            run_energy_inequality(energy_config(n=32, T=1.0, potential=W), (1, 2)),
+            run_epsilon_convergence(family, [0.2, 0.1], energy_config(
+                n=32, T=1.0, potential=family.make(0.1))),
+            run_limit_obstruction(eps_list=(0.4,), T=1.0, n=32),
+            run_small_data(domain=Domain(d=1, s=1.0, omega_extent=1.0, n=32), T=0.5),
+            run_dispersion_check(cases=((1, 1.0),), n=16),
+        ]
+        assert {r.name for r in reports} == set(cli.EXPERIMENTS)
+        for rep in reports:
+            assert rep.passed and rep.artifacts == [], rep.name
+            assert rep.tables, rep.name
+        assert os.listdir(tmp_path) == []
 
     def test_registry_writes_through_module_attributes(self, tmp_path, monkeypatch):
         # the bench tracer wraps exactly these attributes, so every write
