@@ -29,7 +29,7 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -589,7 +589,9 @@ def cmd_certify(spec: RunSpec, out_dir: str) -> int:
 
 def _map_ordered(fn, items):
     """``[fn(item) for item in items]``, with up to ``ADWAVE_WORKERS`` calls
-    running at once (default 1, no pool)."""
+    running at once (default 1, no pool). The first call to raise cancels
+    every call not yet started; once the running ones finish, the error of
+    the first failed item in order is raised."""
     raw = os.environ.get("ADWAVE_WORKERS", "1")
     workers = int(raw) if raw.strip().isdecimal() else 0
     if workers < 1:
@@ -597,7 +599,12 @@ def _map_ordered(fn, items):
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        futures = [pool.submit(fn, it) for it in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+    # the pool starts items in order, so the cancelled ones follow every
+    # one that ran, and a failure is raised before any cancellation is met
+    return [f.result() for f in futures]
 
 
 def cmd_sweep(spec: RunSpec, out_dir: str) -> int:

@@ -43,8 +43,8 @@ from .spectral import (
     GridMismatchError,
     ParameterError,
     SpectralOperator,
-    _fitted,
     _placed,
+    _times_grid,
     apply_fractional_laplacian,
     build_operator,
     embedding_constant,
@@ -233,9 +233,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     """
     dom = op.domain
     lines = dom.interior_lines
-    mask = None
-    if dom.boundary_mode == EXTERIOR_DIRICHLET:
-        mask = _fitted(dom, state.u, dom.interior_mask)
+    mask = dom.interior_mask if dom.boundary_mode == EXTERIOR_DIRICHLET else None
     u, v, vh = state.u, state.v, force(op, potential, state.u)
     if lines:  # leading axes: update Omega's grid lines alone
         u, v, vh = u[lines], v[lines], vh[lines]
@@ -245,7 +243,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     u1 = vh * dt
     u1 += u
     if mask is not None:
-        u1 *= mask
+        _times_grid(u1, mask, out=u1)
     u1_box = _placed(u1, lines, state.u.shape) if lines else u1
     v1 = force(op, potential, u1_box)
     if lines:
@@ -253,7 +251,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     v1 *= 0.5 * dt
     v1 += vh
     if mask is not None:
-        v1 *= mask
+        _times_grid(v1, mask, out=v1)
     if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
         raise BlowUpError("non-finite field values during time step")
     v1_box = _placed(v1, lines, state.u.shape) if lines else v1

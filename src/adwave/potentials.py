@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .reporting import Check
-from .spectral import ParameterError
+from .spectral import ParameterError, _times_grid
 
 C1_UNIFORM = "c1-uniform"
 DISCONTINUOUS_GRAD = "discontinuous-gradient"
@@ -100,10 +100,17 @@ class RegularizedFamily:
 
 
 def _radius(y: np.ndarray, m: int) -> np.ndarray:
+    """|y| over the trailing component axis (|y| itself for m = 1): the
+    squares summed one component at a time, then one square root, which is
+    ``np.linalg.norm(y, axis=-1)`` bit for bit without its length-m inner
+    loop."""
     y = np.asarray(y, dtype=float)
     if m == 1:
         return np.abs(y)
-    return np.linalg.norm(y, axis=-1)
+    sq = y[..., 0] * y[..., 0]
+    for c in range(1, m):
+        sq += y[..., c] * y[..., c]
+    return np.sqrt(sq)
 
 
 def _radial(profile, m: int) -> tuple:
@@ -115,7 +122,7 @@ def _radial(profile, m: int) -> tuple:
     def grad(y):
         y = np.asarray(y, dtype=float)
         r = _radius(y, m)
-        return y * (profile.grad(r) / np.maximum(r, 1e-300))[..., None]
+        return _times_grid(y, profile.grad(r) / np.maximum(r, 1e-300))
 
     return (lambda y: profile.value(_radius(y, m))), grad
 

@@ -8,6 +8,7 @@ agreement is a genuine cross-check.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import fft, integrate
 
 from adwave.reporting import fmt
@@ -223,3 +224,51 @@ def ball_oracle(m: int):
         return np.where((radius(y) <= 1.0)[..., None], 2.0 * y, 0.0)
 
     return value, grad
+
+
+# signed zeros, infinities, NaN, subnormals and values whose squares overflow
+EXTREMES = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324,
+            1e-310, -2.5e-309, 1e200, -1e200]
+
+
+# full-mantissa values from 1e-8 to 1e8, whose sums round differently in
+# another order
+ROUGH = (np.random.default_rng(0).standard_normal(24)
+         * np.repeat([1e-8, 1.0, 1e8], 8)).tolist()
+
+
+def extreme_floats():
+    """A hypothesis strategy: moderate floats, one of :data:`ROUGH`, or one
+    of :data:`EXTREMES`."""
+    return st.floats(-1e3, 1e3) | st.sampled_from(ROUGH) | st.sampled_from(EXTREMES)
+
+
+def same_bits(got, want) -> bool:
+    """Equal dtype, shape and bytes: -0 against +0 and NaN payloads count."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def grid_product_oracle(f, grid, stacked: int = 0):
+    """``f * grid`` in one broadcast product, for ``f`` holding ``stacked``
+    stack axes, then ``grid``'s axes, then perhaps one component axis, over
+    which ``grid`` is given a new trailing axis."""
+    return f * (grid if f.ndim == stacked + np.ndim(grid) else grid[..., None])
+
+
+def radius_oracle(y, m: int):
+    """|y| over the trailing component axis by ``np.linalg.norm``; |y| for m = 1."""
+    y = np.asarray(y, dtype=float)
+    return np.abs(y) if m == 1 else np.linalg.norm(y, axis=-1)
+
+
+def radial_grad_oracle(profile, m: int):
+    """grad of W(y) = p(|y|) on R^m, m >= 2: y times p'(|y|) / |y|, the
+    factor broadcast over the component axis in one product."""
+
+    def grad(y):
+        y = np.asarray(y, dtype=float)
+        r = radius_oracle(y, m)
+        return y * (profile.grad(r) / np.maximum(r, 1e-300))[..., None]
+
+    return grad

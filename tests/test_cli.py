@@ -3,6 +3,8 @@ import json
 import os
 import re
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -826,6 +828,28 @@ def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
         "simulated 2 snapshots to t = 0.5",
         f"wrote {runs[1] / 'trajectory.csv'}", f"wrote {runs[1] / 'energy.csv'}",
         "run-000: PASS", "run-001: PASS"]
+
+
+def test_a_failing_sub_run_cancels_the_sub_runs_not_yet_started(monkeypatch):
+    """With two workers, sub-run 1 fails at once while sub-run 0 runs on.
+    The failure cancels the eight sub-runs queued behind them, although 0
+    has not finished: at most the one or two that 1's worker took before the
+    cancellation start. The error is 1's."""
+    monkeypatch.setenv("ADWAVE_WORKERS", "2")
+    started, lock = [], threading.Lock()
+
+    def sub_run(i):
+        with lock:
+            started.append(i)
+        if i == 1:
+            raise ValueError("sub-run 1 failed")
+        time.sleep(0.5 if i == 0 else 0.05)
+        return i
+
+    with pytest.raises(ValueError, match="sub-run 1 failed"):
+        cli._map_ordered(sub_run, list(range(10)))
+    assert sorted(started) == list(range(len(started)))
+    assert len(started) - 2 <= 2
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-1"])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from dataclasses import astuple
 from unittest import mock
@@ -773,6 +774,56 @@ class TestHigherDimensions:
         assert np.max(totals - totals[0]) <= energy_drift_tolerance(cfg)
         assert max(float(np.max(np.linalg.norm(st.u, axis=-1)))
                    for st in traj.states) < 1.0
+
+
+def _vector_bump_run(d, n, potential, direction):
+    """A bump times a fixed vector, at rest on a 2pi exterior-dirichlet box,
+    under the auto step to T = 2, every step recorded."""
+    dom = Domain(d=d, s=1.0, omega_extent=2 * np.pi, n=n)
+    u0 = bump_field(dom, 1.2)[..., None] * np.asarray(direction)
+    return simulate(SimConfig(domain=dom, potential=potential, T=2.0, dt=None,
+                              u0=u0, v0=np.zeros_like(u0), record_every=1))
+
+
+def _trajectory_digests(traj):
+    """SHA-256 of every recorded u, of every recorded v, and of every
+    (kinetic, elastic, adhesive, total), each series in record order."""
+
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        return h.hexdigest()
+
+    return (digest(st.u for st in traj.states), digest(st.v for st in traj.states),
+            digest(astuple(e) for e in traj.energies))
+
+
+class TestVectorPins:
+    """Nonzero vector runs through the exterior step, pinned bit for bit:
+    the radial force, the mask on a component axis and the stacked
+    energies. The hashes are those the code gave before the component axis
+    was handled one component at a time."""
+
+    @pytest.mark.parametrize("d, n, potential, direction, hashes", [
+        (2, 16, lambda: mollified_family(ball_potential(2)).make(0.1), (1.0, 0.6),
+         ("4eee41869a9159f05107cf45705c37c8a8b9bb9dedf1756138e75530b9b174d2",
+          "62e2003b5977af76a3b059be4e095a86f4e0ef5f57c751e7c4d7ca8598dcf9e2",
+          "4f99d121ae1aa4b31e292fd4d58d7bb2d33a43aecf54611d59090c6ea57ef25d")),
+        (3, 8, lambda: mollified_family(ball_potential(2)).make(0.1), (1.0, 0.6),
+         ("b125e3e7d4cc0c513f34c0e181d828376d2ed7321b6fd252e9ff8b67eb59b12b",
+          "c4b210ea4a8baa6798ff15153e996be2d2967f37427d07bb5219aca35d67d29a",
+          "e1ebe83c49a2b629496d484d9f938e7095496ddd15ddd7788e71649a51d11b62")),
+        (2, 16, lambda: ball_potential(3), (1.0, 0.6, -0.3),
+         ("ccfc4d6f730ac8f469a2fc3f304dc9118809d282e721034e566c1503857e9c48",
+          "8080ebe2711338611091ced5a166ce93900f649322a2300a68960e77f7caeaa2",
+          "ca991f1c166229b158ffb7cec837d987a17822d4e241dc2423315b250ab854cf")),
+    ], ids=["2d-mollified-ball-m2", "3d-mollified-ball-m2", "2d-ball-m3"])
+    def test_vector_bump_run_has_fixed_hashes(self, d, n, potential, direction, hashes):
+        traj = _vector_bump_run(d, n, potential(), direction)
+        assert max(float(np.max(np.linalg.norm(st.u, axis=-1)))
+                   for st in traj.states) > 1.0  # the run crosses the critical set
+        assert _trajectory_digests(traj) == hashes
 
 
 class TestApproximationKnobs:

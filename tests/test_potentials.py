@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adwave.potentials import (
     C1_UNIFORM,
@@ -10,6 +11,7 @@ from adwave.potentials import (
     POINTWISE_OFFCRITICAL,
     UNIFORM_C1,
     MollifiedProfile,
+    _radius,
     ball_potential,
     certify_family,
     clipped_quadratic,
@@ -19,7 +21,14 @@ from adwave.potentials import (
     zero_potential,
 )
 
-from oracles import ball_oracle, central_difference_gradient
+from oracles import (
+    ball_oracle,
+    central_difference_gradient,
+    extreme_floats,
+    radial_grad_oracle,
+    radius_oracle,
+    same_bits,
+)
 
 
 class TestClippedQuadratic:
@@ -409,3 +418,44 @@ class TestCertification:
         cert = certify_family(fam, [0.2, 0.1], samples=2000, seed=4)
         assert cert.passed
         assert cert.sup_value_gap[1] < cert.sup_value_gap[0]
+
+
+@st.composite
+def _states(draw):
+    """``(y, m)``: an array of states in R^m, m = 1-3, over 0-3 leading axes
+    (a trailing component axis when m >= 2), with extreme entries."""
+    m = draw(st.integers(1, 3))
+    lead = tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=3)))
+    shape = lead + ((m,) if m > 1 else ())
+    return draw(arrays(np.float64, shape, elements=extreme_floats(), fill=st.nothing())), m
+
+
+# 1 + t^2 + t^2 with t^2 just above half an ulp of 1 rounds to 1 + 2 ulp
+# summed left to right, and to 1 + 1 ulp in any other order
+_T = math.sqrt(2.0 ** -53) * (1.0 + 1e-8)
+
+
+class TestRadiusAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_states())
+    @example(case=(np.array([[1.0, _T, _T], [_T, _T, 1.0]]), 3))
+    def test_componentwise_squares_are_the_norm(self, case):
+        """Bit for bit ``np.linalg.norm(y, axis=-1)`` (|y| for m = 1), which
+        sums the squares left to right."""
+        y, m = case
+        with np.errstate(over="ignore"):
+            want = np.asarray(radius_oracle(y, m))
+            got = np.asarray(_radius(y, m))
+        assert same_bits(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_states().filter(lambda case: case[1] > 1))
+    def test_radial_grad_is_the_broadcast_product(self, case):
+        """The ball potential's gradient, y times p'(|y|) / |y|, bit for bit
+        as one product broadcast over the component axis."""
+        y, m = case
+        W = ball_potential(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = radial_grad_oracle(W.profile, m)(y)
+            got = W.grad(y)
+        assert same_bits(np.asarray(got), np.asarray(want))

@@ -17,6 +17,7 @@ from adwave.spectral import (
     l2_inner,
     l2_norm,
     mask_exterior,
+    _times_grid,
     seminorm_s,
     seminorms_sq,
 )
@@ -24,8 +25,11 @@ from adwave.spectral import (
 from oracles import (
     dense_operator_1d,
     dense_operator_2d,
+    extreme_floats,
     fractional_laplacian_oracle,
+    grid_product_oracle,
     interior_mask_oracle,
+    same_bits,
 )
 
 
@@ -358,6 +362,46 @@ class TestMaskAgainstOracle:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if dom.boundary_mode == PERIODIC:
             assert np.array_equal(got.view(np.int64), f.view(np.int64))
+
+
+@st.composite
+def _grid_products(draw):
+    """``(f, grid, stacked)``: a real or complex field, or a stack of them,
+    over 1-3 spatial axes, with no component axis or 1-3 components, and a
+    real or boolean grid over the spatial axes."""
+    d = draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    stacked = draw(st.integers(0, 1))
+    lead = (draw(st.integers(1, 3)),) * stacked
+    comps = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    shape = lead + n + comps
+    values = {"elements": extreme_floats(), "fill": st.nothing()}
+    f = draw(arrays(np.float64, shape, **values))
+    if draw(st.booleans()):
+        spectrum = np.empty(shape, dtype=complex)
+        spectrum.real = f
+        spectrum.imag = draw(arrays(np.float64, shape, **values))
+        f = spectrum
+    grid = draw(arrays(np.bool_, n) | arrays(np.float64, n, **values))
+    return f, grid, stacked
+
+
+class TestGridProductAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_grid_products(), in_place=st.booleans())
+    def test_one_component_at_a_time_is_the_broadcast_product(self, case, in_place):
+        """Bit for bit ``f * grid[..., None]`` (``f * grid`` without a
+        component axis), into a new array or into ``f`` itself."""
+        f, grid, stacked = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = grid_product_oracle(f, grid, stacked)
+            if in_place:
+                got = f.copy()
+                assert _times_grid(got, grid, stacked=stacked, out=got) is got
+            else:
+                got = _times_grid(f, grid, stacked=stacked)
+                assert not np.shares_memory(got, f)
+        assert same_bits(got, want)
 
 
 @st.composite
