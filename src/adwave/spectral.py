@@ -33,7 +33,11 @@ complex-to-real). Every pass scales with ``norm="backward"``,
 so with whole axes this is ``rfftn``/``irfftn`` up to rounding, and bit for
 bit when every n is a power of two. Spectra keep only the non-negative half
 of the last spatial axis, ``n/2 + 1`` columns; ``n`` is even, so the Nyquist
-column is always present. A field that vanishes outside Omega may say so
+column is always present. Every pass, cosine transforms included, calls
+scipy's pocketfft kernel directly on one thread (see the binding's
+comment below), so ``scipy.fft.set_workers`` does not apply; ROADMAP's
+"Measured and not worth pursuing" records why threaded transforms do not
+pay here. A field that vanishes outside Omega may say so
 with ``in_omega=True``: the passes then read and produce only Omega's grid
 lines, ``f[domain.interior_lines]`` (the lines along the last spatial axis
 through Omega), so the forward transform skips the all-zero lines of the
@@ -52,11 +56,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as _fft
-# neumann-1d mode's cosine transforms: scipy.fftpack runs the pocketfft
-# kernel of scipy.fft.dct/idct, bit for bit, without scipy.fft's dispatch
-# layer, which costs more than the transform on that mode's 32-256 points
-from scipy import fftpack as _fftpack
 from scipy import integrate as _integrate
+# Every transform pass calls scipy's pocketfft kernel, the extension behind
+# both scipy.fft and scipy.fftpack, through this one binding, with the
+# arguments their front ends pass: on the 1-D grids of 32-128 points that
+# the experiments step, each front end costs more than the transform
+# (rfft at n = 64: 9.5 us through scipy.fft, 2.2 us here; dct: 7.2 us
+# through scipy.fftpack). Arguments, by position: the array, the axes,
+# the dct type or c2r's output length, the direction (r2c, c2r, c2c), the
+# norm code (0 forward and 2 inverse for norm="backward", 1 for the
+# orthonormal cosine transforms), the output array, one thread. Verified on
+# scipy 1.17.1.
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 EXTERIOR_DIRICHLET = "exterior-dirichlet"
 PERIODIC = "periodic"
@@ -336,12 +347,13 @@ def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
     axes this is ``rfftn`` bit for bit.
     """
     if not lead:
-        return _fft.rfft(f, axis=stacked)
-    g = _fft.rfft(f[(slice(None),) * stacked + lead], axis=stacked + len(lead))
+        return _pocketfft.r2c(f, (stacked,), True, 0, None, 1)
+    g = _pocketfft.r2c(f[(slice(None),) * stacked + lead], (stacked + len(lead),),
+                       True, 0, None, 1)
     for ax, sl in enumerate(lead, start=stacked):
         g = _placed(g, (slice(None),) * ax + (sl,),
                     g.shape[:ax] + (n[ax - stacked],) + g.shape[ax + 1:])
-        g = _fft.fft(g, axis=ax, overwrite_x=True)
+        _pocketfft.c2c(g, (ax,), True, 0, g, 1)
     return g
 
 
@@ -350,17 +362,16 @@ def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
     them; consumes ``fhat``.
 
     Complex passes along the leading axes keep only the rows of ``lead``
-    after each pass, then complex-to-real along the last spatial axis
-    (``n`` is even, so the default output length 2 * (n/2 + 1 - 1) is
-    ``n``). Every pass scales by 1/n of its own axis, which is
+    after each pass, then complex-to-real along the last spatial axis to
+    its ``n`` points. Every pass scales by 1/n of its own axis, which is
     ``irfftn``'s single 1/N bit for bit when every n is a power of two.
     """
     if not lead:
-        return _fft.irfft(fhat, axis=0, overwrite_x=True)
+        return _pocketfft.c2r(fhat, (0,), n[-1], False, 2, None, 1)
     g = fhat
     for ax, sl in enumerate(lead):
-        g = _fft.ifft(g, axis=ax, overwrite_x=True)[(slice(None),) * ax + (sl,)]
-    lines = _fft.irfft(g, axis=len(lead), overwrite_x=True)
+        g = _pocketfft.c2c(g, (ax,), False, 2, g, 1)[(slice(None),) * ax + (sl,)]
+    lines = _pocketfft.c2r(g, (len(lead),), n[-1], False, 2, None, 1)
     return _placed(lines, lead, n + lines.shape[len(n):])
 
 
@@ -378,9 +389,9 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     dom = op.domain
     dom.field_components(f)
     if dom.boundary_mode == NEUMANN_1D:
-        coeff = _fftpack.dct(f, type=2, axis=0, norm="ortho")
-        return _fftpack.idct(_times_grid(coeff, op.symbol, out=coeff),
-                             type=2, axis=0, norm="ortho")
+        coeff = _pocketfft.dct(f, 2, (0,), 1, None, 1)
+        # the inverse of the orthonormal type-2 transform is type 3
+        return _pocketfft.dct(_times_grid(coeff, op.symbol, out=coeff), 3, (0,), 1, None, 1)
     # read before the transform: a first read builds this long-lived copy,
     # which would otherwise land among the transform's temporaries and keep
     # the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
@@ -425,10 +436,11 @@ def seminorms_sq(op: SpectralOperator, fs: np.ndarray, *,
     bit. ``in_omega=True`` promises that every field vanishes outside
     Omega, so the transform reads Omega's grid lines only; the values are
     the same."""
+    fs = np.asarray(fs, dtype=float)
     dom = op.domain
     dom.field_components(fs[0])
     if dom.boundary_mode == NEUMANN_1D:
-        coeff = _fftpack.dct(fs, type=2, axis=1, norm="ortho")
+        coeff = _pocketfft.dct(fs, 2, (1,), 1, None, 1)
         terms = _times_grid(coeff, op.symbol, stacked=1)
         terms *= coeff
         return [float(x) * dom.cell_volume for x in row_sums(terms)]
@@ -522,7 +534,7 @@ def _random_band_limited(domain: Domain, rng: np.random.Generator,
     if domain.boundary_mode == NEUMANN_1D:
         coeff = np.zeros(domain.n[0])
         coeff[: band + 1] = rng.standard_normal(band + 1)
-        return _fftpack.idct(coeff, type=2, norm="ortho")
+        return _pocketfft.dct(coeff, 3, (0,), 1, None, 1)
     spec = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
     for ax, m in enumerate(domain.n):
         k = np.minimum(np.arange(m), m - np.arange(m))

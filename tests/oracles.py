@@ -60,6 +60,44 @@ def fractional_laplacian_oracle(op, f: np.ndarray) -> np.ndarray:
     return fft.irfftn(half * fft.rfftn(f, axes=axes), s=dom.n, axes=axes)
 
 
+def per_axis_spectrum_oracle(dom, f: np.ndarray) -> np.ndarray:
+    """Half spectrum of ``f`` over the whole box through scipy.fft's public
+    front ends, one pass per spatial axis in ``rfftn``'s order: ``rfft``
+    along the last spatial axis, then ``fft`` along each leading one."""
+    g = fft.rfft(f, axis=dom.d - 1)
+    for ax in range(dom.d - 1):
+        g = fft.fft(g, axis=ax)
+    return g
+
+
+def per_axis_laplacian_oracle(op, f: np.ndarray) -> np.ndarray:
+    """(-Delta)^s f through scipy.fft's public front ends in the package's
+    passes and order: :func:`per_axis_spectrum_oracle` times the
+    half-spectrum symbol, then ``ifft`` along each leading axis and
+    ``irfft`` along the last; ``dct``/``idct`` in neumann-1d mode."""
+    dom = op.domain
+    if dom.boundary_mode == NEUMANN_1D:
+        coeff = fft.dct(f, type=2, axis=0, norm="ortho")
+        return fft.idct(grid_product_oracle(coeff, op.symbol), type=2, axis=0, norm="ortho")
+    g = grid_product_oracle(per_axis_spectrum_oracle(dom, f), op.half_symbol)
+    for ax in range(dom.d - 1):
+        g = fft.ifft(g, axis=ax)
+    return fft.irfft(g, n=dom.n[-1], axis=dom.d - 1)
+
+
+def seminorm_sq_oracle(op, f: np.ndarray) -> float:
+    """Squared order-s seminorm of one field, one ``np.sum`` of the
+    Parseval terms of :func:`per_axis_spectrum_oracle` (of the orthonormal
+    ``dct`` in neumann-1d mode)."""
+    dom = op.domain
+    if dom.boundary_mode == NEUMANN_1D:
+        coeff = fft.dct(f, type=2, axis=0, norm="ortho")
+        return float(np.sum(grid_product_oracle(coeff, op.symbol) * coeff)) * dom.cell_volume
+    g = per_axis_spectrum_oracle(dom, f)
+    val = float(np.sum(grid_product_oracle(g.real ** 2 + g.imag ** 2, op.parseval_symbol)))
+    return val * (dom.cell_volume / math.prod(dom.n))
+
+
 def embedding_integral(d: int, s: float) -> float:
     """I(d, s) = integral of (1 + |xi|^s)^(-2) over R^d by direct quadrature."""
     sphere = 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -147,23 +185,11 @@ def energy_oracle(op, potential, u, v):
 def energy_per_state_oracle(op, potential, state):
     """(kinetic, elastic, adhesive, total) of one state alone, the
     reference for stacked energies: each term is one ``np.sum`` over that
-    state's arrays, the elastic term from per-axis passes over the whole
-    box in ``rfftn``'s order (rfft along the last spatial axis, then fft
-    along each leading one), or from the cosine transform in neumann-1d
-    mode, and W on the interior block."""
+    state's arrays, the elastic term from :func:`seminorm_sq_oracle`, and
+    W on the interior block."""
     dom = op.domain
     u, v = state.u, state.v
-    if dom.boundary_mode == NEUMANN_1D:
-        sym = op.symbol if u.ndim == dom.d else op.symbol[..., None]
-        coeff = fft.dct(u, type=2, axis=0, norm="ortho")
-        val = float(np.sum(sym * coeff * coeff)) * dom.cell_volume
-    else:
-        sym = op.parseval_symbol if u.ndim == dom.d else op.parseval_symbol[..., None]
-        g = fft.rfft(u, axis=dom.d - 1)
-        for ax in range(dom.d - 1):
-            g = fft.fft(g, axis=ax)
-        val = float(np.sum(sym * (g.real ** 2 + g.imag ** 2)))
-        val *= dom.cell_volume / math.prod(dom.n)
+    val = seminorm_sq_oracle(op, u)
     kin = 0.5 * math.sqrt(float(np.sum(v * v)) * dom.cell_volume) ** 2
     ela = 0.5 * math.sqrt(max(val, 0.0)) ** 2
     adh = float(np.sum(potential.value(u[dom.interior]))) * dom.cell_volume

@@ -487,7 +487,7 @@ class TestCommands:
         report = json.loads((tmp_path / "big" / "report.json").read_text())
         assert report["first_failure"] == "small_data_regime"
 
-    def test_blowup_exit_code(self, tmp_path):
+    def test_blowup_exit_code(self, tmp_path, capsys):
         text = MINIMAL.replace("u0 = zero()", "u0 = sine(k=31, amplitude=1.0)")
         text = text.replace("[simulation]\nT = 0.5",
                             "[simulation]\nT = 300.0\ndt = 0.5\nenforce_cfl = false")
@@ -497,8 +497,10 @@ class TestCommands:
                             "omega_extent = 6.283185307179586\nn = 64\n"
                             "pad_factor = 1.0\nboundary = periodic")
         cfg = self.write(tmp_path, text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical blow-up: blow-up at step 128 (t = 64)\n"
 
     def test_certify_potential(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "[family]\nkind = linear_taper()\n"

@@ -29,7 +29,9 @@ from oracles import (
     fractional_laplacian_oracle,
     grid_product_oracle,
     interior_mask_oracle,
+    per_axis_laplacian_oracle,
     same_bits,
+    seminorm_sq_oracle,
 )
 
 
@@ -278,6 +280,19 @@ class TestNorms:
         quad = l2_inner(dom, apply_fractional_laplacian(op, f), f)
         assert seminorm_s(op, f) ** 2 == pytest.approx(quad, rel=1e-11)
 
+    @pytest.mark.parametrize("mode", [EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D])
+    def test_integer_stack_gives_the_float_stack_values(self, mode):
+        dom = Domain(d=1, s=1.0, omega_extent=3.0, n=16, boundary_mode=mode,
+                     pad_factor=2.0 if mode == EXTERIOR_DIRICHLET else 1.0)
+        op = build_operator(dom)
+        ints = np.zeros((4, 16), dtype=np.int64)
+        ints[0, dom.interior[0]] = 1
+        inside = ints[1:, dom.interior[0]]
+        ints[1:, dom.interior[0]] = np.random.default_rng(7).integers(-3, 4, inside.shape)
+        for in_omega in (False, True):
+            want = seminorms_sq(op, ints.astype(np.float64), in_omega=in_omega)
+            assert seminorms_sq(op, ints, in_omega=in_omega) == want
+
 
 class TestMask:
     def dirichlet_domain(self, n=64):
@@ -498,26 +513,38 @@ class TestRealTransforms:
 
 
 @st.composite
-def _fields_in_omega(draw):
+def _fields_in_omega(draw, sizes=None, stack=False):
+    """``(op, f)``: a field supported in Omega with m = 1 or 2 components
+    on a grid whose sizes per axis come from ``sizes[d]``, or a stack of
+    one to three such fields along a new leading axis when ``stack``."""
     mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
     d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
-    sizes = [2, 4, 6, 8, 10] if d == 3 else [2, 4, 6, 8, 10, 12, 16, 18]
-    n = draw(st.lists(st.sampled_from(sizes), min_size=d, max_size=d))
+    if sizes is None:
+        sizes = {1: [2, 4, 6, 8, 10, 12, 16, 18], 3: [2, 4, 6, 8, 10]}
+        sizes[2] = sizes[1]
+    n = draw(st.lists(st.sampled_from(sizes[d]), min_size=d, max_size=d))
     s = 1.0 if mode == NEUMANN_1D else draw(st.floats(0.5, 2.0))
     pad = draw(st.floats(1.25, 3.0)) if mode == EXTERIOR_DIRICHLET else 1.0
     dom = Domain(d=d, s=s, omega_extent=draw(st.floats(1.0, 8.0)), n=n,
                  pad_factor=pad, boundary_mode=mode)
     m = draw(st.integers(1, 2))
-    f = np.zeros(dom.n + ((m,) if m > 1 else ()))
+    lead = (draw(st.integers(1, 3)),) if stack else ()
+    f = np.zeros(lead + dom.n + ((m,) if m > 1 else ()))
+    inside = (slice(None),) * len(lead) + dom.interior
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    f[dom.interior] = rng.standard_normal(f[dom.interior].shape)
+    f[inside] = rng.standard_normal(f[inside].shape)
     return build_operator(dom), f
+
+
+# every even n per axis, up to 64 in 1-D, 32 in 2-D and 12 in 3-D
+_EVERY_EVEN = {1: range(2, 65, 2), 2: range(2, 33, 2), 3: range(2, 13, 2)}
 
 
 class TestPrunedTransforms:
     """The per-axis transform pair: ``in_omega=True`` on a field supported
-    in Omega against the full box, and the full box against the
-    multi-axis ``rfftn``/``irfftn`` path it replaced."""
+    in Omega against the full box, the full box against the multi-axis
+    ``rfftn``/``irfftn`` path it replaced, and every result against the
+    same passes made through scipy.fft's public front ends."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_fields_in_omega())
@@ -537,6 +564,35 @@ class TestPrunedTransforms:
         assert np.max(np.abs(full - old)) <= 1e-14 * np.max(np.abs(old))
         if all(k & (k - 1) == 0 for k in dom.n):
             assert np.array_equal(full.view(np.int64), old.view(np.int64))
+
+    @staticmethod
+    def _assert_front_end_bits(op, fs):
+        lines = op.domain.interior[:-1]
+        want = [seminorm_sq_oracle(op, f) for f in fs]
+        assert seminorms_sq(op, fs) == want
+        assert seminorms_sq(op, fs, in_omega=True) == want
+        for f in fs:
+            oracle = per_axis_laplacian_oracle(op, f)
+            assert same_bits(apply_fractional_laplacian(op, f), oracle)
+            pruned = apply_fractional_laplacian(op, f, in_omega=True)
+            assert same_bits(pruned[lines], oracle[lines])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fields_in_omega(sizes=_EVERY_EVEN, stack=True))
+    def test_bit_for_bit_the_public_front_ends(self, case):
+        self._assert_front_end_bits(*case)
+
+    @pytest.mark.parametrize("mode", [EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_for_bit_the_public_front_ends_at_every_even_1d_n(self, mode, m):
+        rng = np.random.default_rng(m)
+        for n in _EVERY_EVEN[1]:
+            dom = Domain(d=1, s=1.0 if mode == NEUMANN_1D else 0.75, omega_extent=3.0,
+                         n=n, pad_factor=2.0 if mode == EXTERIOR_DIRICHLET else 1.0,
+                         boundary_mode=mode)
+            fs = np.zeros((3, n) + ((m,) if m > 1 else ()))
+            fs[:, dom.interior[0]] = rng.standard_normal(fs[:, dom.interior[0]].shape)
+            self._assert_front_end_bits(build_operator(dom), fs)
 
 
 class TestOperatorMemo:
