@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
@@ -356,6 +357,82 @@ class TestStepAgainstFullBoxOracle:
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _off_lines(dom):
+    """Boolean grid, True off Omega's grid lines."""
+    off = np.ones(dom.n, dtype=bool)
+    off[dom.interior_lines] = False
+    return off
+
+
+class TestLinesBlock:
+    """simulate advances and records Omega's grid lines, the lines block;
+    ``traj.states`` gives full boxes, expanded when read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_step_cases(), steps=st.integers(1, 4))
+    def test_simulate_equals_the_full_box_oracle_run(self, case, steps):
+        """Every recorded state, signbits included, is the full-box oracle
+        run's: on Omega's grid lines bit for bit, +0 off them after a step,
+        and the initial data itself (its -0 off the lines included) at the
+        first snapshot; so is every energy."""
+        op, W, dt, state = case
+        dom = op.domain
+        off = _off_lines(dom)
+        u0 = state.u.copy()
+        u0[off] = -0.0
+        cfg = SimConfig(domain=dom, potential=W, T=steps * dt, dt=dt, u0=u0,
+                        v0=state.v, record_every=1, enforce_cfl=False)
+        traj = simulate(cfg)
+        assert len(traj.states) == steps + 1
+        ou, ov = cfg.u0, cfg.v0
+        for k, st_ in enumerate(traj.states):
+            if k:
+                ou, ov = step_oracle(ou, ov, op, W, cfg.dt)
+            want_u, want_v = ou.copy(), ov.copy()
+            if k:  # step leaves +0 off Omega's grid lines
+                want_u[off], want_v[off] = 0.0, 0.0
+            assert st_.u.shape == want_u.shape and st_.t == traj.times[k]
+            assert np.array_equal(st_.u.view(np.int64), want_u.view(np.int64))
+            assert np.array_equal(st_.v.view(np.int64), want_v.view(np.int64))
+            want = energy_per_state_oracle(op, W, FieldState(ou, ov))
+            assert _bits(astuple(traj.energies[k])) == _bits(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_step_cases())
+    def test_step_on_a_lines_block_is_the_full_step_on_those_lines(self, case):
+        op, W, dt, state = case
+        lines = op.domain.interior_lines
+        full = step(state, op, W, dt)
+        block = step(FieldState(state.u[lines].copy(), state.v[lines].copy(), state.t),
+                     op, W, dt)
+        assert block.t == full.t
+        for got, want in ((block.u, full.u[lines]), (block.v, full.v[lines])):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_3d_trajectory_holds_lines_blocks_only(self):
+        """The arrays a 3-D exterior trajectory keeps alive are its lines
+        blocks: about a quarter of the full boxes here."""
+        dom = Domain(d=3, s=1.0, omega_extent=3.0, n=16, pad_factor=2.0)
+        W = mollified_family(ball_potential(2)).make(0.1)
+        u0 = np.zeros(dom.n + (2,))
+        u0[dom.interior] = 0.5
+        cfg = SimConfig(domain=dom, potential=W, T=0.2, dt=0.05, u0=u0,
+                        v0=np.zeros_like(u0), record_every=1)
+        simulate(cfg)  # builds the operator's and the domain's cached arrays
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = simulate(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        blocks = len(traj.times) * 2 * u0[dom.interior_lines].nbytes
+        assert blocks * 4 < len(traj.times) * 2 * u0.nbytes
+        assert blocks <= held < blocks + u0.nbytes // 2
+        assert traj.states[-1].u.shape == u0.shape
 
 
 class TestStackedEvaluation:

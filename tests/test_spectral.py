@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from oracles import (
     same_bits,
     seminorm_sq_oracle,
 )
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def periodic_domain(n=64, s=1.0, length=2 * np.pi, d=1):
@@ -593,6 +599,57 @@ class TestPrunedTransforms:
             fs = np.zeros((3, n) + ((m,) if m > 1 else ()))
             fs[:, dom.interior[0]] = rng.standard_normal(fs[:, dom.interior[0]].shape)
             self._assert_front_end_bits(build_operator(dom), fs)
+
+
+class TestLinesBlock:
+    """A field given as Omega's grid lines alone, its lines block: the
+    transforms read and return the block, and the shape tells it from the
+    full box."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fields_in_omega())
+    def test_block_in_block_out_bit_for_bit(self, case):
+        op, f = case
+        dom = op.domain
+        lines = dom.interior_lines
+        block = f[lines].copy()
+        want = apply_fractional_laplacian(op, f, in_omega=True)[lines]
+        for in_omega in (False, True):
+            got = apply_fractional_laplacian(op, block, in_omega=in_omega)
+            assert got.shape == block.shape and same_bits(got, want)
+        assert seminorms_sq(op, block[None]) == seminorms_sq(op, f[None])
+        assert seminorms_sq(op, block[None], in_omega=True) == seminorms_sq(op, f[None])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fields_in_omega())
+    def test_layout_tells_the_box_from_its_lines_block(self, case):
+        op, f = case
+        dom = op.domain
+        assert dom.layout(f) == (dom.interior_lines, dom.interior)
+        block = f[dom.interior_lines]
+        lines, inner = dom.layout(block)
+        assert np.array_equal(block[lines][inner], f[dom.interior])
+        if block.shape != f.shape:
+            assert lines == () and all(a < b for a, b in zip(block.shape, dom.n[:-1]))
+        longer = list(block.shape)
+        longer[dom.d - 1] += 2
+        for bad in (np.zeros(longer), block[..., None, None]):
+            with pytest.raises(GridMismatchError):
+                dom.layout(bad)
+
+
+def test_missing_pocketfft_binding_names_the_module_and_the_verified_release():
+    probe = (
+        "import sys, scipy.fft._pocketfft as p\n"
+        "del p.pypocketfft\n"
+        "sys.modules['scipy.fft._pocketfft.pypocketfft'] = None\n"
+        "import adwave\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": _SRC})
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: ")
+    assert "scipy.fft._pocketfft.pypocketfft" in last and "scipy 1.17.1" in last
 
 
 class TestOperatorMemo:
