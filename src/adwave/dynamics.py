@@ -24,9 +24,10 @@ box, or its lines block ``u[domain.interior_lines]``, which is all a state
 that vanishes off those lines needs. ``step``, ``force`` and ``energies``
 take either and return the layout they were given. :func:`simulate`
 advances and records the lines block, so a 3-D 64^3 snapshot with pad 2
-takes 0.94 MiB per field instead of 4 MiB, and :attr:`Trajectory.states`
-expands a snapshot to the full box only when it is read. In periodic and
-neumann-1d mode, and at d = 1, the block is the box.
+takes 0.47 MiB per scalar field instead of 2 MiB (0.94 MiB instead of
+4 MiB at m = 2), and :attr:`Trajectory.states` expands a snapshot to the
+full box only when it is read. In periodic and neumann-1d mode, and at
+d = 1, the block is the box.
 
 Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
 (u, v): :func:`energies` takes a stack's energies with one transform, one
@@ -34,8 +35,10 @@ Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
 reads the snapshots in the same stacks. On the experiments' 1-D grids a
 transform or potential call costs several times its arithmetic in dispatch,
 and the stacks pay it once per few hundred snapshots; a 2-D 128^2 snapshot
-or larger is evaluated alone at its record step, with no extra copy. Every
-value equals the one-state one bit for bit.
+or larger is evaluated alone at its record step, with no extra copy and,
+after the first, no transform: its elastic term is the Parseval sum of
+the spectrum the second kick of its step took of the same u (``step``'s
+``seminorms``). Every value equals the one-state one bit for bit.
 """
 from __future__ import annotations
 
@@ -218,9 +221,6 @@ class Trajectory:
     def totals(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
 
-    def max_abs(self) -> float:
-        return float(np.max(self.max_abs_series()))
-
     def max_abs_series(self) -> np.ndarray:
         # off Omega's grid lines a snapshot is zero, so its lines hold the maximum
         return np.array([float(np.max(np.abs(st.u))) for st in self.snapshots])
@@ -259,17 +259,20 @@ class _FullBoxStates(Sequence):
         return FieldState(expanded(st.u, cfg.u0), expanded(st.v, cfg.v0), st.t)
 
 
-def force(op: SpectralOperator, potential: Potential, u: np.ndarray) -> np.ndarray:
+def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
+          seminorms: list | None = None) -> np.ndarray:
     """-(-Delta)^s u - grad W(u) for a ``u`` that vanishes outside Omega,
     given as a full box or as its lines block (:meth:`Domain.layout`).
 
     On Omega this is the full force. On the rest of Omega's grid lines
     (``[domain.interior_lines]``) it holds the nonlocal term alone, and off
     those lines it is exactly +0. Returns a new array in ``u``'s layout
-    that the caller may overwrite.
+    that the caller may overwrite. A list passed as ``seminorms`` gets the
+    squared order-s seminorm of ``u`` appended, from the transform's own
+    spectrum (see :func:`~adwave.spectral.apply_fractional_laplacian`).
     """
     lines, inner = op.domain.layout(u)
-    f = apply_fractional_laplacian(op, u, in_omega=True)
+    f = apply_fractional_laplacian(op, u, in_omega=True, seminorms=seminorms)
     on_lines = f[lines] if lines else f
     np.negative(on_lines, out=on_lines)
     f[inner] -= potential.grad(u[inner])
@@ -277,7 +280,7 @@ def force(op: SpectralOperator, potential: Potential, u: np.ndarray) -> np.ndarr
 
 
 def step(state: FieldState, op: SpectralOperator, potential: Potential,
-         dt: float) -> FieldState:
+         dt: float, *, seminorms: list | None = None) -> FieldState:
     """One kick-drift-kick step; projects onto the exterior constraint.
 
     ``state`` holds full boxes or lines blocks (:meth:`Domain.layout`), and
@@ -285,7 +288,9 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     projection and the finite check run on Omega's grid lines
     ``[domain.interior_lines]`` only, whatever values ``force`` returns off
     them; a full-box new state holds +0 off those lines. ``state`` is not
-    written to.
+    written to. A list passed as ``seminorms`` gets the squared order-s
+    seminorm of the new ``u`` appended, which the second kick's force takes
+    from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit.
     """
     dom = op.domain
     lines, _ = dom.layout(state.u)
@@ -300,7 +305,9 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     u1 += u
     if mask is not None:
         _times_grid(u1, mask, out=u1)
-    v1 = force(op, potential, u1)
+    # a step that records nothing keeps force's three-argument call, which
+    # a substitute force with that signature still serves
+    v1 = force(op, potential, u1) if seminorms is None else force(op, potential, u1, seminorms)
     v1 *= 0.5 * dt
     v1 += vh
     if mask is not None:
@@ -318,12 +325,14 @@ def energy(op: SpectralOperator, potential: Potential,
     return energies(op, potential, [state])[0]
 
 
-def energies(op: SpectralOperator, potential: Potential,
-             states: list[FieldState]) -> list[EnergyBreakdown]:
+def energies(op: SpectralOperator, potential: Potential, states: list[FieldState], *,
+             seminorms: list[float] | None = None) -> list[EnergyBreakdown]:
     """Energies of a nonempty list of equally shaped states, evaluated as
     one stack: one transform of the stacked ``u``, one ``potential.value``
     and one row sum per term. Each equals the energy of its state alone,
-    bit for bit; a lone state is viewed as a stack, not copied."""
+    bit for bit; a lone state is viewed as a stack, not copied.
+    ``seminorms``, the squared order-s seminorms of the states' ``u`` as
+    :func:`step` hands them out, replaces the transform."""
     dom = op.domain
     us, vs = _stacked([st.u for st in states]), _stacked([st.v for st in states])
     _, inner = dom.layout(us[0])
@@ -331,7 +340,7 @@ def energies(op: SpectralOperator, potential: Potential,
     # would group the terms otherwise and change the bits
     kin = row_sums(_placed(vs * vs, (slice(None),) + dom.interior_lines,
                            vs.shape[:1] + dom.n + vs.shape[1 + dom.d:]))
-    ela = seminorms_sq(op, us, in_omega=True)
+    ela = seminorms_sq(op, us, in_omega=True) if seminorms is None else seminorms
     adh = row_sums(potential.value(us[(slice(None),) + inner]))
     cv = dom.cell_volume
     return [EnergyBreakdown.of(0.5 * math.sqrt(float(k) * cv) ** 2,
@@ -361,7 +370,9 @@ def simulate(config: SimConfig) -> Trajectory:
 
     Recorded energies are evaluated by :func:`energies` in stacks of
     :func:`stack_size` snapshots: when a stack is full, at the end, and at
-    a blow-up. The state is advanced and recorded as its lines block
+    a blow-up. Where a stack holds one snapshot, every snapshot but the
+    initial one takes its elastic energy from the spectrum of the step
+    that made it (``step``'s ``seminorms``). The state is advanced and recorded as its lines block
     (:meth:`Domain.layout`), which is the full box unless the mode is
     exterior-dirichlet with d > 1. Overflow and invalid values raise no
     numpy warning during the run; a non-finite state raises
@@ -375,22 +386,26 @@ def simulate(config: SimConfig) -> Trajectory:
     times, snapshots, recorded = [], [], []  # recorded: the energies evaluated so far
     per_stack = stack_size(FieldState(config.u0, config.v0))
 
-    def flush():
+    def flush(seminorms=None):
         if len(recorded) < len(snapshots):
-            recorded.extend(energies(op, config.potential, snapshots[len(recorded):]))
+            recorded.extend(energies(op, config.potential, snapshots[len(recorded):],
+                                     seminorms=seminorms))
 
-    def record(st: FieldState):
+    def record(st: FieldState, seminorms=None):
         times.append(st.t)
         snapshots.append(st)
         if len(snapshots) - len(recorded) == per_stack:
-            flush()
+            flush(seminorms)
 
     # once per run: entered per step, it would cost about 1 us a step
     with np.errstate(over="ignore", invalid="ignore"):
         record(state)
         for i in range(1, nsteps + 1):
+            recording = i % config.record_every == 0 or i == nsteps
+            # a snapshot that stands alone takes its elastic energy from its step
+            carried = [] if recording and per_stack == 1 else None
             try:
-                nxt = step(state, op, config.potential, config.dt)
+                nxt = step(state, op, config.potential, config.dt, seminorms=carried)
             except BlowUpError:
                 flush()
                 t = i * config.dt
@@ -404,8 +419,8 @@ def simulate(config: SimConfig) -> Trajectory:
                                   max_abs=float(np.max(np.abs(state.u)))) from None
             state = nxt
             state.t = i * config.dt
-            if i % config.record_every == 0 or i == nsteps:
-                record(state)
+            if recording:
+                record(state, carried)
         flush()
     return Trajectory(config, np.array(times), snapshots, recorded)
 
@@ -491,7 +506,7 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
     """
     dom = traj.config.domain
     op = build_operator(dom)
-    shape = traj.states[0].u.shape
+    shape = traj.config.u0.shape
     tests = []  # (test field, psi, (-Delta)^s psi, psi on Omega)
     for tf in test_fields:
         psi = np.asarray(tf.psi, dtype=float)

@@ -53,10 +53,12 @@ function that takes a field returns the layout it was given. In
 exterior-dirichlet mode at d = 3 with pad 2 the block holds 961 of the
 4,096 lines of a 64^3 box; in the other modes, and at d = 1, it is the
 box. A :class:`SpectralOperator` carries the full symbol plus
-read-only half-spectrum copies for the multiplier and for Parseval sums,
-and :func:`build_operator` is memoised on the (frozen, hashable)
-:class:`Domain`, so every caller that asks for the operator of one domain
-shares one instance.
+read-only half-spectrum copies for the multiplier and for Parseval sums
+(:func:`seminorms_sq` takes them of a stack;
+:func:`apply_fractional_laplacian` hands out that of its own forward
+spectrum on request), and :func:`build_operator` is memoised on the
+(frozen, hashable) :class:`Domain`, so every caller that asks for the
+operator of one domain shares one instance.
 """
 from __future__ import annotations
 
@@ -386,18 +388,23 @@ def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
     ``stacked`` axes of ``f`` index a stack of fields, each transformed
     alone.
 
-    One pass per axis, in ``rfftn``'s order: real-to-complex along the last
-    spatial axis on the lines, then complex along each leading axis, after
-    the block is zero-filled back to that axis's full length. With whole
-    axes this is ``rfftn`` bit for bit.
+    One pass per axis, in ``rfftn``'s order, all in one zeroed half
+    spectrum: real-to-complex along the last spatial axis writes the lines
+    into their place, then each leading axis gets a complex pass in place,
+    on the view whose axes up to that one are whole and whose later
+    leading axes are still cut to ``lead``. With whole axes this is
+    ``rfftn`` bit for bit.
     """
-    g = _pocketfft.r2c(f, (stacked + len(lead),), True, 0, None, 1)
     if not lead:
-        return g
-    for ax, sl in enumerate(lead, start=stacked):
-        g = _placed(g, (slice(None),) * ax + (sl,),
-                    g.shape[:ax] + (n[ax - stacked],) + g.shape[ax + 1:])
-        _pocketfft.c2c(g, (ax,), True, 0, g, 1)
+        return _pocketfft.r2c(f, (stacked,), True, 0, None, 1)
+    stack = (slice(None),) * stacked
+    d = len(lead) + 1
+    g = np.zeros(f.shape[:stacked] + n[:-1] + (n[-1] // 2 + 1,) + f.shape[stacked + d:],
+                 dtype=complex)
+    _pocketfft.r2c(f, (stacked + d - 1,), True, 0, g[stack + lead], 1)
+    for ax in range(d - 1):
+        view = g[stack + (slice(None),) * (ax + 1) + lead[ax + 1:]]
+        _pocketfft.c2c(view, (stacked + ax,), True, 0, view, 1)
     return g
 
 
@@ -419,7 +426,8 @@ def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
-                               in_omega: bool = False) -> np.ndarray:
+                               in_omega: bool = False,
+                               seminorms: list | None = None) -> np.ndarray:
     """Apply (-Delta)^s to a field: inverse transform of symbol * transform.
 
     ``f`` is a full box or its lines block (:meth:`Domain.layout`), and the
@@ -429,22 +437,32 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     exterior and produce only Omega's grid lines
     (:attr:`Domain.interior_lines`): on them the result equals the full-box
     one bit for bit, and it is exactly +0 off them.
+
+    A list passed as ``seminorms`` gets the squared order-s seminorm of
+    ``f`` appended, the Parseval sum of the forward spectrum taken before
+    the symbol multiplies it: ``seminorms_sq(op, f[None],
+    in_omega=in_omega)[0]`` bit for bit, with no transform of its own.
     """
     f = np.asarray(f, dtype=float)
     dom = op.domain
     lines, _ = dom.layout(f)
     if dom.boundary_mode == NEUMANN_1D:
         coeff = _pocketfft.dct(f, 2, (0,), 1, None, 1)
+        if seminorms is not None:
+            seminorms.extend(_parseval_sums(op, coeff[None], op.symbol))
         # the inverse of the orthonormal type-2 transform is type 3
         return _pocketfft.dct(_times_grid(coeff, op.symbol, out=coeff), 3, (0,), 1, None, 1)
     # read before the transform: a first read builds this long-lived copy,
     # which would otherwise land among the transform's temporaries and keep
     # the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
     sym = op.half_symbol
+    weights = None if seminorms is None else op.parseval_symbol
     lead = dom.interior_lines  # a lines block is read whole, as Omega's lines
     if lines and not in_omega:  # a full box, maybe nonzero off Omega's lines
         lines = lead = _WHOLE_LINES[dom.d - 1]
     fhat = _rfft(f[lines] if lines else f, lead, dom.n)
+    if seminorms is not None:
+        seminorms.extend(_parseval_sums(op, fhat[None], weights))
     out = _irfft(_times_grid(fhat, sym, out=fhat), lead, dom.n)
     return _placed(out, lead, f.shape) if lines else out
 
@@ -489,17 +507,32 @@ def seminorms_sq(op: SpectralOperator, fs: np.ndarray, *,
     dom = op.domain
     lines, _ = dom.layout(fs[0])
     if dom.boundary_mode == NEUMANN_1D:
-        coeff = _pocketfft.dct(fs, 2, (1,), 1, None, 1)
-        terms = _times_grid(coeff, op.symbol, stacked=1)
-        terms *= coeff
-        return [float(x) * dom.cell_volume for x in row_sums(terms)]
-    sym = op.parseval_symbol  # before the transform, as in apply_fractional_laplacian
+        return _parseval_sums(op, _pocketfft.dct(fs, 2, (1,), 1, None, 1), op.symbol)
+    weights = op.parseval_symbol  # before the transform, as in apply_fractional_laplacian
     lead = dom.interior_lines  # as in apply_fractional_laplacian
     if lines and not in_omega:
         lines = lead = _WHOLE_LINES[dom.d - 1]
-    fhat = _rfft(fs[(slice(None),) + lines], lead, dom.n, stacked=1)
-    scale = dom.cell_volume / math.prod(dom.n)
-    terms = _times_grid(fhat.real ** 2 + fhat.imag ** 2, sym, stacked=1)
+    return _parseval_sums(op, _rfft(fs[(slice(None),) + lines], lead, dom.n, stacked=1),
+                          weights)
+
+
+def _parseval_sums(op: SpectralOperator, spec: np.ndarray,
+                   weights: np.ndarray) -> list[float]:
+    """Squared order-s seminorm of each field of a stack from the stack's
+    spectrum ``spec``, stack axis first: the half spectrum of :func:`_rfft`
+    weighted by ``op.parseval_symbol``, or in neumann-1d mode the
+    orthonormal cosine coefficients weighted by ``op.symbol``. Takes at
+    most two real temporaries of the spectrum's size."""
+    dom = op.domain
+    if dom.boundary_mode == NEUMANN_1D:
+        terms = _times_grid(spec, weights, stacked=1)
+        terms *= spec
+        scale = dom.cell_volume
+    else:
+        terms = spec.real ** 2
+        terms += spec.imag ** 2
+        _times_grid(terms, weights, stacked=1, out=terms)
+        scale = dom.cell_volume / math.prod(dom.n)
     return [float(x) * scale for x in row_sums(terms)]
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -619,6 +620,40 @@ class TestLinesBlock:
             assert got.shape == block.shape and same_bits(got, want)
         assert seminorms_sq(op, block[None]) == seminorms_sq(op, f[None])
         assert seminorms_sq(op, block[None], in_omega=True) == seminorms_sq(op, f[None])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fields_in_omega())
+    def test_the_transform_hands_out_the_parseval_sum_of_its_spectrum(self, case):
+        """A list passed as ``seminorms`` gets ``seminorms_sq`` of the field
+        bit for bit, in both layouts and with or without ``in_omega``, and
+        the result is the one a call without the list gives."""
+        op, f = case
+        for field in (f, f[op.domain.interior_lines].copy()):
+            for in_omega in (False, True):
+                sq = []
+                got = apply_fractional_laplacian(op, field, in_omega=in_omega, seminorms=sq)
+                assert same_bits(got, apply_fractional_laplacian(op, field, in_omega=in_omega))
+                want = seminorms_sq(op, field[None], in_omega=in_omega)
+                assert np.array(sq).tobytes() == np.array(want).tobytes()
+
+    def test_a_forward_spectrum_is_built_in_one_array(self):
+        """On a 3-D 64^3 lines block with m = 2 the transform pair holds at
+        most one half spectrum and the output at a time."""
+        dom = Domain(d=3, s=1.0, omega_extent=2 * np.pi, n=64)
+        op = build_operator(dom)
+        block = np.zeros(dom.n + (2,))[dom.interior_lines]
+        inner = dom.layout(block)[1]
+        block[inner] = np.random.default_rng(0).standard_normal(block[inner].shape)
+        apply_fractional_laplacian(op, block)  # builds the operator's cached arrays
+        half = np.dtype(complex).itemsize * math.prod(dom.n[:-1]) * (dom.n[-1] // 2 + 1) * 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_fractional_laplacian(op, block)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= half + out.nbytes + 64 * 1024
 
     @settings(max_examples=300, deadline=None)
     @given(case=_fields_in_omega())
