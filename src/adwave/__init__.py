@@ -15,7 +15,6 @@ from .spectral import (
     PERIODIC,
     Domain,
     DomainError,
-    EmbeddingReport,
     GridMismatchError,
     ParameterError,
     SpectralOperator,
@@ -27,7 +26,6 @@ from .spectral import (
     l2_norm,
     mask_exterior,
     seminorm_s,
-    verify_embedding,
 )
 from .potentials import (
     Potential,

@@ -11,10 +11,10 @@ Exterior contract: u vanishes outside Omega: it is +0 or -0 at every point
 off ``domain.interior_mask``, a set that is empty unless the mode is
 exterior-dirichlet, so one check serves every mode. W models the adhesive
 layer on Omega, so grad W(u) and W(u) are evaluated on the interior block
-``u[domain.interior]`` only, and the transforms of ``force`` and ``energy``
-take the ``in_omega`` shortcut of :mod:`adwave.spectral`: they read and
-produce only Omega's grid lines ``[domain.interior_lines]``, the lines along
-the last spatial axis through Omega. ``step`` works on those lines alone.
+``u[domain.interior]`` only. A field's layout is the only promise the
+transforms of :mod:`adwave.spectral` read: ``step`` hands ``force`` the
+lines block ``[domain.interior_lines]``, the lines along the last spatial
+axis through Omega, and kicks, drifts and projects on those lines alone.
 On their points outside Omega the force holds the nonlocal term
 -(-Delta)^s u alone, which the step's projection discards (a negative value
 leaves -0 there); off them a new state is +0.
@@ -51,11 +51,11 @@ import numpy as np
 
 from .potentials import Potential
 from .spectral import (
-    EXTERIOR_DIRICHLET,
     Domain,
     GridMismatchError,
     ParameterError,
     SpectralOperator,
+    _as_tuple,
     _placed,
     _times_grid,
     apply_fractional_laplacian,
@@ -261,20 +261,21 @@ class _FullBoxStates(Sequence):
 
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
           seminorms: list | None = None) -> np.ndarray:
-    """-(-Delta)^s u - grad W(u) for a ``u`` that vanishes outside Omega,
-    given as a full box or as its lines block (:meth:`Domain.layout`).
+    """-(-Delta)^s u - grad W(u) for a ``u`` given as a full box or as its
+    lines block (:meth:`Domain.layout`).
 
-    On Omega this is the full force. On the rest of Omega's grid lines
-    (``[domain.interior_lines]``) it holds the nonlocal term alone, and off
-    those lines it is exactly +0. Returns a new array in ``u``'s layout
-    that the caller may overwrite. A list passed as ``seminorms`` gets the
-    squared order-s seminorm of ``u`` appended, from the transform's own
-    spectrum (see :func:`~adwave.spectral.apply_fractional_laplacian`).
+    On Omega this is the full force; elsewhere it holds the nonlocal term
+    alone, since W acts on Omega only. Returns a new array in ``u``'s
+    layout that the caller may overwrite. For a ``u`` that vanishes off
+    Omega's grid lines the block's force equals the full box's on them bit
+    for bit. A list passed as ``seminorms``
+    gets the squared order-s seminorm of ``u`` appended, from the
+    transform's own spectrum (see
+    :func:`~adwave.spectral.apply_fractional_laplacian`).
     """
-    lines, inner = op.domain.layout(u)
-    f = apply_fractional_laplacian(op, u, in_omega=True, seminorms=seminorms)
-    on_lines = f[lines] if lines else f
-    np.negative(on_lines, out=on_lines)
+    _, inner = op.domain.layout(u)
+    f = apply_fractional_laplacian(op, u, seminorms=seminorms)
+    np.negative(f, out=f)
     f[inner] -= potential.grad(u[inner])
     return f
 
@@ -292,11 +293,8 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     seminorm of the new ``u`` appended, which the second kick's force takes
     from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit.
     """
-    dom = op.domain
-    lines, _ = dom.layout(state.u)
-    mask = dom.interior_mask if dom.boundary_mode == EXTERIOR_DIRICHLET else None
-    if mask is not None and dom.interior_lines:
-        mask = mask[dom.interior_lines]
+    lines, _ = op.domain.layout(state.u)
+    mask = op.domain.projection_mask
     u, v = (state.u[lines], state.v[lines]) if lines else (state.u, state.v)
     vh = force(op, potential, u)
     vh *= 0.5 * dt
@@ -340,7 +338,7 @@ def energies(op: SpectralOperator, potential: Potential, states: list[FieldState
     # would group the terms otherwise and change the bits
     kin = row_sums(_placed(vs * vs, (slice(None),) + dom.interior_lines,
                            vs.shape[:1] + dom.n + vs.shape[1 + dom.d:]))
-    ela = seminorms_sq(op, us, in_omega=True) if seminorms is None else seminorms
+    ela = seminorms_sq(op, us) if seminorms is None else seminorms
     adh = row_sums(potential.value(us[(slice(None),) + inner]))
     cv = dom.cell_volume
     return [EnergyBreakdown.of(0.5 * math.sqrt(float(k) * cv) ** 2,
@@ -463,21 +461,6 @@ def window_one() -> TimeWindow:
     return TimeWindow(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, "const")
 
 
-def window_sin_sq(T: float) -> TimeWindow:
-    w = math.pi / T
-
-    def value(t):
-        return math.sin(w * t) ** 2
-
-    def d1(t):
-        return w * math.sin(2.0 * w * t)
-
-    def d2(t):
-        return 2.0 * w * w * math.cos(2.0 * w * t)
-
-    return TimeWindow(value, d1, d2, "sin^2 window")
-
-
 @dataclass
 class TestField:
     """Separable space-time test function chi(t) * psi(x), psi in Omega."""
@@ -515,8 +498,8 @@ def weak_residual(traj: Trajectory, test_fields: list[TestField],
             raise ValueError("test field must be supported in Omega")
         if psi.shape != shape:
             raise GridMismatchError("inner product requires matching field shapes")
-        tests.append((tf, psi, apply_fractional_laplacian(op, psi, in_omega=True),
-                      psi[dom.interior]))
+        lpsi = apply_fractional_laplacian(op, psi[dom.interior_lines])
+        tests.append((tf, psi, _placed(lpsi, dom.interior_lines, shape), psi[dom.interior]))
     # per test field, the per-snapshot sums of <u, psi>, <u, lpsi>, <grad W(u), psi>
     sums = [([], [], []) for _ in tests]
     for us in traj.u_stacks():
@@ -571,13 +554,16 @@ def bump_field(domain: Domain, amplitude: float = 1.0, width_frac: float = 0.6,
     Per axis the profile is exp(1 - 1/(1 - t^2)) on |t| < 1 scaled to the
     requested fraction of Omega's width; it underflows to exact zeros at the
     support edge, so the field is admissible initial data in every mode.
+    ``center`` defaults to Omega's centre; a per-axis sequence of the wrong
+    length raises :class:`~adwave.spectral.ParameterError` naming it.
     """
     if not 0 < width_frac <= 1:
         raise ValueError("width_frac must lie in (0, 1]")
-    grids = domain.grids()
+    bounds = domain.omega_bounds
+    centers = ([0.5 * (lo + hi) for lo, hi in bounds] if center is None
+               else _as_tuple(center, domain.d, float, "center"))
     out = None
-    for ax, ((lo, hi), x) in enumerate(zip(domain.omega_bounds, grids)):
-        c = 0.5 * (lo + hi) if center is None else center[ax]
+    for (lo, hi), c, x in zip(bounds, centers, domain.grids()):
         half = 0.5 * width_frac * (hi - lo)
         t = (x - c) / half
         with np.errstate(divide="ignore", over="ignore"):
@@ -588,11 +574,12 @@ def bump_field(domain: Domain, amplitude: float = 1.0, width_frac: float = 0.6,
 
 
 def sine_field(domain: Domain, k=1, amplitude: float = 1.0) -> np.ndarray:
-    """Single periodic Fourier mode prod_i sin(2 pi k_i x_i / L_i)."""
-    ks = (int(k),) * domain.d if np.isscalar(k) else tuple(int(v) for v in k)
+    """Single periodic Fourier mode prod_i sin(2 pi k_i x_i / L_i); ``k`` is
+    one integer for every axis or one per axis (a sequence of the wrong
+    length raises :class:`~adwave.spectral.ParameterError` naming it)."""
     grids = domain.grids()
     out = np.ones(domain.n)
-    for ki, L, x in zip(ks, domain.box_extent, grids):
+    for ki, L, x in zip(_as_tuple(k, domain.d, int, "k"), domain.box_extent, grids):
         out = out * np.sin(2.0 * np.pi * ki * x / L)
     return amplitude * out
 

@@ -10,9 +10,7 @@ are supported:
   :func:`mask_exterior` to project onto that subspace. The symbol acts on
   the periodised field, so at non-integer s every periodic image of Omega
   adds its nonlocal interaction, a bias that neither the collar nor the
-  resolution removes: on the unit-ball oracle at d = 1, s = 0.5, the
-  largest relative error on |x| < 1/2 stays at 0.110 from n = 256 to 4096
-  (0.113 at n = 64).
+  resolution removes (README gives its size on the unit-ball oracle).
 * ``periodic``: Omega is the whole box, no exterior constraint. This is the
   natural setting for single-mode and dispersion diagnostics.
 * ``neumann-1d``: one-dimensional cosine basis on (0, L) sampled at cell
@@ -38,21 +36,22 @@ so with whole axes this is ``rfftn``/``irfftn`` up to rounding, and bit for
 bit when every n is a power of two. Spectra keep only the non-negative half
 of the last spatial axis, ``n/2 + 1`` columns; ``n`` is even, so the Nyquist
 column is always present. Every pass, cosine transforms included, calls
-scipy's pocketfft kernel directly on one thread (see the binding's
-comment below), so ``scipy.fft.set_workers`` does not apply; ROADMAP's
-"Measured and not worth pursuing" records why threaded transforms do not
-pay here. A field that vanishes outside Omega may say so
-with ``in_omega=True``: the passes then read and produce only Omega's grid
-lines, ``f[domain.interior_lines]`` (the lines along the last spatial axis
-through Omega), so the forward transform skips the all-zero lines of the
-exterior and the inverse leaves exact zeros off Omega's lines (FFT pruning,
-Markel 1971). A field may also come as those lines alone, its lines block,
-and the transforms then read and return the block with no full box at all:
-:meth:`Domain.layout` tells the two layouts apart by shape, and every
-function that takes a field returns the layout it was given. In
-exterior-dirichlet mode at d = 3 with pad 2 the block holds 961 of the
-4,096 lines of a 64^3 box; in the other modes, and at d = 1, it is the
-box. A :class:`SpectralOperator` carries the full symbol plus
+scipy's pocketfft kernel directly on one thread (see the binding's comment
+below), so ``scipy.fft.set_workers`` does not apply.
+
+A field comes in one of two layouts, told apart by shape
+(:meth:`Domain.layout`): the full box, or its lines block
+``f[domain.interior_lines]``, the lines along the last spatial axis through
+Omega, which is all a field that vanishes off those lines needs. The layout
+alone decides which lines a transform reads: a full box is transformed
+whole, a lines block on Omega's lines alone, so that the forward passes
+skip the all-zero lines of the exterior and the inverse produces Omega's
+lines only (FFT pruning, Markel 1971). On a full box that vanishes off
+those lines both make the same passes, so on the lines the results are
+equal bit for bit. Every function that takes a field returns the layout it
+was given. In exterior-dirichlet mode at d = 3 with pad 2 the block holds
+961 of the 4,096 lines of a 64^3 box; in the other modes, and at d = 1, it
+is the box. A :class:`SpectralOperator` carries the full symbol plus
 read-only half-spectrum copies for the multiplier and for Parseval sums
 (:func:`seminorms_sq` takes them of a stack;
 :func:`apply_fractional_laplacian` hands out that of its own forward
@@ -67,18 +66,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 from scipy import integrate as _integrate
 # Every transform pass calls scipy's pocketfft kernel, the extension behind
-# both scipy.fft and scipy.fftpack, through this one binding, with the
-# arguments their front ends pass: on the 1-D grids of 32-128 points that
-# the experiments step, each front end costs more than the transform
-# (rfft at n = 64: 9.5 us through scipy.fft, 2.2 us here; dct: 7.2 us
-# through scipy.fftpack). Arguments, by position: the array, the axes,
-# the dct type or c2r's output length, the direction (r2c, c2r, c2c), the
-# norm code (0 forward and 2 inverse for norm="backward", 1 for the
-# orthonormal cosine transforms), the output array, one thread. Verified on
-# scipy 1.17.1.
+# scipy.fft, through this one binding, with the arguments its front ends
+# pass: on small 1-D grids a front end costs more than the transform (README
+# has the timings). Arguments, by position: the array, the axes, the dct
+# type or c2r's output length, the direction (r2c, c2r, c2c), the norm code
+# (0 forward and 2 inverse for norm="backward", 1 for the orthonormal cosine
+# transforms), the output array, one thread. Verified on scipy 1.17.1.
 try:
     from scipy.fft._pocketfft import pypocketfft as _pocketfft
 except ImportError as exc:
@@ -240,6 +235,16 @@ class Domain:
         return mask
 
     @cached_property
+    def projection_mask(self) -> np.ndarray | None:
+        """The exterior projection on the lines block: :attr:`interior_mask`
+        at :attr:`interior_lines` in exterior-dirichlet mode; None in the
+        other modes, where Omega is the box and the projection is the
+        identity."""
+        if self.boundary_mode != EXTERIOR_DIRICHLET:
+            return None
+        return self.interior_mask[self.interior_lines]
+
+    @cached_property
     def _layouts(self) -> dict:
         # the scalar shape of each layout -> (lines, interior) within it; the
         # box's entry comes last, so it stands where the block is the box
@@ -340,7 +345,7 @@ def build_operator(domain: Domain) -> SpectralOperator:
     else:
         ksq = np.zeros(domain.n)
         for ax, (L, m) in enumerate(zip(domain.box_extent, domain.n)):
-            xi = 2.0 * np.pi * _fft.fftfreq(m, d=L / m)
+            xi = 2.0 * np.pi * np.fft.fftfreq(m, d=L / m)
             shape = [1] * domain.d
             shape[ax] = m
             ksq = ksq + (xi ** 2).reshape(shape)
@@ -365,10 +370,6 @@ def _times_grid(f: np.ndarray, grid: np.ndarray, *, stacked: int = 0,
     for c in range(f.shape[-1]):
         np.multiply(f[..., c], grid, out=out[..., c])
     return out
-
-
-# every grid line of the box, indexed by the number of leading axes, d - 1
-_WHOLE_LINES = ((), (slice(None),), (slice(None),) * 2)
 
 
 def _placed(block: np.ndarray, index: tuple, shape: tuple) -> np.ndarray:
@@ -425,46 +426,54 @@ def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
     return _pocketfft.c2r(g, (len(lead),), n[-1], False, 2, None, 1)
 
 
+def _spectrum(op: SpectralOperator, fs: np.ndarray, stacked: int,
+              seminorms: list | None) -> tuple[np.ndarray, tuple | None, np.ndarray]:
+    """``(spectrum, lead, symbol)`` of the field ``fs``, or of each field of
+    a stack along its leading axis when ``stacked`` is 1: in neumann-1d mode
+    the orthonormal cosine coefficients, ``lead`` None and ``op.symbol``;
+    otherwise the half spectrum of :func:`_rfft`, the grid lines ``lead``
+    that the field holds and ``op.half_symbol``. The layout picks ``lead``
+    (:meth:`Domain.layout`): a full box holds every line, a lines block
+    Omega's. A list passed as ``seminorms`` gets each field's squared
+    order-s seminorm appended, the Parseval sum of this spectrum."""
+    fs = np.asarray(fs, dtype=float)
+    dom = op.domain
+    lines, _ = dom.layout(fs[0] if stacked else fs)
+    if dom.boundary_mode == NEUMANN_1D:
+        spec, lead, sym = _pocketfft.dct(fs, 2, (stacked,), 1, None, 1), None, op.symbol
+    else:
+        # read before the transform: a first read builds these long-lived
+        # copies, which would otherwise land among the transform's temporaries
+        # and keep the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
+        sym = op.half_symbol
+        if seminorms is not None:
+            op.parseval_symbol
+        lead = (slice(None),) * (dom.d - 1) if lines else dom.interior_lines
+        spec = _rfft(fs, lead, dom.n, stacked)
+    if seminorms is not None:
+        seminorms.extend(_parseval_sums(op, spec if stacked else spec[None]))
+    return spec, lead, sym
+
+
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
-                               in_omega: bool = False,
                                seminorms: list | None = None) -> np.ndarray:
     """Apply (-Delta)^s to a field: inverse transform of symbol * transform.
 
     ``f`` is a full box or its lines block (:meth:`Domain.layout`), and the
-    result comes in the same layout. A lines block is taken to vanish off
-    Omega's grid lines. ``in_omega=True`` promises that a full box vanishes
-    outside Omega. The transforms then skip the all-zero grid lines of the
-    exterior and produce only Omega's grid lines
-    (:attr:`Domain.interior_lines`): on them the result equals the full-box
-    one bit for bit, and it is exactly +0 off them.
+    result comes in the same layout. A full box is transformed whole; a
+    lines block is taken to vanish off Omega's grid lines, and its result
+    equals the full box's on them bit for bit.
 
     A list passed as ``seminorms`` gets the squared order-s seminorm of
     ``f`` appended, the Parseval sum of the forward spectrum taken before
-    the symbol multiplies it: ``seminorms_sq(op, f[None],
-    in_omega=in_omega)[0]`` bit for bit, with no transform of its own.
+    the symbol multiplies it: ``seminorms_sq(op, f[None])[0]`` bit for bit,
+    with no transform of its own.
     """
-    f = np.asarray(f, dtype=float)
-    dom = op.domain
-    lines, _ = dom.layout(f)
-    if dom.boundary_mode == NEUMANN_1D:
-        coeff = _pocketfft.dct(f, 2, (0,), 1, None, 1)
-        if seminorms is not None:
-            seminorms.extend(_parseval_sums(op, coeff[None], op.symbol))
-        # the inverse of the orthonormal type-2 transform is type 3
-        return _pocketfft.dct(_times_grid(coeff, op.symbol, out=coeff), 3, (0,), 1, None, 1)
-    # read before the transform: a first read builds this long-lived copy,
-    # which would otherwise land among the transform's temporaries and keep
-    # the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
-    sym = op.half_symbol
-    weights = None if seminorms is None else op.parseval_symbol
-    lead = dom.interior_lines  # a lines block is read whole, as Omega's lines
-    if lines and not in_omega:  # a full box, maybe nonzero off Omega's lines
-        lines = lead = _WHOLE_LINES[dom.d - 1]
-    fhat = _rfft(f[lines] if lines else f, lead, dom.n)
-    if seminorms is not None:
-        seminorms.extend(_parseval_sums(op, fhat[None], weights))
-    out = _irfft(_times_grid(fhat, sym, out=fhat), lead, dom.n)
-    return _placed(out, lead, f.shape) if lines else out
+    fhat, lead, sym = _spectrum(op, f, 0, seminorms)
+    _times_grid(fhat, sym, out=fhat)
+    if lead is None:  # the inverse of the orthonormal type-2 transform is type 3
+        return _pocketfft.dct(fhat, 3, (0,), 1, None, 1)
+    return _irfft(fhat, lead, op.domain.n)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
@@ -494,30 +503,18 @@ def seminorm_s(op: SpectralOperator, f: np.ndarray) -> float:
     return math.sqrt(max(seminorms_sq(op, f[None])[0], 0.0))
 
 
-def seminorms_sq(op: SpectralOperator, fs: np.ndarray, *,
-                 in_omega: bool = False) -> list[float]:
+def seminorms_sq(op: SpectralOperator, fs: np.ndarray) -> list[float]:
     """Squared order-s seminorm of each field of the stack ``fs`` (the
     fields along its leading axis), from one transform of the whole stack;
     each equals ``seminorm_s(op, f) ** 2`` before the square root, bit for
     bit. The fields are full boxes or lines blocks (:meth:`Domain.layout`),
-    and a lines block is read as Omega's grid lines. ``in_omega=True``
-    promises that every full box vanishes outside Omega, so the transform
-    reads Omega's grid lines only; the values are the same."""
-    fs = np.asarray(fs, dtype=float)
-    dom = op.domain
-    lines, _ = dom.layout(fs[0])
-    if dom.boundary_mode == NEUMANN_1D:
-        return _parseval_sums(op, _pocketfft.dct(fs, 2, (1,), 1, None, 1), op.symbol)
-    weights = op.parseval_symbol  # before the transform, as in apply_fractional_laplacian
-    lead = dom.interior_lines  # as in apply_fractional_laplacian
-    if lines and not in_omega:
-        lines = lead = _WHOLE_LINES[dom.d - 1]
-    return _parseval_sums(op, _rfft(fs[(slice(None),) + lines], lead, dom.n, stacked=1),
-                          weights)
+    with the same values in either layout."""
+    out = []
+    _spectrum(op, fs, 1, out)
+    return out
 
 
-def _parseval_sums(op: SpectralOperator, spec: np.ndarray,
-                   weights: np.ndarray) -> list[float]:
+def _parseval_sums(op: SpectralOperator, spec: np.ndarray) -> list[float]:
     """Squared order-s seminorm of each field of a stack from the stack's
     spectrum ``spec``, stack axis first: the half spectrum of :func:`_rfft`
     weighted by ``op.parseval_symbol``, or in neumann-1d mode the
@@ -525,13 +522,13 @@ def _parseval_sums(op: SpectralOperator, spec: np.ndarray,
     most two real temporaries of the spectrum's size."""
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
-        terms = _times_grid(spec, weights, stacked=1)
+        terms = _times_grid(spec, op.symbol, stacked=1)
         terms *= spec
         scale = dom.cell_volume
     else:
         terms = spec.real ** 2
         terms += spec.imag ** 2
-        _times_grid(terms, weights, stacked=1, out=terms)
+        _times_grid(terms, op.parseval_symbol, stacked=1, out=terms)
         scale = dom.cell_volume / math.prod(dom.n)
     return [float(x) * scale for x in row_sums(terms)]
 
@@ -601,54 +598,3 @@ def embedding_constant(d: int, s: float, tol: float = 1e-9) -> float:
     tail, trunc = _tail_series(c, d, s, stop=budget)
     i_value = sphere * (radial + tail)
     return math.sqrt(2.0) * (2.0 * math.pi) ** (-d / 2.0) * math.sqrt(i_value)
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """Outcome of a randomized max-norm vs H^s-norm inequality check."""
-
-    constant: float
-    trials: int
-    worst_ratio: float
-    passed: bool
-
-
-def _random_band_limited(domain: Domain, rng: np.random.Generator,
-                         band: int) -> np.ndarray:
-    if domain.boundary_mode == NEUMANN_1D:
-        coeff = np.zeros(domain.n[0])
-        coeff[: band + 1] = rng.standard_normal(band + 1)
-        return _pocketfft.dct(coeff, 3, (0,), 1, None, 1)
-    spec = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-    for ax, m in enumerate(domain.n):
-        k = np.minimum(np.arange(m), m - np.arange(m))
-        keep = k <= band
-        shape = [1] * domain.d
-        shape[ax] = m
-        spec = spec * keep.reshape(shape)
-    axes = tuple(range(domain.d))
-    return _fft.ifftn(spec, axes=axes).real
-
-
-def verify_embedding(op: SpectralOperator, trials: int = 1000,
-                     seed: int = 0) -> EmbeddingReport:
-    """Check max|f| <= C * ||f||_{H^s} on random fields band-limited to the
-    lowest quarter of the lattice, |k| <= max(1, min(n) // 4).
-
-    Returns the worst observed ratio max|f| / (C * hs_norm(f)); the
-    inequality holds whenever the box is large enough that the discrete
-    frequency lattice resolves the defining integral of the constant (side
-    length of order 2*pi suffices for the regimes exercised here).
-    """
-    dom = op.domain
-    const = embedding_constant(dom.d, dom.s)
-    band = max(1, min(dom.n) // 4)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        f = _random_band_limited(dom, rng, band)
-        denom = const * hs_norm(op, f)
-        ratio = 0.0 if denom == 0.0 else float(np.max(np.abs(f))) / denom
-        worst = max(worst, ratio)
-    return EmbeddingReport(constant=const, trials=trials,
-                           worst_ratio=worst, passed=worst <= 1.0)

@@ -36,11 +36,10 @@ from adwave.spectral import (
     apply_fractional_laplacian,
     build_operator,
     embedding_constant,
-    verify_embedding,
 )
 from adwave.cli import main as cli_main
 
-from oracles import dense_operator_1d
+from oracles import dense_operator_1d, verify_embedding
 
 
 def report(number: int, detail: str, elapsed: float, limit: float):

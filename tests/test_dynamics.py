@@ -34,7 +34,6 @@ from adwave.dynamics import (
     sup_bound_from_energy,
     weak_residual,
     window_one,
-    window_sin_sq,
     zero_field,
 )
 from adwave.potentials import (
@@ -49,6 +48,8 @@ from adwave.spectral import (
     NEUMANN_1D,
     PERIODIC,
     Domain,
+    ParameterError,
+    apply_fractional_laplacian,
     build_operator,
     embedding_constant,
     hs_norm,
@@ -63,6 +64,7 @@ from oracles import (
     step_oracle,
     sup_bound_oracle,
     weak_residual_oracle,
+    window_sin_sq,
 )
 
 
@@ -290,7 +292,7 @@ def _potential(kind, m):
     return zero_potential(m)
 
 
-def _band_limited_in_omega(dom, m, rng, band, amplitude):
+def _band_limited_inside_omega(dom, m, rng, band, amplitude):
     """Sum of the lowest sine modes of Omega's index block, zero outside
     it, scaled to the given maximum modulus."""
     inner = dom.interior
@@ -324,9 +326,9 @@ def _step_cases(draw, embedding=False, mode=None, m=None):
     W = _potential(draw(st.sampled_from(_KINDS[m])), m)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     band = draw(st.integers(1, 3))
-    u0 = _band_limited_in_omega(dom, m, rng, band, draw(st.floats(0.05, 2.0)))
+    u0 = _band_limited_inside_omega(dom, m, rng, band, draw(st.floats(0.05, 2.0)))
     v_amp = draw(st.sampled_from([0.0]) | st.floats(0.05, 1.0))
-    v0 = _band_limited_in_omega(dom, m, rng, band, v_amp) if v_amp else np.zeros_like(u0)
+    v0 = _band_limited_inside_omega(dom, m, rng, band, v_amp) if v_amp else np.zeros_like(u0)
     op = build_operator(dom)
     dt = draw(st.floats(0.1, 0.9)) * stability_limit(op, W)
     return op, W, dt, FieldState(u0, v0)
@@ -416,6 +418,23 @@ class TestLinesBlock:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=_step_cases())
+    def test_force_on_a_full_box_is_the_block_force_on_omegas_lines(self, case):
+        """force transforms the layout it is handed: on Omega's grid lines
+        the full box's force is the lines block's bit for bit, and off Omega
+        it is the nonlocal term alone."""
+        op, W, _, state = case
+        dom = op.domain
+        lines = dom.interior_lines
+        full = dynamics.force(op, W, state.u)
+        block = dynamics.force(op, W, state.u[lines].copy())
+        assert full.shape == state.u.shape and block.shape == state.u[lines].shape
+        assert _bits(full[lines]) == _bits(block)
+        outside = ~dom.interior_mask
+        nonlocal_term = apply_fractional_laplacian(op, state.u)
+        assert _bits(full[outside]) == _bits(-nonlocal_term[outside])
+
     def test_a_3d_trajectory_holds_lines_blocks_only(self):
         """The arrays a 3-D exterior trajectory keeps alive are its lines
         blocks: about a quarter of the full boxes here."""
@@ -457,7 +476,7 @@ class TestStackedEvaluation:
         cfg = SimConfig(domain=dom, potential=W, T=steps * dt, dt=dt, u0=state.u,
                         v0=state.v, record_every=1, enforce_cfl=False)
         rng = np.random.default_rng(seed)
-        tests = [WeakTestField(_band_limited_in_omega(dom, W.m, rng, 2, 1.0), window)
+        tests = [WeakTestField(_band_limited_inside_omega(dom, W.m, rng, 2, 1.0), window)
                  for window in (window_one(), window_sin_sq(cfg.T))]
         budget = per_stack * (state.u.nbytes + state.v.nbytes)
         with mock.patch.object(dynamics, "STACK_BYTES", budget), \
@@ -527,7 +546,7 @@ class TestCarriedSeminorm:
             plain = step(st_, op, W, dt)
             assert np.array_equal(new.u.view(np.int64), plain.u.view(np.int64))
             assert np.array_equal(new.v.view(np.int64), plain.v.view(np.int64))
-            assert _bits(carried) == _bits(seminorms_sq(op, new.u[None], in_omega=True))
+            assert _bits(carried) == _bits(seminorms_sq(op, new.u[None]))
 
     def test_snapshots_that_stand_alone_transform_for_the_energy_at_t0_only(self):
         """On a 3-D grid whose snapshots stand alone, simulate transforms u
@@ -843,7 +862,7 @@ class TestAprioriBounds:
         traj = simulate(SimConfig(domain=op.domain, potential=W, T=steps * dt, dt=dt,
                                   u0=state.u, v0=state.v, record_every=1, enforce_cfl=False))
         want = sup_bound_oracle(traj)
-        with mock.patch.object(spectral, "_fft", None):  # any transform would raise
+        with mock.patch.object(spectral, "_pocketfft", None):  # any transform would raise
             assert sup_bound_from_energy(traj) == want
 
     def test_sup_bound_requires_embedding_regime(self):
@@ -1015,11 +1034,22 @@ class TestApproximationKnobs:
 
 
 class TestDataHelpers:
-    def test_bump_supported_in_omega(self):
+    def test_bump_is_supported_inside_omega(self):
         dom = dirichlet_domain(n=128)
         u = bump_field(dom, amplitude=2.0)
         assert np.max(np.abs(u[~dom.interior_mask])) == 0.0
         assert np.max(u) == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("k", {"k": (1,)}), ("k", {"k": (1, 2, 3)}),
+        ("center", {"center": (0.5,)}), ("center", {"center": (0.5, 0.5, 0.5)})],
+        ids=["k-short", "k-long", "center-short", "center-long"])
+    def test_per_axis_values_of_the_wrong_length_name_their_field(self, field, kwargs):
+        dom = Domain(d=2, s=1.0, omega_extent=1.0, n=8, pad_factor=2.0)
+        make = sine_field if field == "k" else bump_field
+        with pytest.raises(ParameterError, match=f"{field}: expected 2 per-axis values") as err:
+            make(dom, **kwargs)
+        assert err.value.field == field
 
     def test_scale_to_hs(self):
         dom = dirichlet_domain(n=128)

@@ -10,10 +10,9 @@ from adwave.spectral import (
     build_operator,
     embedding_constant,
     hs_norm,
-    verify_embedding,
 )
 
-from oracles import embedding_constant_oracle
+from oracles import embedding_constant_oracle, verify_embedding
 
 
 # Closed forms for the defining integral I(d, s):

@@ -21,6 +21,7 @@ from adwave.spectral import (
     l2_inner,
     l2_norm,
     mask_exterior,
+    _placed,
     _times_grid,
     seminorm_s,
     seminorms_sq,
@@ -296,9 +297,7 @@ class TestNorms:
         ints[0, dom.interior[0]] = 1
         inside = ints[1:, dom.interior[0]]
         ints[1:, dom.interior[0]] = np.random.default_rng(7).integers(-3, 4, inside.shape)
-        for in_omega in (False, True):
-            want = seminorms_sq(op, ints.astype(np.float64), in_omega=in_omega)
-            assert seminorms_sq(op, ints, in_omega=in_omega) == want
+        assert seminorms_sq(op, ints) == seminorms_sq(op, ints.astype(np.float64))
 
 
 class TestMask:
@@ -520,7 +519,7 @@ class TestRealTransforms:
 
 
 @st.composite
-def _fields_in_omega(draw, sizes=None, stack=False):
+def _fields_inside_omega(draw, sizes=None, stack=False):
     """``(op, f)``: a field supported in Omega with m = 1 or 2 components
     on a grid whose sizes per axis come from ``sizes[d]``, or a stack of
     one to three such fields along a new leading axis when ``stack``."""
@@ -548,25 +547,25 @@ _EVERY_EVEN = {1: range(2, 65, 2), 2: range(2, 33, 2), 3: range(2, 13, 2)}
 
 
 class TestPrunedTransforms:
-    """The per-axis transform pair: ``in_omega=True`` on a field supported
-    in Omega against the full box, the full box against the multi-axis
+    """The per-axis transform pair: the lines block of a field supported in
+    Omega against the full box, the full box against the multi-axis
     ``rfftn``/``irfftn`` path it replaced, and every result against the
     same passes made through scipy.fft's public front ends."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_fields_in_omega())
+    @given(case=_fields_inside_omega())
     def test_omega_lines_match_the_full_box(self, case):
         op, f = case
         dom = op.domain
+        lines = dom.interior_lines
         full = apply_fractional_laplacian(op, f)
-        pruned = apply_fractional_laplacian(op, f, in_omega=True)
-        lines = dom.interior[:-1]
+        placed = _placed(apply_fractional_laplacian(op, f[lines]), lines, f.shape)
         off = np.ones(dom.n, dtype=bool)
         off[lines] = False
-        assert pruned.shape == full.shape
-        assert np.array_equal(pruned[lines].view(np.int64), full[lines].view(np.int64))
-        assert np.all(pruned[off] == 0.0) and not np.signbit(pruned[off]).any()
-        assert seminorms_sq(op, f[None], in_omega=True) == seminorms_sq(op, f[None])
+        assert placed.shape == full.shape
+        assert np.array_equal(placed[lines].view(np.int64), full[lines].view(np.int64))
+        assert np.all(placed[off] == 0.0) and not np.signbit(placed[off]).any()
+        assert seminorms_sq(op, f[lines][None]) == seminorms_sq(op, f[None])
         old = fractional_laplacian_oracle(op, f)
         assert np.max(np.abs(full - old)) <= 1e-14 * np.max(np.abs(old))
         if all(k & (k - 1) == 0 for k in dom.n):
@@ -574,18 +573,17 @@ class TestPrunedTransforms:
 
     @staticmethod
     def _assert_front_end_bits(op, fs):
-        lines = op.domain.interior[:-1]
+        lines = op.domain.interior_lines
         want = [seminorm_sq_oracle(op, f) for f in fs]
         assert seminorms_sq(op, fs) == want
-        assert seminorms_sq(op, fs, in_omega=True) == want
+        assert seminorms_sq(op, fs[(slice(None),) + lines]) == want
         for f in fs:
             oracle = per_axis_laplacian_oracle(op, f)
             assert same_bits(apply_fractional_laplacian(op, f), oracle)
-            pruned = apply_fractional_laplacian(op, f, in_omega=True)
-            assert same_bits(pruned[lines], oracle[lines])
+            assert same_bits(apply_fractional_laplacian(op, f[lines]), oracle[lines])
 
     @settings(max_examples=200, deadline=None)
-    @given(case=_fields_in_omega(sizes=_EVERY_EVEN, stack=True))
+    @given(case=_fields_inside_omega(sizes=_EVERY_EVEN, stack=True))
     def test_bit_for_bit_the_public_front_ends(self, case):
         self._assert_front_end_bits(*case)
 
@@ -608,33 +606,30 @@ class TestLinesBlock:
     full box."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_fields_in_omega())
+    @given(case=_fields_inside_omega())
     def test_block_in_block_out_bit_for_bit(self, case):
         op, f = case
         dom = op.domain
         lines = dom.interior_lines
         block = f[lines].copy()
-        want = apply_fractional_laplacian(op, f, in_omega=True)[lines]
-        for in_omega in (False, True):
-            got = apply_fractional_laplacian(op, block, in_omega=in_omega)
-            assert got.shape == block.shape and same_bits(got, want)
+        got = apply_fractional_laplacian(op, block)
+        assert got.shape == block.shape
+        assert same_bits(got, apply_fractional_laplacian(op, f)[lines])
         assert seminorms_sq(op, block[None]) == seminorms_sq(op, f[None])
-        assert seminorms_sq(op, block[None], in_omega=True) == seminorms_sq(op, f[None])
 
     @settings(max_examples=200, deadline=None)
-    @given(case=_fields_in_omega())
+    @given(case=_fields_inside_omega())
     def test_the_transform_hands_out_the_parseval_sum_of_its_spectrum(self, case):
         """A list passed as ``seminorms`` gets ``seminorms_sq`` of the field
-        bit for bit, in both layouts and with or without ``in_omega``, and
-        the result is the one a call without the list gives."""
+        bit for bit, in both layouts, and the result is the one a call
+        without the list gives."""
         op, f = case
         for field in (f, f[op.domain.interior_lines].copy()):
-            for in_omega in (False, True):
-                sq = []
-                got = apply_fractional_laplacian(op, field, in_omega=in_omega, seminorms=sq)
-                assert same_bits(got, apply_fractional_laplacian(op, field, in_omega=in_omega))
-                want = seminorms_sq(op, field[None], in_omega=in_omega)
-                assert np.array(sq).tobytes() == np.array(want).tobytes()
+            sq = []
+            got = apply_fractional_laplacian(op, field, seminorms=sq)
+            assert same_bits(got, apply_fractional_laplacian(op, field))
+            want = seminorms_sq(op, field[None])
+            assert np.array(sq).tobytes() == np.array(want).tobytes()
 
     def test_a_forward_spectrum_is_built_in_one_array(self):
         """On a 3-D 64^3 lines block with m = 2 the transform pair holds at
@@ -656,7 +651,7 @@ class TestLinesBlock:
         assert peak <= half + out.nbytes + 64 * 1024
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_fields_in_omega())
+    @given(case=_fields_inside_omega())
     def test_layout_tells_the_box_from_its_lines_block(self, case):
         op, f = case
         dom = op.domain
