@@ -3,15 +3,19 @@
 Configuration files are flat INI-style text: ``[section]`` headers and
 ``key = value`` lines, with ``#`` comments. Each key's converter is in
 ``_SCHEMA``; each descriptor ``kind(arg=value, ...)`` kind's factory and
-argument defaults are in ``_POTENTIALS``, ``_FAMILIES`` or ``_DATA``; and an
-experiment reads the [experiment] keys among its keyword parameters.
+argument defaults are in ``_POTENTIALS``, ``_FAMILIES`` or ``_DATA``. One
+table, ``_READS``, says which sections and keys each command reads; an
+experiment reads the [experiment] keys among its run's keyword parameters.
 Lists, swept values and descriptor arguments split at top-level commas.
 Unknown sections, keys, kinds and arguments and stray commas are rejected
-at their line, as is a section or key the command does not read. Every
-physical parameter of a simulation, a non-finite one included, is validated
-against the module invariants at its line before any computation starts;
-an [experiment] number must be finite, a library range error names it, and
-an [experiment] name must be the experiment the command runs. An output
+at their line, as is a section or key the command does not read. An error
+about a whole section names its header's line, or, if the section is unread
+and sets a key, that key's line. Every physical parameter of a simulation,
+a non-finite one included, is validated against the module invariants at
+its line before any computation starts; an [experiment] number must be
+finite, and an [experiment] name must be the experiment the command runs.
+``_at_lines`` turns a library range error into an error at the line of the
+first key that carries its parameter (``_PASSED_AS``). An output
 directory that cannot be created, and a negative [run] seed, are errors at
 their line when the config sets them; only certify-potential reads a seed.
 
@@ -24,6 +28,7 @@ Environment: ``ADWAVE_OUT`` overrides the output directory, ``ADWAVE_WORKERS``
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import math
@@ -266,39 +271,35 @@ class RunSpec:
         return self.sections.get(section, {}).get(
             key, _DEFAULTS.get(section, {}).get(key, default))
 
-    def line_of(self, section: str, key: str):
+    def line_of(self, section: str, key: str | None = None):
+        """The line of ``key`` in [``section``], or of the section's header."""
         return self.lines.get((section, key))
 
     def build_domain(self) -> sp.Domain:
         if self.get("domain", "d") is None or self.get("domain", "s") is None:
-            raise ConfigError("[domain] section with keys d and s is required")
+            raise ConfigError("[domain] section with keys d and s is required",
+                              self.line_of("domain"))
         n = self.get("domain", "n", [64.0])
         if not all(v.is_integer() for v in n):
             raise ConfigError(f"invalid [domain]: grid sizes must be integers, got "
                               f"{', '.join(fmt(v) for v in n)}", self.line_of("domain", "n"))
-        try:
-            return sp.Domain(
-                d=self.get("domain", "d"), s=self.get("domain", "s"),
-                omega_extent=_per_axis(self.get("domain", "omega_extent", [1.0])),
-                n=_per_axis([int(v) for v in n]),
-                pad_factor=self.get("domain", "pad_factor"),
-                boundary_mode=self.get("domain", "boundary"))
-        except sp.DomainError as exc:
-            key = "boundary" if exc.field == "boundary_mode" else exc.field
-            # a defaulted pad_factor only fails against the chosen boundary
-            line = self.line_of("domain", key) or self.line_of("domain", "boundary")
-            raise ConfigError(f"invalid [domain]: {exc}", line) from None
+        return _at_lines(self, "domain", sp.Domain,
+                         d=self.get("domain", "d"), s=self.get("domain", "s"),
+                         omega_extent=_per_axis(self.get("domain", "omega_extent", [1.0])),
+                         n=_per_axis([int(v) for v in n]),
+                         pad_factor=self.get("domain", "pad_factor"),
+                         boundary_mode=self.get("domain", "boundary"))
 
     def build(self, section: str):
         """The potential or the family that [``section``] ``kind`` names."""
         desc = self.get(section, "kind")
         if desc is None:
-            raise ConfigError(f"[{section}] kind is required")
+            raise ConfigError(f"[{section}] kind is required", self.line_of(section))
         build = {"potential": build_potential, "family": build_family}[section]
         return build(desc, self.line_of(section, "kind"))
 
     def build_simconfig(self) -> dyn.SimConfig:
-        _checked(self, "simulate", _READS["simulate"])
+        _checked(self, "simulate")
         domain = self.build_domain()
         potential = self.build("potential")
         u0, v0 = (build_data(self.get("data", key, Descriptor("zero", ())), domain,
@@ -307,19 +308,12 @@ class RunSpec:
         u0 = self._scaled("u0", "u0_hs", lambda f, x: dyn.scale_to_hs(op, f, x), u0)
         v0 = self._scaled("v0", "v0_l2", lambda f, x: dyn.scale_to_l2(domain, f, x), v0)
         dt = self.get("simulation", "dt")
-        try:
-            return dyn.SimConfig(
-                domain=domain, potential=potential, T=self.get("simulation", "T", 1.0),
-                dt=None if dt == "auto" else dt, u0=u0, v0=v0,
-                record_every=self.get("simulation", "record_every"),
-                cfl_safety=self.get("simulation", "cfl_safety"),
-                enforce_cfl=self.get("simulation", "enforce_cfl"))
-        except dyn.SimConfigError as exc:
-            section = "data" if exc.field in ("u0", "v0") else "simulation"
-            raise ConfigError(f"invalid [simulation]: {exc}",
-                              self.line_of(section, exc.field)) from None
-        except ValueError as exc:
-            raise ConfigError(f"invalid [simulation]: {exc}") from None
+        return _at_lines(self, "simulation", dyn.SimConfig,
+                         domain=domain, potential=potential, T=self.get("simulation", "T", 1.0),
+                         dt=None if dt == "auto" else dt, u0=u0, v0=v0,
+                         record_every=self.get("simulation", "record_every"),
+                         cfl_safety=self.get("simulation", "cfl_safety"),
+                         enforce_cfl=self.get("simulation", "enforce_cfl"))
 
     def _scaled(self, name: str, key: str, scale, f: np.ndarray) -> np.ndarray:
         """``scale(f, target)`` for [data] ``key``, the target norm of field
@@ -355,6 +349,7 @@ def parse_config(text: str) -> RunSpec:
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             spec.sections.setdefault(section, {})
+            spec.lines.setdefault((section, None), lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
@@ -427,21 +422,49 @@ def _epsilon_convergence(family=None, eps_list=(0.2, 0.1, 0.05, 0.025), T=5.0, n
     return ex.run_epsilon_convergence(family, eps_list, cfg)
 
 
-# command -> {section it reads: the keys it reads there, or None for all}; an
-# experiment's is its ``_Entry.reads``; a sweep reads [sweep], its sub-runs the rest
+def _reads_of(run) -> dict:
+    """The ``_READS`` row of an experiment computed by ``run``."""
+    params = inspect.signature(run).parameters
+    return {"run": ["out"],
+            "experiment": ["name", *(k for k in params if k in _SCHEMA["experiment"])],
+            **({"family": None} if "family" in params else {})}
+
+
+# experiment -> its run, looked up per call, so a patched module attribute is the one run
+_RUNS = {"energy-inequality": lambda: _energy_inequality,
+         "epsilon-convergence": lambda: _epsilon_convergence,
+         "limit-obstruction": lambda: ex.run_limit_obstruction,
+         "small-data": lambda: ex.run_small_data,
+         "dispersion": lambda: ex.run_dispersion_check}
+
+# command -> {section it reads: the keys it reads there, or None for all}; a
+# sweep reads [sweep], and each sub-run what its command reads
 _READS = {"simulate": {**dict.fromkeys(("domain", "potential", "data", "simulation")),
                        "run": ["out"]},
-          "certify-potential": {"family": None, "run": None, "experiment": ["eps_list"]}}
+          "certify-potential": {"family": None, "run": None, "experiment": ["eps_list"]},
+          **{name: _reads_of(run()) for name, run in _RUNS.items()}}
+
+# library parameter -> the config keys that carry its value, tried in order;
+# any other parameter is carried by the key of its own name
+_PASSED_AS = {"boundary_mode": ("boundary",),
+              # a defaulted pad_factor only fails against the chosen boundary
+              "pad_factor": ("pad_factor", "boundary"),
+              "omega_extent": ("omega_extent", "extent", "L"),
+              "eps": ("eps", "eps_list", "family_eps")}
 
 
-def _checked(spec: RunSpec, who: str, reads: dict) -> dict:
+def _checked(spec: RunSpec, command: str) -> dict:
     """``spec``'s [experiment] keys but ``name``, once every section and key
-    it sets is one that ``who`` ``reads`` and every [experiment] number is
-    finite; else the error at the line of the first offending key."""
+    it sets is one that ``command`` reads and every [experiment] number is
+    finite; else the error at the line of the first offending key, or of
+    the header of a section that sets none."""
+    reads = _READS[command]
+    who = f"experiment {command!r}" if command in _RUNS else command
     for section, keys in spec.sections.items():
         if section not in reads:
             raise ConfigError(f"{who} does not read [{section}]",
-                              spec.line_of(section, next(iter(keys), None)))
+                              spec.line_of(section, next(iter(keys), None))
+                              or spec.line_of(section))
         for key in keys:
             if reads[section] is not None and key not in reads[section]:
                 raise ConfigError(f"{who} does not read [{section}] key {key!r}; it reads "
@@ -455,68 +478,43 @@ def _checked(spec: RunSpec, who: str, reads: dict) -> dict:
     return keys
 
 
-# library parameter -> the [experiment] keys whose values reach it under
-# another name; a command reads at most one of them
-_PASSED_AS = {"eps": ("eps", "eps_list", "family_eps")}
-
-
-def _at_lines(spec: RunSpec, run, *args, **kwargs):
-    """``run(*args, **kwargs)``; a library :class:`~adwave.spectral.ParameterError`
-    is an error at the line of the [experiment] key its ``field`` names, or
-    that passes its value on (``family_eps`` and ``eps_list`` pass ``eps``)."""
+def _at_lines(spec: RunSpec, section: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; a library :class:`~adwave.spectral.ParameterError`
+    is an error of [``section``] at the line of the first key, in any
+    section, that carries its ``field`` (``_PASSED_AS``)."""
     try:
-        return run(*args, **kwargs)
+        return call(*args, **kwargs)
     except sp.ParameterError as exc:
-        lines = (spec.line_of("experiment", key)
-                 for key in _PASSED_AS.get(exc.field, (exc.field,)))
-        raise ConfigError(f"invalid [experiment]: {exc}",
+        lines = (spec.line_of(s, key) for key in _PASSED_AS.get(exc.field, (exc.field,))
+                 for s in _SCHEMA)
+        raise ConfigError(f"invalid [{section}]: {exc}",
                           next((n for n in lines if n), None)) from None
 
 
-class _Entry:
-    """The CLI entry ``(spec, out_dir)`` of experiment ``name``, computed by
-    ``run()`` (looked up per call) and written by :func:`adwave.experiments.write`."""
-
-    def __init__(self, name: str, run):
-        self.name, self.run = name, run
-        params = inspect.signature(run()).parameters
-        self.reads = {"run": ["out"],
-                      "experiment": ["name", *(k for k in params if k in _SCHEMA["experiment"])],
-                      **({"family": None} if "family" in params else {})}
-
-    def bind(self, spec: RunSpec):
-        """``spec``'s run, a call that computes its report and writes
-        nothing. Every key and section it sets is checked, and [family]
-        built, before it runs."""
-        keys = _checked(spec, f"experiment {self.name!r}", self.reads)
-        if "family" in spec.sections:
-            keys["family"] = spec.build("family")
-        return lambda: _at_lines(spec, self.run(), **keys)
-
-    def __call__(self, spec: RunSpec, out_dir: str):
-        return ex.write(self.bind(spec)(), out_dir)
-
-
-EXPERIMENTS = {name: _Entry(name, run) for name, run in (
-    ("energy-inequality", lambda: _energy_inequality),
-    ("epsilon-convergence", lambda: _epsilon_convergence),
-    ("limit-obstruction", lambda: ex.run_limit_obstruction),
-    ("small-data", lambda: ex.run_small_data),
-    ("dispersion", lambda: ex.run_dispersion_check),
-)}
-
-
-def _experiment(spec: RunSpec, name: str):
-    """The entry of experiment ``name``; an unknown name, or an [experiment]
-    ``name`` other than ``name``, is an error at the line that sets it."""
+def _bind(spec: RunSpec, name: str):
+    """``spec``'s run of experiment ``name``, a call that computes its report
+    and writes nothing. An unknown name, or an [experiment] ``name`` other
+    than ``name``, is an error at the line that sets it; every key and
+    section ``spec`` sets is checked, and [family] built, before it runs."""
     line = spec.line_of("experiment", "name")
-    if name not in EXPERIMENTS:
+    if name not in _RUNS:
         raise ConfigError(f"unknown experiment {name!r}; known: "
-                          + ", ".join(sorted(EXPERIMENTS)), line)
+                          + ", ".join(sorted(_RUNS)), line)
     if spec.get("experiment", "name", name) != name:
         raise ConfigError(f"[experiment] name = {spec.get('experiment', 'name')} "
                           f"disagrees with the experiment {name!r} to run", line)
-    return EXPERIMENTS[name]
+    keys = _checked(spec, name)
+    if "family" in spec.sections:
+        keys["family"] = spec.build("family")
+    return lambda: _at_lines(spec, "experiment", _RUNS[name](), **keys)
+
+
+def _run_experiment(name: str, spec: RunSpec, out_dir: str):
+    """Experiment ``name`` of ``spec``, computed and written to ``out_dir``."""
+    return ex.write(_bind(spec, name)(), out_dir)
+
+
+EXPERIMENTS = {name: functools.partial(_run_experiment, name) for name in _RUNS}
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +562,7 @@ def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
 
 
 def cmd_experiment(spec: RunSpec, out_dir: str, name: str) -> int:
-    report = _experiment(spec, name)(spec, out_dir)
+    report = _run_experiment(name, spec, out_dir)
     print("\n".join(report.summary_lines()))
     return 0 if report.passed else 1
 
@@ -575,9 +573,9 @@ def cmd_embed_const(d: int, s: float, tol: float) -> int:
 
 
 def cmd_certify(spec: RunSpec, out_dir: str) -> int:
-    eps_list = _checked(spec, "certify-potential", _READS["certify-potential"]).get(
-        "eps_list", [0.4, 0.2, 0.1])
-    cert = _at_lines(spec, pot.certify_family, spec.build("family"), eps_list, seed=spec.seed())
+    eps_list = _checked(spec, "certify-potential").get("eps_list", [0.4, 0.2, 0.1])
+    cert = _at_lines(spec, "experiment", pot.certify_family, spec.build("family"), eps_list,
+                     seed=spec.seed())
     write_csv(os.path.join(out_dir, "certification.csv"),
               ["eps", "sup_W_dist", "sup_grad_dist", "lipschitz", "grad_bound"],
               cert.rows())
@@ -612,7 +610,7 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
     before any sub-run writes: an experiment sweep writes all or nothing."""
     sweep = spec.sections.get("sweep", {})
     if not sweep:
-        raise ConfigError("sweep requires a [sweep] section")
+        raise ConfigError("sweep requires a [sweep] section", spec.line_of("sweep"))
     subs, runs = [], []  # each sub-run's spec and its SimConfig or bound experiment
     for combo in itertools.product(*sweep.values()):
         sub = RunSpec({s: dict(kv) for s, kv in spec.sections.items() if s != "sweep"},
@@ -623,7 +621,7 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
             sub.lines[(section, name)] = spec.line_of("sweep", key)
         name = sub.get("experiment", "name")
         subs.append(sub)
-        runs.append(_experiment(sub, name).bind(sub) if name else sub.build_simconfig())
+        runs.append(_bind(sub, name) if name else sub.build_simconfig())
     runs = _map_ordered(lambda run: run if isinstance(run, dyn.SimConfig) else run(), runs)
     run_dirs = [_made(os.path.join(out_dir, f"run-{i:03d}")) for i in range(len(runs))]
 

@@ -210,8 +210,14 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     nonsmooth base W; trajectories must agree within a Gronwall-style bound
     because neither visits the critical region. If the a-priori certificate
     (the data-only bound) fails to stay below 1, the hypothesis is reported
-    as violated and confinement is not asserted.
+    as violated and confinement is not asserted. A negative or non-finite
+    ``eps1`` or ``eps2`` raises :class:`~adwave.spectral.ParameterError`
+    naming it; zero is zero data.
     """
+    for field, value in (("eps1", eps1), ("eps2", eps2)):
+        if not 0 <= value < math.inf:
+            raise sp.ParameterError(field, f"{field} must be non-negative and finite, "
+                                    f"got {value!r}")
     if family is None:
         family = pot.mollified_family(pot.clipped_quadratic(1.0))
     if family.base.m != 1:

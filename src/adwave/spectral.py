@@ -106,12 +106,14 @@ class DomainError(ParameterError):
     """An invalid :class:`Domain` parameter."""
 
 
-def _as_tuple(value, d: int, kind: type, field: str) -> tuple:
+def _as_tuple(value, d: int, kind: type, field: str, error=ParameterError) -> tuple:
+    """``value`` as ``d`` per-axis values of type ``kind``; a sequence of the
+    wrong length raises ``error`` naming ``field``."""
     if np.isscalar(value):
         return (kind(value),) * d
     out = tuple(kind(v) for v in value)
     if len(out) != d:
-        raise DomainError(field, f"{field}: expected {d} per-axis values, got {len(out)}")
+        raise error(field, f"{field}: expected {d} per-axis values, got {len(out)}")
     return out
 
 
@@ -151,9 +153,9 @@ class Domain:
         if not 0 < self.s < math.inf:
             raise DomainError("s", f"fractional order s must be positive and finite, "
                               f"got {self.s}")
-        object.__setattr__(self, "omega_extent",
-                           _as_tuple(self.omega_extent, self.d, float, "omega_extent"))
-        object.__setattr__(self, "n", _as_tuple(self.n, self.d, int, "n"))
+        object.__setattr__(self, "omega_extent", _as_tuple(
+            self.omega_extent, self.d, float, "omega_extent", DomainError))
+        object.__setattr__(self, "n", _as_tuple(self.n, self.d, int, "n", DomainError))
         if not all(0 < e < math.inf for e in self.omega_extent):
             raise DomainError("omega_extent",
                               "omega_extent must be positive and finite on every axis")

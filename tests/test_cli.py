@@ -729,9 +729,22 @@ class TestWhatEachCommandReads:
          "experiment 'dispersion' does not read [run] key 'seed'; it reads out"),
         ("sweep", MINIMAL + "\n[sweep]\nrun.seed = 1, 2\n", 18,
          "simulate does not read [run] key 'seed'; it reads out"),
+        # an error about a whole section names the line of its header
+        ("simulate", MINIMAL + "\n[family]\n", 17, "simulate does not read [family]"),
+        ("experiment dispersion", "[experiment]\nn = 16\n\n[domain]\n", 4,
+         "experiment 'dispersion' does not read [domain]"),
+        ("simulate", MINIMAL.replace("s = 1.0\n", ""), 1,
+         "[domain] section with keys d and s is required"),
+        ("simulate", MINIMAL.replace("kind = clipped_quadratic(u_star=1.0)\n", ""), 7,
+         "[potential] kind is required"),
+        ("certify-potential", "[experiment]\neps_list = 0.2, 0.1\n\n[family]\n", 4,
+         "[family] kind is required"),
+        ("sweep", MINIMAL + "\n[sweep]\n", 17, "sweep requires a [sweep] section"),
     ], ids=["simulate-family-experiment", "simulate-sweep", "dispersion-domain-sweep",
             "certify-domain", "certify-experiment-T", "certify-eps_list-nan",
-            "simulate-seed", "dispersion-seed", "sweep-dispersion-seed", "swept-seed"])
+            "simulate-seed", "dispersion-seed", "sweep-dispersion-seed", "swept-seed",
+            "simulate-empty-family", "dispersion-defaulted-domain", "domain-without-s",
+            "potential-without-kind", "family-without-kind", "empty-sweep"])
     def test_an_unread_section_or_key_exits_2_at_its_first_key(self, tmp_path, capsys,
                                                               command, text, line, what):
         rc, (out, err) = _run_command(tmp_path, capsys, command, text)
@@ -749,6 +762,19 @@ class TestWhatEachCommandReads:
         assert "name = small-data disagrees with the experiment 'dispersion'" in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_every_key_the_table_names_is_a_key_its_command_reads(self):
+        """Every command has a row, and a renamed config key cannot leave a
+        row, or a library field's carrier, naming a key nobody reads."""
+        assert set(cli._READS) == {"simulate", "certify-potential", *EXPERIMENTS}
+        read = set()
+        for command, reads in cli._READS.items():
+            for section, keys in reads.items():
+                assert set(keys or ()) <= set(cli._SCHEMA[section]), (command, section)
+                read |= {(section, key) for key in keys or cli._SCHEMA[section]}
+        for field, keys in cli._PASSED_AS.items():
+            for key in keys:
+                assert any((section, key) in read for section in cli._SCHEMA), (field, key)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("command, text, line, what", [
         ("experiment energy-inequality", "[experiment]\nn = 16\neps = -1\n", 3,
@@ -765,9 +791,21 @@ class TestWhatEachCommandReads:
          "eps must be positive and finite"),
         ("certify-potential", _TAPER + "[experiment]\neps_list = 3, 0.1\n", 5,
          "taper width must lie in (0, 2), got 3.0"),
+        ("experiment energy-inequality", "[experiment]\nn = 16\nextent = -1\n", 3,
+         "omega_extent must be positive and finite on every axis"),
+        ("experiment epsilon-convergence", "[experiment]\nT = 1\nextent = 0\n", 3,
+         "omega_extent must be positive and finite on every axis"),
+        ("experiment limit-obstruction", "[experiment]\nL = -1\n", 2,
+         "omega_extent must be positive and finite on every axis"),
+        ("experiment small-data", "[experiment]\neps2 = -0.5\n", 2,
+         "eps2 must be non-negative and finite, got -0.5"),
+        ("experiment small-data", "[experiment]\nT = 0.5\neps1 = -0.05\n", 3,
+         "eps1 must be non-negative and finite, got -0.05"),
     ], ids=["energy-inequality-eps", "limit-obstruction-T", "dispersion-n",
             "certify-eps_list-increasing", "small-data-family_eps",
-            "epsilon-convergence-eps_list", "certify-eps_list-member"])
+            "epsilon-convergence-eps_list", "certify-eps_list-member",
+            "energy-inequality-extent", "epsilon-convergence-extent", "limit-obstruction-L",
+            "small-data-eps2", "small-data-eps1"])
     def test_a_library_range_error_names_the_line_of_its_key(
             self, tmp_path, capsys, monkeypatch, workers, command, text, line, what):
         monkeypatch.setenv("ADWAVE_WORKERS", workers)

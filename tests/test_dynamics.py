@@ -37,6 +37,7 @@ from adwave.dynamics import (
     zero_field,
 )
 from adwave.potentials import (
+    C1_UNIFORM,
     clipped_quadratic,
     linear_taper_family,
     mollified_family,
@@ -48,6 +49,7 @@ from adwave.spectral import (
     NEUMANN_1D,
     PERIODIC,
     Domain,
+    DomainError,
     ParameterError,
     apply_fractional_laplacian,
     build_operator,
@@ -359,6 +361,25 @@ class TestStepAgainstFullBoxOracle:
             e = energy(op, W, state)
             kin, ela, adh, total = energy_oracle(op, W, ou, ov)
             assert abs(e.total - total) <= 1e-13 * (abs(kin) + abs(ela) + abs(adh))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_step_cases().filter(lambda case: case[1].regularity == C1_UNIFORM),
+       k=st.integers(1, 8))
+def test_k_steps_back_from_the_negated_velocity_return_to_the_start(case, k):
+    """Kick-drift-kick is time-reversible: k steps, v negated, k steps again
+    give u0 and -v0 to rounding. Only C1 potentials are drawn: at a kink of
+    W a rounding difference can flip the branch that grad W takes."""
+    op, W, dt, start = case
+    scale = max(np.max(np.abs(start.u)), np.max(np.abs(start.v)))
+    state = start
+    for _ in range(k):
+        state = step(state, op, W, dt)
+    state = FieldState(state.u, -state.v)
+    for _ in range(k):
+        state = step(state, op, W, dt)
+    assert np.max(np.abs(state.u - start.u)) <= 1e-12 * scale
+    assert np.max(np.abs(-state.v - start.v)) <= 1e-12 * scale
 
 
 def _bits(values) -> bytes:
@@ -1050,6 +1071,7 @@ class TestDataHelpers:
         with pytest.raises(ParameterError, match=f"{field}: expected 2 per-axis values") as err:
             make(dom, **kwargs)
         assert err.value.field == field
+        assert not isinstance(err.value, DomainError)
 
     def test_scale_to_hs(self):
         dom = dirichlet_domain(n=128)
