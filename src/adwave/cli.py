@@ -526,15 +526,22 @@ def _trajectory_blocks(traj: dyn.Trajectory):
     component innermost, which is the C order of ``u.ravel()``. Each block
     holds one line of the last axis, so a block stays small on any grid, and
     is formatted by one ``%`` over the line's rows, joined at each row's
-    ``t,idx0,...,`` prefix; ``"%.17g" % x`` is fmt(x) for every float."""
+    ``t,idx0,...,`` prefix; ``"%.17g" % x`` is fmt(x) for every float. A
+    line whose values are all +0 (every bit zero, so no -0 or NaN) is joined
+    from a text that already reads ``0``, formatting nothing; the test reads
+    each snapshot's values, since the initial state may hold -0."""
     dom = traj.config.domain
-    m = dom.field_components(traj.states[0].u)
+    m = dom.field_components(traj.config.u0)
     leads = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*dom.n[:-1])]
     parts = ["", *(f"{i},{comp},%.17g\n" for i in range(dom.n[-1]) for comp in range(m))]
+    zeros = ["", *(f"{i},{comp},0\n" for i in range(dom.n[-1]) for comp in range(m))]
     for t, st in zip(traj.times, traj.states):
         head = fmt(t) + ","
-        for lead, line in zip(leads, st.u.reshape(len(leads), -1)):
-            yield (head + lead).join(parts) % tuple(line.tolist())
+        lines = st.u.reshape(len(leads), -1)
+        zero = (~lines.view(np.uint64).any(axis=1)).tolist()
+        for lead, line, is_zero in zip(leads, lines, zero):
+            yield ((head + lead).join(zeros) if is_zero
+                   else (head + lead).join(parts) % tuple(line.tolist()))
 
 
 def _write_trajectory(traj: dyn.Trajectory, out_dir: str):

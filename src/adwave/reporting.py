@@ -97,19 +97,32 @@ class ExperimentReport:
         return lines
 
 
+# characters of text gathered before one write: few calls into the file
+# object, and no more than one batch held at a time
+_BATCH_CHARS = 1 << 18
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence | str]) -> str:
     """Write ``header`` and then ``rows`` to ``path``; return ``path``.
 
     A sequence item is one row, each cell formatted with :func:`fmt`. A
     ``str`` item is text already formatted: one or more complete lines,
-    each ending in ``"\\n"``, written verbatim. Items are written as they
-    come, so a generator of blocks streams a large file.
+    each ending in ``"\\n"``, written verbatim. Items are joined and written
+    in batches of about 256 KiB of text, so a generator of blocks streams a
+    large file with one batch held at a time.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        batch, size = [], 0
         for row in rows:
-            fh.write(row if isinstance(row, str) else ",".join(fmt(x) for x in row) + "\n")
+            text = row if isinstance(row, str) else ",".join(fmt(x) for x in row) + "\n"
+            batch.append(text)
+            size += len(text)
+            if size >= _BATCH_CHARS:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
     return path
 
 

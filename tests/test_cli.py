@@ -168,6 +168,21 @@ _AWKWARD = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300, 2.0,
 
 
 @st.composite
+def _snapshots(draw, shape, line_size, values):
+    """A field of ``shape`` whose grid lines (``line_size`` values each) are
+    often all +0, all -0, or +0 but for one value, so that trajectory.csv's
+    zero-line text and each of its fall-backs are met."""
+    u = draw(arrays(np.float64, shape, elements=values))
+    for line in u.reshape(-1, line_size):
+        kind = draw(st.sampled_from(["drawn", "+0", "-0", "one"]))
+        if kind != "drawn":
+            line[:] = -0.0 if kind == "-0" else 0.0
+        if kind == "one":
+            line[draw(st.integers(0, line_size - 1))] = draw(values)
+    return u
+
+
+@st.composite
 def _trajectories(draw):
     d = draw(st.integers(1, 3))
     n = tuple(draw(st.lists(st.sampled_from([2, 4, 6]), min_size=d, max_size=d)))
@@ -181,8 +196,8 @@ def _trajectories(draw):
                     boundary_mode=PERIODIC)
     config = SimConfig(domain=domain, potential=zero_potential(m), T=1.0, dt=0.5,
                        u0=np.zeros(shape), v0=np.zeros(shape), enforce_cfl=False)
-    states = [FieldState(draw(arrays(np.float64, shape, elements=values)),
-                         np.zeros(shape), t) for t in times]
+    states = [FieldState(draw(_snapshots(shape, n[-1] * m, values)), np.zeros(shape), t)
+              for t in times]
     return Trajectory(config, np.array(times), states,
                       [EnergyBreakdown.of(0.0, 0.0, 0.0)] * len(times))
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,24 @@ class TestCsv:
     def test_written_bytes(self, tmp_path, rows, body):
         path = write_csv(str(tmp_path / "x.csv"), ["t", "i", "s"], iter(rows))
         assert Path(path).read_bytes() == ("t,i,s\n" + body).encode()
+
+    def test_a_long_stream_is_written_without_holding_it(self, tmp_path):
+        """About 16 MiB of blocks pass through while the memory the call
+        allocates peaks below 2 MiB: writes are batched, never gathered whole."""
+        def blocks():
+            for i in range(7400):
+                yield f"{i},{'x' * (i % 61)}\n" * 64
+
+        tracemalloc.start()
+        try:
+            path = write_csv(str(tmp_path / "x.csv"), ["i", "s"], blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = Path(path).read_text()
+        assert len(data) > 15 * 2 ** 20
+        assert data == "i,s\n" + "".join(blocks())
+        assert peak < 2 * 2 ** 20
 
 
 class TestReport:
