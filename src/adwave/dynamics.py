@@ -273,10 +273,11 @@ def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
     transform's own spectrum (see
     :func:`~adwave.spectral.apply_fractional_laplacian`).
     """
-    _, inner = op.domain.layout(u)
+    inner = op.resolve(u).inner
     f = apply_fractional_laplacian(op, u, seminorms=seminorms)
     np.negative(f, out=f)
-    f[inner] -= potential.grad(u[inner])
+    on_omega = f[inner]
+    on_omega -= potential.grad(u[inner])
     return f
 
 
@@ -293,8 +294,8 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     seminorm of the new ``u`` appended, which the second kick's force takes
     from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit.
     """
-    lines, _ = op.domain.layout(state.u)
-    mask = op.domain.projection_mask
+    rec = op.resolve(state.u)
+    lines, mask = rec.lines, rec.mask
     u, v = (state.u[lines], state.v[lines]) if lines else (state.u, state.v)
     vh = force(op, potential, u)
     vh *= 0.5 * dt
@@ -333,7 +334,7 @@ def energies(op: SpectralOperator, potential: Potential, states: list[FieldState
     :func:`step` hands them out, replaces the transform."""
     dom = op.domain
     us, vs = _stacked([st.u for st in states]), _stacked([st.v for st in states])
-    _, inner = dom.layout(us[0])
+    inner = op.resolve(us[0]).inner
     # summed over the full box: over the lines alone, numpy's pairwise sum
     # would group the terms otherwise and change the bits
     kin = row_sums(_placed(vs * vs, (slice(None),) + dom.interior_lines,
@@ -377,8 +378,8 @@ def simulate(config: SimConfig) -> Trajectory:
     :class:`BlowUpError`.
     """
     op = build_operator(config.domain)
-    nsteps = config.nsteps
-    lines = config.domain.interior_lines
+    potential, dt, every = config.potential, config.dt, config.record_every
+    nsteps, lines = config.nsteps, config.domain.interior_lines
     # step never writes into its input, so recorded states need no copies
     state = FieldState(config.u0[lines].copy(), config.v0[lines].copy(), 0.0)
     times, snapshots, recorded = [], [], []  # recorded: the energies evaluated so far
@@ -386,7 +387,7 @@ def simulate(config: SimConfig) -> Trajectory:
 
     def flush(seminorms=None):
         if len(recorded) < len(snapshots):
-            recorded.extend(energies(op, config.potential, snapshots[len(recorded):],
+            recorded.extend(energies(op, potential, snapshots[len(recorded):],
                                      seminorms=seminorms))
 
     def record(st: FieldState, seminorms=None):
@@ -399,16 +400,16 @@ def simulate(config: SimConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         record(state)
         for i in range(1, nsteps + 1):
-            recording = i % config.record_every == 0 or i == nsteps
+            recording = i % every == 0 or i == nsteps
             # a snapshot that stands alone takes its elastic energy from its step
             carried = [] if recording and per_stack == 1 else None
             try:
-                nxt = step(state, op, config.potential, config.dt, seminorms=carried)
+                nxt = step(state, op, potential, dt, seminorms=carried)
             except BlowUpError:
                 flush()
-                t = i * config.dt
+                t = i * dt
                 with np.errstate(all="ignore"):
-                    last = energy(op, config.potential, state).total
+                    last = energy(op, potential, state).total
                 if not math.isfinite(last):
                     last = next((e.total for e in reversed(recorded)
                                  if math.isfinite(e.total)), last)
@@ -416,7 +417,7 @@ def simulate(config: SimConfig) -> Trajectory:
                                   energy=last,
                                   max_abs=float(np.max(np.abs(state.u)))) from None
             state = nxt
-            state.t = i * config.dt
+            state.t = i * dt
             if recording:
                 record(state, carried)
         flush()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -192,7 +193,7 @@ def zero_potential(m: int = 1) -> Potential:
         return np.zeros(np.shape(_radius(y, m)))
 
     def grad(y):
-        return np.zeros(np.shape(np.asarray(y, dtype=float)))
+        return np.zeros(np.shape(y))
 
     return Potential(name="zero()", m=m, value=value, grad=grad, bound=0.0,
                      regularity=C1_UNIFORM, grad_lipschitz=0.0)
@@ -219,6 +220,12 @@ def linear_taper_family() -> RegularizedFamily:
         def grad(u):
             u = np.asarray(u, dtype=float)
             a = np.abs(u)
+            # a field on one piece takes its formula alone (NaN, 0-d input keep the chain)
+            if a.ndim and a.size:
+                if a.max() <= 1.0:
+                    return slope * u
+                if a.min() >= 1.0 + eps:
+                    return np.zeros(u.shape)
             ramp = np.sign(u) * (slope / eps) * (1.0 + eps - a)
             return np.where(a <= 1.0, slope * u,
                             np.where(a < 1.0 + eps, ramp, 0.0))
@@ -319,6 +326,8 @@ class MollifiedProfile:
         self.grad_lipschitz = float(np.max(np.abs(grd2)))
         self._value_pieces = _cubic_pieces(val, grd, step)
         self._grad_pieces = _cubic_pieces(grd, grd2, step)
+        for c in self._value_pieces + self._grad_pieces:
+            c.flags.writeable = False
 
     def _build(self, profile: Profile, u: np.ndarray):
         r = self.radius
@@ -406,7 +415,8 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     family, a base with gradient jumps yields a pointwise-offcritical one
     whose certified gradient region keeps a distance of two kernel radii
     from the critical set. Members keep the base's ``critical_set`` and
-    ``critical_distance``, but not its ``profile``.
+    ``critical_distance``, but not its ``profile``. ``make`` builds each
+    member once, with read-only coefficient arrays, and memoises it.
     """
     if base.profile is None:
         raise ValueError(f"{base.name} exposes no one-dimensional profile to smooth")
@@ -414,6 +424,7 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     if not 0 < ratio < math.inf:
         raise ValueError("kernel_width_ratio must be positive and finite")
 
+    @cache
     def make(eps: float) -> Potential:
         eps = float(eps)
         if not 0 < eps < math.inf:

@@ -62,8 +62,9 @@ operator of one domain shares one instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -237,16 +238,6 @@ class Domain:
         return mask
 
     @cached_property
-    def projection_mask(self) -> np.ndarray | None:
-        """The exterior projection on the lines block: :attr:`interior_mask`
-        at :attr:`interior_lines` in exterior-dirichlet mode; None in the
-        other modes, where Omega is the box and the projection is the
-        identity."""
-        if self.boundary_mode != EXTERIOR_DIRICHLET:
-            return None
-        return self.interior_mask[self.interior_lines]
-
-    @cached_property
     def _layouts(self) -> dict:
         # the scalar shape of each layout -> (lines, interior) within it; the
         # box's entry comes last, so it stands where the block is the box
@@ -297,6 +288,16 @@ class Domain:
             f"(optionally with one trailing component axis)")
 
 
+class Resolved(NamedTuple):
+    """A field layout as steps and transforms read it (:meth:`SpectralOperator.resolve`)."""
+
+    lines: tuple  # Omega's grid lines within the field; () in a lines block
+    inner: tuple  # Omega's interior block within the field
+    lead: tuple | None  # the grid lines the field holds; None: cosine transform
+    symbol: np.ndarray  # the multiplier of the field's spectrum
+    mask: np.ndarray | None  # the projection on the lines block; None: identity
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
     """(-Delta)^s as a multiplier grid over the domain's frequency lattice.
@@ -311,10 +312,29 @@ class SpectralOperator:
 
     domain: Domain
     symbol: np.ndarray
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.symbol.shape != self.domain.n:
             raise GridMismatchError("symbol grid does not match domain grid")
+
+    def resolve(self, f: np.ndarray) -> Resolved:
+        """The layout of the field ``f`` (:meth:`Domain.layout`), resolved
+        on the first call for its shape and looked up on later ones."""
+        rec = self._resolved.get(f.shape)
+        if rec is None:
+            dom = self.domain
+            lines, inner = dom.layout(f)
+            if dom.boundary_mode == NEUMANN_1D:
+                rec = Resolved(lines, inner, None, self.symbol, None)
+            else:  # the Parseval weights too, before any transform (see _spectrum)
+                self.parseval_symbol
+                lead = (slice(None),) * (dom.d - 1) if lines else dom.interior_lines
+                rec = Resolved(lines, inner, lead, self.half_symbol,
+                               None if dom.boundary_mode == PERIODIC
+                               else dom.interior_mask[dom.interior_lines])
+            self._resolved[f.shape] = rec
+        return rec
 
     @cached_property
     def half_symbol(self) -> np.ndarray:
@@ -429,32 +449,26 @@ def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
 
 
 def _spectrum(op: SpectralOperator, fs: np.ndarray, stacked: int,
-              seminorms: list | None) -> tuple[np.ndarray, tuple | None, np.ndarray]:
-    """``(spectrum, lead, symbol)`` of the field ``fs``, or of each field of
-    a stack along its leading axis when ``stacked`` is 1: in neumann-1d mode
-    the orthonormal cosine coefficients, ``lead`` None and ``op.symbol``;
-    otherwise the half spectrum of :func:`_rfft`, the grid lines ``lead``
-    that the field holds and ``op.half_symbol``. The layout picks ``lead``
-    (:meth:`Domain.layout`): a full box holds every line, a lines block
-    Omega's. A list passed as ``seminorms`` gets each field's squared
-    order-s seminorm appended, the Parseval sum of this spectrum."""
+              seminorms: list | None) -> tuple[np.ndarray, Resolved]:
+    """``(spectrum, record)``: the spectrum of the field ``fs``, or of each
+    field of a stack along its leading axis when ``stacked`` is 1, and the
+    :class:`Resolved` record of the field's layout. In neumann-1d mode the
+    spectrum holds the orthonormal cosine coefficients, otherwise the half
+    spectrum of :func:`_rfft` over the record's lines ``lead``. A list passed
+    as ``seminorms`` gets each field's squared order-s seminorm appended,
+    the Parseval sum of this spectrum."""
     fs = np.asarray(fs, dtype=float)
-    dom = op.domain
-    lines, _ = dom.layout(fs[0] if stacked else fs)
-    if dom.boundary_mode == NEUMANN_1D:
-        spec, lead, sym = _pocketfft.dct(fs, 2, (stacked,), 1, None, 1), None, op.symbol
+    # resolved before the transform: a first resolve builds the long-lived
+    # symbol copies, which would otherwise land among the transform's temporaries
+    # and keep the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
+    rec = op.resolve(fs[0] if stacked else fs)
+    if rec.lead is None:
+        spec = _pocketfft.dct(fs, 2, (stacked,), 1, None, 1)
     else:
-        # read before the transform: a first read builds these long-lived
-        # copies, which would otherwise land among the transform's temporaries
-        # and keep the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
-        sym = op.half_symbol
-        if seminorms is not None:
-            op.parseval_symbol
-        lead = (slice(None),) * (dom.d - 1) if lines else dom.interior_lines
-        spec = _rfft(fs, lead, dom.n, stacked)
+        spec = _rfft(fs, rec.lead, op.domain.n, stacked)
     if seminorms is not None:
         seminorms.extend(_parseval_sums(op, spec if stacked else spec[None]))
-    return spec, lead, sym
+    return spec, rec
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
@@ -471,11 +485,11 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     the symbol multiplies it: ``seminorms_sq(op, f[None])[0]`` bit for bit,
     with no transform of its own.
     """
-    fhat, lead, sym = _spectrum(op, f, 0, seminorms)
-    _times_grid(fhat, sym, out=fhat)
-    if lead is None:  # the inverse of the orthonormal type-2 transform is type 3
+    fhat, rec = _spectrum(op, f, 0, seminorms)
+    _times_grid(fhat, rec.symbol, out=fhat)
+    if rec.lead is None:  # the inverse of the orthonormal type-2 transform is type 3
         return _pocketfft.dct(fhat, 3, (0,), 1, None, 1)
-    return _irfft(fhat, lead, op.domain.n)
+    return _irfft(fhat, rec.lead, op.domain.n)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
@@ -520,16 +534,19 @@ def _parseval_sums(op: SpectralOperator, spec: np.ndarray) -> list[float]:
     """Squared order-s seminorm of each field of a stack from the stack's
     spectrum ``spec``, stack axis first: the half spectrum of :func:`_rfft`
     weighted by ``op.parseval_symbol``, or in neumann-1d mode the
-    orthonormal cosine coefficients weighted by ``op.symbol``. Takes at
-    most two real temporaries of the spectrum's size."""
+    orthonormal cosine coefficients weighted by ``op.symbol``. Takes one
+    real temporary of the spectrum's size."""
     dom = op.domain
     if dom.boundary_mode == NEUMANN_1D:
         terms = _times_grid(spec, op.symbol, stacked=1)
         terms *= spec
         scale = dom.cell_volume
     else:
-        terms = spec.real ** 2
-        terms += spec.imag ** 2
+        # imag^2 in 256 KiB slabs: one temporary of its size is 2.2 MB at 3-D 64^3, m = 2
+        terms, k = spec.real ** 2, 1 << 15
+        flat, imag = terms.reshape(-1), spec.imag.reshape(-1)
+        for i in range(0, flat.size, k):
+            flat[i:i + k] += imag[i:i + k] ** 2
         _times_grid(terms, op.parseval_symbol, stacked=1, out=terms)
         scale = dom.cell_volume / math.prod(dom.n)
     return [float(x) * scale for x in row_sums(terms)]

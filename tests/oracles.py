@@ -280,6 +280,22 @@ def same_bits(got, want) -> bool:
             and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
 
 
+def taper_grad_oracle(eps: float):
+    """grad of ``linear_taper_family().make(eps)`` as one ``where`` chain
+    over every point, whichever pieces the field occupies: (2 - eps) u on
+    |u| <= 1, the ramp down to 0 on 1 < |u| < 1 + eps, +0 elsewhere (NaN
+    included)."""
+    slope = 2.0 - eps
+
+    def grad(u):
+        u = np.asarray(u, dtype=float)
+        a = np.abs(u)
+        ramp = np.sign(u) * (slope / eps) * (1.0 + eps - a)
+        return np.where(a <= 1.0, slope * u, np.where(a < 1.0 + eps, ramp, 0.0))
+
+    return grad
+
+
 def grid_product_oracle(f, grid, stacked: int = 0):
     """``f * grid`` in one broadcast product, for ``f`` holding ``stacked``
     stack axes, then ``grid``'s axes, then perhaps one component axis, over

@@ -2,7 +2,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -382,6 +382,27 @@ def test_k_steps_back_from_the_negated_velocity_return_to_the_start(case, k):
     assert np.max(np.abs(-state.v - start.v)) <= 1e-12 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_step_cases().filter(
+    lambda case: case[1].name.split("(")[0] in ("clipped_quadratic", "linear_taper", "ball")),
+       steps=st.integers(1, 6))
+def test_negated_data_give_the_negated_run_and_the_same_energies(case, steps):
+    """W is even and the transforms, kicks and projection commute with
+    negation exactly, so (-u0, -v0) gives -u(t) and -v(t), equal to the
+    last bit but for the sign of a zero, and the same energies bit for
+    bit. A mollified member misses this by rounding: its lattice is not
+    symmetric about 0."""
+    op, W, dt, state = case
+    plus, minus = (simulate(SimConfig(domain=op.domain, potential=W, T=steps * dt, dt=dt,
+                                      u0=sign * state.u, v0=sign * state.v, record_every=1,
+                                      enforce_cfl=False))
+                   for sign in (1.0, -1.0))
+    for a, b in zip(plus.states, minus.states):
+        assert np.array_equal(b.u, -a.u) and np.array_equal(b.v, -a.v)
+    assert _bits([astuple(e) for e in minus.energies]) == \
+        _bits([astuple(e) for e in plus.energies])
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -477,6 +498,30 @@ class TestLinesBlock:
         assert blocks * 4 < len(traj.times) * 2 * u0.nbytes
         assert blocks <= held < blocks + u0.nbytes // 2
         assert traj.states[-1].u.shape == u0.shape
+
+    def test_a_3d_vector_run_peaks_near_two_spectra_above_what_it_keeps(self):
+        """On a 3-D 64^3, m = 2 run, the memory a run allocates beyond the
+        snapshots it keeps peaks at about two half spectra (the step's
+        spectrum and the Parseval terms of a record step), not at a third
+        temporary of the terms' size (2.46 spectra)."""
+        dom = Domain(d=3, s=1.0, omega_extent=2 * np.pi, n=64, pad_factor=2.0)
+        W = mollified_family(ball_potential(2)).make(0.1)
+        bump = bump_field(dom, 1.3)
+        u0 = np.stack([bump, 0.6 * bump], axis=-1)
+        dt = fitted_dt(1.0, 0.9 * stability_limit(build_operator(dom), W))
+        cfg = SimConfig(domain=dom, potential=W, T=1.0, dt=dt, u0=u0,
+                        v0=np.zeros_like(u0), record_every=2)
+        simulate(cfg)  # builds the operator's and the domain's cached arrays
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = simulate(cfg)
+            held, peak = (x - before for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        spectrum = 16 * 64 * 64 * 33 * 2  # bytes: complex half spectrum, m = 2
+        assert held >= len(traj.times) * 2 * u0[dom.interior_lines].nbytes
+        assert peak - held < 2.25 * spectrum
 
 
 class TestStackedEvaluation:
@@ -601,6 +646,30 @@ class TestCarriedSeminorm:
             traj = simulate(cfg)
         assert all(c.kwargs["seminorms"] is None for c in steps.call_args_list)
         assert transforms.call_count == -(-len(traj.times) // stack_size(traj.states[0]))
+
+
+class TestTracePatchPoints:
+    """A tracer wraps the module attributes that callers look up; a 1-D
+    run, where a step costs its calls, must still call each of them."""
+
+    @pytest.mark.parametrize("mode", [PERIODIC, NEUMANN_1D, EXTERIOR_DIRICHLET])
+    def test_a_1d_run_calls_every_patch_point_on_every_step(self, mode):
+        dom = Domain(d=1, s=1.0 if mode == NEUMANN_1D else 0.75, omega_extent=2.0, n=32,
+                     pad_factor=2.0 if mode == EXTERIOR_DIRICHLET else 1.0,
+                     boundary_mode=mode)
+        member = linear_taper_family().make(0.2)
+        grads = mock.Mock(wraps=member.grad)
+        cfg = SimConfig(domain=dom, potential=replace(member, grad=grads), T=1.0, dt=None,
+                        u0=bump_field(dom, 1.1), v0=zero_field(dom), record_every=3)
+        with mock.patch.object(dynamics, "step", wraps=dynamics.step) as steps, \
+                mock.patch.object(dynamics, "force", wraps=dynamics.force) as forces, \
+                mock.patch.object(dynamics, "apply_fractional_laplacian",
+                                  wraps=dynamics.apply_fractional_laplacian) as transforms:
+            traj = simulate(cfg)
+        assert steps.call_count == cfg.nsteps == round(traj.times[-1] / cfg.dt)
+        assert forces.call_count == transforms.call_count == grads.call_count == 2 * cfg.nsteps
+        # a step that records nothing calls force with three positional arguments
+        assert all(len(c.args) == 3 and not c.kwargs for c in forces.call_args_list)
 
 
 class TestSimConfig:

@@ -3,12 +3,14 @@ import json
 import math
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from adwave import cli
 from adwave import experiments as ex
+from adwave import potentials
 from adwave.dynamics import SimConfig, bump_field, stability_limit, zero_field
 from adwave.experiments import (
     fitted_dt,
@@ -94,10 +96,15 @@ class TestEpsilonConvergence:
                          record_every=4)
 
     def test_distances_decrease(self, tmp_path):
+        """Consecutive run distances decrease, and the config, the
+        certification and the runs build each member once between them."""
         family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
         eps_list = [0.2, 0.1, 0.05, 0.025]
-        cfg = self.make_config(family, eps_list)
-        rep = ex.write(run_epsilon_convergence(family, eps_list, cfg), str(tmp_path))
+        with mock.patch.object(potentials, "MollifiedProfile",
+                               wraps=potentials.MollifiedProfile) as builds:
+            cfg = self.make_config(family, eps_list)
+            rep = ex.write(run_epsilon_convergence(family, eps_list, cfg), str(tmp_path))
+        assert builds.call_count == len(eps_list)
         assert rep.passed
         dists = rep.series["l2_cauchy_dist"]
         assert all(b < a for a, b in zip(dists[:-2], dists[1:-1]))

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adwave import potentials
 from adwave.potentials import (
     C1_UNIFORM,
     DISCONTINUOUS_GRAD,
@@ -28,6 +30,7 @@ from oracles import (
     radial_grad_oracle,
     radius_oracle,
     same_bits,
+    taper_grad_oracle,
 )
 
 
@@ -155,6 +158,24 @@ class TestNonnegativityAndBounds:
         assert float(np.max(W.grad_norm(pts))) <= W.bound + 1e-12
 
 
+@st.composite
+def _taper_fields(draw):
+    """``(eps, u)``: a field of one piece of the taper member's gradient or
+    of several, with the knots, +-0, NaN and +-inf mixed in or not, from
+    0-d to 2-D, empty ones included."""
+    eps = draw(st.floats(0.01, 1.99))
+    edge = 1.0 + eps
+    pieces = [st.floats(-1.0, 1.0),
+              st.floats(1.0, edge) | st.floats(-edge, -1.0),
+              st.floats(min_value=edge) | st.floats(max_value=-edge)]
+    elements = draw(st.sampled_from(pieces + [st.one_of(pieces)]))
+    if draw(st.booleans()):
+        elements |= st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                     1.0, -1.0, edge, -edge])
+    shape = draw(st.sampled_from([(), (0,), (1,), (5,), (64,), (3, 4), (0, 2)]))
+    return eps, draw(arrays(np.float64, shape, elements=elements, fill=st.nothing()))
+
+
 class TestLinearTaperFamily:
     def test_member_gradient_values(self):
         W = linear_taper_family().make(0.5)
@@ -212,6 +233,27 @@ class TestLinearTaperFamily:
         fam = linear_taper_family()
         for eps in (5e-5, 1e-5):
             assert fam.make(eps).grad(1.0001) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_taper_fields())
+    @example(case=(0.2, np.array([0.5, 1.1])))
+    @example(case=(0.2, np.array([1.1, -1.15])))
+    @example(case=(0.2, np.array([1.2, 1.2, 1.1])))
+    @example(case=(0.2, np.full(3, 1.2)))
+    @example(case=(0.2, np.array(1.1)))
+    @example(case=(0.2, np.empty((0, 3))))
+    def test_gradient_is_the_where_chain_bit_for_bit(self, case):
+        """A field wholly on the linear or the zero piece takes that piece's
+        formula alone; on every field, one piece or several, the gradient
+        is the ``where`` chain's bit for bit (+-0, NaN -> +0, +-inf, the
+        knots 1 and 1 + eps), and 0-d and empty input come back as the
+        chain's ndarray."""
+        eps, u = case
+        with np.errstate(over="ignore"):  # the ramp of |u| near the largest float
+            got = linear_taper_family().make(eps).grad(u)
+            want = taper_grad_oracle(eps)(u)
+        assert type(got) is type(want) is np.ndarray
+        assert same_bits(got, want)
 
 
 class TestMollifiedFamily:
@@ -278,6 +320,23 @@ class TestMollifiedFamily:
         W = fam.make(0.1)
         u = np.linspace(-0.8, 0.8, 801)
         assert np.max(np.abs(W.grad(u) - 2.0 * u)) <= 1e-12
+
+    def test_make_builds_each_member_once_per_family(self):
+        """A repeated eps hands out the member built first, whose Horner
+        coefficients are read-only; another family builds its own."""
+        fam = mollified_family(clipped_quadratic(1.0))
+        with mock.patch.object(potentials, "MollifiedProfile",
+                               wraps=MollifiedProfile) as builds:
+            W = fam.make(0.1)
+            assert fam.make(0.1) is W and fam.make(np.float64(0.1)) is W
+            assert fam.make(0.05) is not W
+            other = mollified_family(clipped_quadratic(1.0)).make(0.1)
+        assert builds.call_count == 3 and other is not W
+        prof = W.grad.__self__
+        for c in prof._value_pieces + prof._grad_pieces:
+            assert not c.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            prof._grad_pieces[0][0] = 0.0
 
     def test_members_keep_the_critical_set_but_not_the_profile(self):
         base = ball_potential(2)
