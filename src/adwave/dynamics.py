@@ -273,7 +273,7 @@ def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
     transform's own spectrum (see
     :func:`~adwave.spectral.apply_fractional_laplacian`).
     """
-    inner = op.resolve(u).inner
+    inner = op.domain.layout(u).inner
     f = apply_fractional_laplacian(op, u, seminorms=seminorms)
     np.negative(f, out=f)
     on_omega = f[inner]
@@ -294,8 +294,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     seminorm of the new ``u`` appended, which the second kick's force takes
     from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit.
     """
-    rec = op.resolve(state.u)
-    lines, mask = rec.lines, rec.mask
+    lines, _, _, mask = op.domain.layout(state.u)
     u, v = (state.u[lines], state.v[lines]) if lines else (state.u, state.v)
     vh = force(op, potential, u)
     vh *= 0.5 * dt
@@ -334,7 +333,7 @@ def energies(op: SpectralOperator, potential: Potential, states: list[FieldState
     :func:`step` hands them out, replaces the transform."""
     dom = op.domain
     us, vs = _stacked([st.u for st in states]), _stacked([st.v for st in states])
-    inner = op.resolve(us[0]).inner
+    inner = dom.layout(us[0]).inner
     # summed over the full box: over the lines alone, numpy's pairwise sum
     # would group the terms otherwise and change the bits
     kin = row_sums(_placed(vs * vs, (slice(None),) + dom.interior_lines,

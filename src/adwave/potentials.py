@@ -220,12 +220,10 @@ def linear_taper_family() -> RegularizedFamily:
         def grad(u):
             u = np.asarray(u, dtype=float)
             a = np.abs(u)
-            # a field on one piece takes its formula alone (NaN, 0-d input keep the chain)
-            if a.ndim and a.size:
-                if a.max() <= 1.0:
-                    return slope * u
-                if a.min() >= 1.0 + eps:
-                    return np.zeros(u.shape)
+            # a field wholly on the zero piece, like the flat states 1 + eps,
+            # takes +0 alone (NaN, 0-d and empty input keep the chain)
+            if a.ndim and a.size and a.min() >= 1.0 + eps:
+                return np.zeros(u.shape)
             ramp = np.sign(u) * (slope / eps) * (1.0 + eps - a)
             return np.where(a <= 1.0, slope * u,
                             np.where(a < 1.0 + eps, ramp, 0.0))
@@ -424,11 +422,14 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     if not 0 < ratio < math.inf:
         raise ValueError("kernel_width_ratio must be positive and finite")
 
-    @cache
     def make(eps: float) -> Potential:
         eps = float(eps)
         if not 0 < eps < math.inf:
             raise ParameterError("eps", "eps must be positive and finite")
+        return member(eps)
+
+    @cache
+    def member(eps: float) -> Potential:
         prof = MollifiedProfile(base.profile, eps * ratio)
         value, grad = _radial(prof, base.m)
         return Potential(

@@ -62,7 +62,7 @@ operator of one domain shares one instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -116,6 +116,15 @@ def _as_tuple(value, d: int, kind: type, field: str, error=ParameterError) -> tu
     if len(out) != d:
         raise error(field, f"{field}: expected {d} per-axis values, got {len(out)}")
     return out
+
+
+class Layout(NamedTuple):
+    """A field's layout as steps and transforms read it (:meth:`Domain.layout`)."""
+
+    lines: tuple  # Omega's grid lines within the field; () in a lines block
+    inner: tuple  # Omega's interior block within the field
+    lead: tuple | None  # the grid lines the field holds; None: cosine transform
+    mask: np.ndarray | None  # the exterior projection on the lines block; None: identity
 
 
 @dataclass(frozen=True)
@@ -239,19 +248,23 @@ class Domain:
 
     @cached_property
     def _layouts(self) -> dict:
-        # the scalar shape of each layout -> (lines, interior) within it; the
-        # box's entry comes last, so it stands where the block is the box
+        # the scalar shape of each layout -> its Layout; the box's entry
+        # comes last, so it stands where the block is the box
         block = tuple(len(range(*sl.indices(m))) for sl, m in
                       zip(self.interior_lines, self.n)) + self.n[-1:]
-        return {block: ((), (slice(None),) * (self.d - 1) + self.interior[-1:]),
-                self.n: (self.interior_lines, self.interior)}
+        whole = (slice(None),) * (self.d - 1)
+        cosine = self.boundary_mode == NEUMANN_1D
+        mask = (self.interior_mask[self.interior_lines]
+                if self.boundary_mode == EXTERIOR_DIRICHLET else None)
+        return {block: Layout((), whole + self.interior[-1:],
+                              None if cosine else self.interior_lines, mask),
+                self.n: Layout(self.interior_lines, self.interior, None if cosine else whole, mask)}
 
-    def layout(self, f: np.ndarray) -> tuple[tuple, tuple]:
-        """``(lines, interior)``: the indices of Omega's grid lines and of
-        its interior block within the field ``f``, which comes in one of
-        two layouts, each with an optional trailing component axis: the
-        full box, or its lines block ``f[interior_lines]``, where ``lines``
-        is ``()``. The shape tells them apart, since in exterior-dirichlet
+    def layout(self, f: np.ndarray) -> Layout:
+        """The :class:`Layout` of the field ``f``, which comes in one of two
+        layouts, each with an optional trailing component axis: the full
+        box, or its lines block ``f[interior_lines]``, where ``lines`` is
+        ``()``. The shape tells them apart, since in exterior-dirichlet
         mode index 0 of every axis lies outside Omega; in the other modes,
         and at d = 1, the block is the box. Any other shape raises
         :class:`GridMismatchError`."""
@@ -288,16 +301,6 @@ class Domain:
             f"(optionally with one trailing component axis)")
 
 
-class Resolved(NamedTuple):
-    """A field layout as steps and transforms read it (:meth:`SpectralOperator.resolve`)."""
-
-    lines: tuple  # Omega's grid lines within the field; () in a lines block
-    inner: tuple  # Omega's interior block within the field
-    lead: tuple | None  # the grid lines the field holds; None: cosine transform
-    symbol: np.ndarray  # the multiplier of the field's spectrum
-    mask: np.ndarray | None  # the projection on the lines block; None: identity
-
-
 @dataclass(frozen=True)
 class SpectralOperator:
     """(-Delta)^s as a multiplier grid over the domain's frequency lattice.
@@ -312,29 +315,10 @@ class SpectralOperator:
 
     domain: Domain
     symbol: np.ndarray
-    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.symbol.shape != self.domain.n:
             raise GridMismatchError("symbol grid does not match domain grid")
-
-    def resolve(self, f: np.ndarray) -> Resolved:
-        """The layout of the field ``f`` (:meth:`Domain.layout`), resolved
-        on the first call for its shape and looked up on later ones."""
-        rec = self._resolved.get(f.shape)
-        if rec is None:
-            dom = self.domain
-            lines, inner = dom.layout(f)
-            if dom.boundary_mode == NEUMANN_1D:
-                rec = Resolved(lines, inner, None, self.symbol, None)
-            else:  # the Parseval weights too, before any transform (see _spectrum)
-                self.parseval_symbol
-                lead = (slice(None),) * (dom.d - 1) if lines else dom.interior_lines
-                rec = Resolved(lines, inner, lead, self.half_symbol,
-                               None if dom.boundary_mode == PERIODIC
-                               else dom.interior_mask[dom.interior_lines])
-            self._resolved[f.shape] = rec
-        return rec
 
     @cached_property
     def half_symbol(self) -> np.ndarray:
@@ -449,26 +433,29 @@ def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
 
 
 def _spectrum(op: SpectralOperator, fs: np.ndarray, stacked: int,
-              seminorms: list | None) -> tuple[np.ndarray, Resolved]:
-    """``(spectrum, record)``: the spectrum of the field ``fs``, or of each
-    field of a stack along its leading axis when ``stacked`` is 1, and the
-    :class:`Resolved` record of the field's layout. In neumann-1d mode the
-    spectrum holds the orthonormal cosine coefficients, otherwise the half
-    spectrum of :func:`_rfft` over the record's lines ``lead``. A list passed
-    as ``seminorms`` gets each field's squared order-s seminorm appended,
-    the Parseval sum of this spectrum."""
+              seminorms: list | None) -> tuple[np.ndarray, tuple | None, np.ndarray]:
+    """``(spectrum, lead, symbol)`` of the field ``fs``, or of each field of
+    a stack along its leading axis when ``stacked`` is 1: in neumann-1d mode
+    the orthonormal cosine coefficients, ``lead`` None and ``op.symbol``;
+    otherwise the half spectrum of :func:`_rfft`, the grid lines ``lead``
+    that the field holds (:meth:`Domain.layout`) and ``op.half_symbol``.
+    A list passed as ``seminorms`` gets each field's squared order-s
+    seminorm appended, the Parseval sum of this spectrum."""
     fs = np.asarray(fs, dtype=float)
-    # resolved before the transform: a first resolve builds the long-lived
-    # symbol copies, which would otherwise land among the transform's temporaries
-    # and keep the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
-    rec = op.resolve(fs[0] if stacked else fs)
-    if rec.lead is None:
-        spec = _pocketfft.dct(fs, 2, (stacked,), 1, None, 1)
+    lead = op.domain.layout(fs[0] if stacked else fs).lead
+    if lead is None:
+        spec, sym = _pocketfft.dct(fs, 2, (stacked,), 1, None, 1), op.symbol
     else:
-        spec = _rfft(fs, rec.lead, op.domain.n, stacked)
+        # read before the transform: a first read builds these long-lived
+        # copies, which would otherwise land among the transform's temporaries
+        # and keep the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
+        sym = op.half_symbol
+        if seminorms is not None:
+            op.parseval_symbol
+        spec = _rfft(fs, lead, op.domain.n, stacked)
     if seminorms is not None:
         seminorms.extend(_parseval_sums(op, spec if stacked else spec[None]))
-    return spec, rec
+    return spec, lead, sym
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
@@ -485,11 +472,11 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     the symbol multiplies it: ``seminorms_sq(op, f[None])[0]`` bit for bit,
     with no transform of its own.
     """
-    fhat, rec = _spectrum(op, f, 0, seminorms)
-    _times_grid(fhat, rec.symbol, out=fhat)
-    if rec.lead is None:  # the inverse of the orthonormal type-2 transform is type 3
+    fhat, lead, sym = _spectrum(op, f, 0, seminorms)
+    _times_grid(fhat, sym, out=fhat)
+    if lead is None:  # the inverse of the orthonormal type-2 transform is type 3
         return _pocketfft.dct(fhat, 3, (0,), 1, None, 1)
-    return _irfft(fhat, rec.lead, op.domain.n)
+    return _irfft(fhat, lead, op.domain.n)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:

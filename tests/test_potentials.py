@@ -243,8 +243,8 @@ class TestLinearTaperFamily:
     @example(case=(0.2, np.array(1.1)))
     @example(case=(0.2, np.empty((0, 3))))
     def test_gradient_is_the_where_chain_bit_for_bit(self, case):
-        """A field wholly on the linear or the zero piece takes that piece's
-        formula alone; on every field, one piece or several, the gradient
+        """A field wholly on the zero piece takes +0 alone; on every field,
+        one piece or several, the gradient
         is the ``where`` chain's bit for bit (+-0, NaN -> +0, +-inf, the
         knots 1 and 1 + eps), and 0-d and empty input come back as the
         chain's ndarray."""
@@ -322,13 +322,15 @@ class TestMollifiedFamily:
         assert np.max(np.abs(W.grad(u) - 2.0 * u)) <= 1e-12
 
     def test_make_builds_each_member_once_per_family(self):
-        """A repeated eps hands out the member built first, whose Horner
+        """A repeated eps, whether a float, a numpy scalar, a 0-d array or a
+        keyword, hands out the member built first, whose Horner
         coefficients are read-only; another family builds its own."""
         fam = mollified_family(clipped_quadratic(1.0))
         with mock.patch.object(potentials, "MollifiedProfile",
                                wraps=MollifiedProfile) as builds:
             W = fam.make(0.1)
             assert fam.make(0.1) is W and fam.make(np.float64(0.1)) is W
+            assert fam.make(np.array(0.1)) is W and fam.make(eps=0.1) is W
             assert fam.make(0.05) is not W
             other = mollified_family(clipped_quadratic(1.0)).make(0.1)
         assert builds.call_count == 3 and other is not W

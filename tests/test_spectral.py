@@ -655,9 +655,14 @@ class TestLinesBlock:
     def test_layout_tells_the_box_from_its_lines_block(self, case):
         op, f = case
         dom = op.domain
-        assert dom.layout(f) == (dom.interior_lines, dom.interior)
+        assert dom.layout(f)[:2] == (dom.interior_lines, dom.interior)
         block = f[dom.interior_lines]
-        lines, inner = dom.layout(block)
+        lines, inner, lead, mask = dom.layout(block)
+        if lead is not None:  # a lines block holds Omega's lines, the box every line
+            assert lead == dom.interior_lines
+            assert dom.layout(f).lead == (slice(None),) * (dom.d - 1)
+        if mask is not None:
+            assert np.array_equal(mask, dom.interior_mask[dom.interior_lines])
         assert np.array_equal(block[lines][inner], f[dom.interior])
         if block.shape != f.shape:
             assert lines == () and all(a < b for a, b in zip(block.shape, dom.n[:-1]))
