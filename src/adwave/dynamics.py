@@ -6,6 +6,12 @@ position update is followed by the exterior projection and the second kick
 uses the projected state, which makes the map identical to plain Verlet on
 the constrained subspace: it stays symplectic there, exactly
 time-reversible, and keeps every recorded snapshot supported in Omega.
+The blow-up check reads the new v alone, after the second kick: a
+non-finite value anywhere in the new u makes the second force's zero
+frequency NaN (the symbol is 0 there), which the inverse transform adds
+into every v. ``bound`` caps |grad W|, so ``force`` makes no ``grad`` call
+for a bound-0 potential such as the free wave's: subtracting +0 would
+leave every bit as it is, -0 and NaN included.
 
 Exterior contract: u vanishes outside Omega: it is +0 or -0 at every point
 off ``domain.interior_mask``, a set that is empty unless the mode is
@@ -23,11 +29,9 @@ A state comes in either of two layouts (:meth:`Domain.layout`): the full
 box, or its lines block ``u[domain.interior_lines]``, which is all a state
 that vanishes off those lines needs. ``step``, ``force`` and ``energies``
 take either and return the layout they were given. :func:`simulate`
-advances and records the lines block, so a 3-D 64^3 snapshot with pad 2
-takes 0.47 MiB per scalar field instead of 2 MiB (0.94 MiB instead of
-4 MiB at m = 2), and :attr:`Trajectory.states` expands a snapshot to the
-full box only when it is read. In periodic and neumann-1d mode, and at
-d = 1, the block is the box.
+advances and records the lines block, and :attr:`Trajectory.states`
+expands a snapshot to the full box only when it is read. In periodic and
+neumann-1d mode, and at d = 1, the block is the box.
 
 Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
 (u, v): :func:`energies` takes a stack's energies with one transform, one
@@ -268,16 +272,16 @@ def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
     alone, since W acts on Omega only. Returns a new array in ``u``'s
     layout that the caller may overwrite. For a ``u`` that vanishes off
     Omega's grid lines the block's force equals the full box's on them bit
-    for bit. A list passed as ``seminorms``
-    gets the squared order-s seminorm of ``u`` appended, from the
-    transform's own spectrum (see
+    for bit. A list passed as ``seminorms`` gets the squared order-s
+    seminorm of ``u`` appended, from the transform's own spectrum (see
     :func:`~adwave.spectral.apply_fractional_laplacian`).
     """
-    inner = op.domain.layout(u).inner
     f = apply_fractional_laplacian(op, u, seminorms=seminorms)
     np.negative(f, out=f)
-    on_omega = f[inner]
-    on_omega -= potential.grad(u[inner])
+    if potential.bound:  # else grad W is +0, and f - (+0) is f bit for bit
+        inner = op.domain.layout(u).inner
+        on_omega = f[inner]
+        on_omega -= potential.grad(u[inner])
     return f
 
 
@@ -287,7 +291,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
 
     ``state`` holds full boxes or lines blocks (:meth:`Domain.layout`), and
     the new state comes in the same layout. The kicks, the drift, the
-    projection and the finite check run on Omega's grid lines
+    projection and the finite check of the new v run on Omega's grid lines
     ``[domain.interior_lines]`` only, whatever values ``force`` returns off
     them; a full-box new state holds +0 off those lines. ``state`` is not
     written to. A list passed as ``seminorms`` gets the squared order-s
@@ -310,7 +314,7 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     v1 += vh
     if mask is not None:
         _times_grid(v1, mask, out=v1)
-    if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
+    if not np.logical_and.reduce(np.isfinite(v1), axis=None):
         raise BlowUpError("non-finite field values during time step")
     if lines:  # a full box
         u1, v1 = _placed(u1, lines, state.u.shape), _placed(v1, lines, state.u.shape)
@@ -341,9 +345,9 @@ def energies(op: SpectralOperator, potential: Potential, states: list[FieldState
     ela = seminorms_sq(op, us) if seminorms is None else seminorms
     adh = row_sums(potential.value(us[(slice(None),) + inner]))
     cv = dom.cell_volume
-    return [EnergyBreakdown.of(0.5 * math.sqrt(float(k) * cv) ** 2,
-                               0.5 * math.sqrt(max(e, 0.0)) ** 2, float(a) * cv)
-            for k, e, a in zip(kin, ela, adh)]
+    return [EnergyBreakdown.of(0.5 * math.sqrt(k * cv) ** 2,
+                               0.5 * math.sqrt(max(e, 0.0)) ** 2, a * cv)
+            for k, e, a in zip(kin.tolist(), ela, adh.tolist())]
 
 
 def _stacked(fields: list[np.ndarray]) -> np.ndarray:

@@ -190,7 +190,8 @@ def zero_potential(m: int = 1) -> Potential:
     """W identically 0; turns the dynamics into the free fractional wave."""
 
     def value(y):
-        return np.zeros(np.shape(_radius(y, m)))
+        shape = np.shape(y)  # drops the component axis of m >= 2
+        return np.zeros(shape if m == 1 else shape[:-1])
 
     def grad(y):
         return np.zeros(np.shape(y))
@@ -222,7 +223,7 @@ def linear_taper_family() -> RegularizedFamily:
             a = np.abs(u)
             # a field wholly on the zero piece, like the flat states 1 + eps,
             # takes +0 alone (NaN, 0-d and empty input keep the chain)
-            if a.ndim and a.size and a.min() >= 1.0 + eps:
+            if a.ndim and a.size and np.minimum.reduce(a, axis=None) >= 1.0 + eps:
                 return np.zeros(u.shape)
             ramp = np.sign(u) * (slope / eps) * (1.0 + eps - a)
             return np.where(a <= 1.0, slope * u,
