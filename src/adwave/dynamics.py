@@ -29,9 +29,13 @@ A state comes in either of two layouts (:meth:`Domain.layout`): the full
 box, or its lines block ``u[domain.interior_lines]``, which is all a state
 that vanishes off those lines needs. ``step``, ``force`` and ``energies``
 take either and return the layout they were given. :func:`simulate`
-advances and records the lines block, and :attr:`Trajectory.states`
-expands a snapshot to the full box only when it is read. In periodic and
-neumann-1d mode, and at d = 1, the block is the box.
+advances the lines block. Once a snapshot's energies are taken, it keeps
+that snapshot as Omega's block of u and v plus the sign bits of each lines
+block: off Omega a recorded field is +0 or -0, and the projection's -0
+shows in ``trajectory.csv``. :attr:`Trajectory.states` (and
+:attr:`Trajectory.us`, u alone) expands a snapshot to the full box only
+when it is read. In periodic and neumann-1d mode, and at d = 1, the block
+is the box, and snapshots are kept as they are.
 
 Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
 (u, v): :func:`energies` takes a stack's energies with one transform, one
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,20 +85,23 @@ class BlowUpError(RuntimeError):
     """Non-finite field values were produced (time step unstable).
 
     :func:`simulate` fills in where it happened: the failing ``step`` and
-    its time ``t``, ``max_abs`` = max |u| of the last finite state, and
-    ``energy``, the latest finite total energy: that of the last finite
-    state, or, where that overflows (it is quadratic in u, so it does long
-    before u does), that of the latest recorded snapshot.
+    its time ``t``, ``max_abs`` = max |u| of the last finite state and
+    ``index``, the full-box grid index where it sits (with the component
+    last when m >= 2), and ``energy``, the latest finite total energy: that
+    of the last finite state, or, where that overflows (it is quadratic in
+    u, so it does long before u does), that of the latest recorded
+    snapshot.
     """
 
     def __init__(self, message: str, step: int | None = None,
                  t: float | None = None, energy: float | None = None,
-                 max_abs: float | None = None):
+                 max_abs: float | None = None, index: tuple | None = None):
         super().__init__(message)
         self.step = step
         self.t = t
         self.energy = energy
         self.max_abs = max_abs
+        self.index = index
 
 
 @dataclass
@@ -200,67 +207,107 @@ class SimConfig:
 class Trajectory:
     """Recorded snapshots, aligned times, and energy series of one run.
 
-    ``snapshots`` holds the recorded states, all full boxes or all lines
-    blocks (:meth:`Domain.layout`); :func:`simulate` stores lines blocks.
-    :attr:`states` gives them as full boxes, expanded on access: a lines
-    block is placed in zeros, which are the initial data's own (+0 or -0)
-    for the first snapshot, the initial state, and +0 for later ones, as
-    :func:`step` leaves them.
+    ``snapshots`` holds the recorded states as full boxes, or, as
+    :func:`simulate` stores an exterior-dirichlet run with d > 1, packed:
+    Omega's block of ``u`` and of ``v`` and the sign bits of each lines
+    block (:meth:`Domain.layout`). Off Omega a recorded field is +0 or -0,
+    and only its sign is kept, one bit per value. :attr:`states` and
+    :attr:`us` give them as full boxes, expanded on access: the first
+    snapshot, the initial state, starts from the initial data (its own +0
+    or -0 off Omega's lines) and later ones from +0, as :func:`step` leaves
+    them; the stored signs then go on Omega's lines and the Omega block in
+    its place.
     """
 
     config: SimConfig
     times: np.ndarray
-    snapshots: list[FieldState]
+    snapshots: list[FieldState | _Packed]
     energies: list[EnergyBreakdown]
 
     @property
     def states(self) -> Sequence[FieldState]:
         """The snapshots as full-box states: ``snapshots`` itself when they
         are full boxes, else a sequence that expands each when read."""
-        if self.snapshots[0].u.shape == self.config.u0.shape:
+        if isinstance(self.snapshots[0], FieldState):
             return self.snapshots
-        return _FullBoxStates(self.config, self.snapshots)
+        cfg = self.config
+
+        def state(i):
+            p = self.snapshots[i]
+            return FieldState(self._box(i, cfg.u0, p.u, p.u_signs),
+                              self._box(i, cfg.v0, p.v, p.v_signs), p.t)
+
+        return _Expanded(len(self.snapshots), state)
+
+    @property
+    def us(self) -> Sequence[np.ndarray]:
+        """The recorded ``u`` alone as full boxes, expanded when read like
+        :attr:`states`, which also expands ``v``."""
+        if isinstance(self.snapshots[0], FieldState):
+            return [st.u for st in self.snapshots]
+        return _Expanded(len(self.snapshots), lambda i: self._box(
+            i, self.config.u0, self.snapshots[i].u, self.snapshots[i].u_signs))
+
+    def _box(self, i: int, initial: np.ndarray, on_omega: np.ndarray,
+             signs: np.ndarray) -> np.ndarray:
+        """Snapshot ``i``'s field as a full box, from its Omega block and
+        the packed sign bits of its lines block."""
+        out = initial.copy() if i == 0 else np.zeros_like(initial)
+        block = out[self.config.domain.interior_lines]
+        # +0 or -0 on Omega's lines: each stored bit shifted into the sign bit
+        np.left_shift(np.unpackbits(signs, count=block.size).reshape(block.shape),
+                      np.uint64(63), out=block.view(np.uint64))
+        block[self.config.domain.layout(block).inner] = on_omega
+        return out
 
     @property
     def totals(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
 
     def max_abs_series(self) -> np.ndarray:
-        # off Omega's grid lines a snapshot is zero, so its lines hold the maximum
+        # off Omega a snapshot is zero, so its stored part holds the maximum
         return np.array([float(np.max(np.abs(st.u))) for st in self.snapshots])
 
     def u_stacks(self):
         """The recorded ``u`` as full boxes along a new leading axis, in the
         stacks of :func:`stack_size` snapshots that :func:`simulate`
         evaluates."""
-        k = stack_size(FieldState(self.config.u0, self.config.v0))
-        for i in range(0, len(self.snapshots), k):
-            yield _stacked([st.u for st in self.states[i:i + k]])
+        k, us = stack_size(FieldState(self.config.u0, self.config.v0)), self.us
+        for i in range(0, len(us), k):
+            yield _stacked(us[i:i + k])
 
 
-class _FullBoxStates(Sequence):
-    """A trajectory's lines-block snapshots as full-box states, expanded one
-    at a time as they are read."""
+class _Packed(NamedTuple):
+    """A recorded lines-block state as :func:`simulate` keeps it: the Omega
+    block of ``u`` and ``v``, and ``np.packbits`` of each lines block's
+    sign bits."""
 
-    def __init__(self, config: SimConfig, snapshots: list[FieldState]):
-        self._config, self._snapshots = config, snapshots
+    u: np.ndarray
+    v: np.ndarray
+    u_signs: np.ndarray
+    v_signs: np.ndarray
+    t: float
+
+    @staticmethod
+    def of(state: FieldState, inner: tuple) -> "_Packed":
+        return _Packed(state.u[inner].copy(), state.v[inner].copy(),
+                       np.packbits(np.signbit(state.u)), np.packbits(np.signbit(state.v)),
+                       state.t)
+
+
+class _Expanded(Sequence):
+    """``count`` stored snapshots read through ``expand(i)``, one at a time."""
+
+    def __init__(self, count: int, expand: Callable):
+        self._count, self._expand = count, expand
 
     def __len__(self) -> int:
-        return len(self._snapshots)
+        return self._count
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        st, cfg = self._snapshots[i], self._config
-        lines = cfg.domain.interior_lines
-
-        def expanded(block, initial):
-            out = initial.copy() if i == 0 else np.zeros_like(initial)
-            out[lines] = block
-            return out
-
-        return FieldState(expanded(st.u, cfg.u0), expanded(st.v, cfg.v0), st.t)
+        return self._expand(range(len(self))[i])
 
 
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
@@ -374,10 +421,11 @@ def simulate(config: SimConfig) -> Trajectory:
     :func:`stack_size` snapshots: when a stack is full, at the end, and at
     a blow-up. Where a stack holds one snapshot, every snapshot but the
     initial one takes its elastic energy from the spectrum of the step
-    that made it (``step``'s ``seminorms``). The state is advanced and recorded as its lines block
-    (:meth:`Domain.layout`), which is the full box unless the mode is
-    exterior-dirichlet with d > 1. Overflow and invalid values raise no
-    numpy warning during the run; a non-finite state raises
+    that made it (``step``'s ``seminorms``). The state is advanced as its
+    lines block (:meth:`Domain.layout`), which is the full box unless the
+    mode is exterior-dirichlet with d > 1; there a snapshot is packed once
+    its energy is taken (:class:`Trajectory`). Overflow and invalid values
+    raise no numpy warning during the run; a non-finite state raises
     :class:`BlowUpError`.
     """
     op = build_operator(config.domain)
@@ -387,11 +435,16 @@ def simulate(config: SimConfig) -> Trajectory:
     state = FieldState(config.u0[lines].copy(), config.v0[lines].copy(), 0.0)
     times, snapshots, recorded = [], [], []  # recorded: the energies evaluated so far
     per_stack = stack_size(FieldState(config.u0, config.v0))
+    # a lines block that is not the box is kept packed once its energy is taken
+    packed = state.u.shape != config.u0.shape
+    inner = config.domain.layout(state.u).inner
 
     def flush(seminorms=None):
-        if len(recorded) < len(snapshots):
-            recorded.extend(energies(op, potential, snapshots[len(recorded):],
-                                     seminorms=seminorms))
+        done = len(recorded)
+        if done < len(snapshots):
+            recorded.extend(energies(op, potential, snapshots[done:], seminorms=seminorms))
+            if packed:
+                snapshots[done:] = [_Packed.of(st, inner) for st in snapshots[done:]]
 
     def record(st: FieldState, seminorms=None):
         times.append(st.t)
@@ -416,9 +469,13 @@ def simulate(config: SimConfig) -> Trajectory:
                 if not math.isfinite(last):
                     last = next((e.total for e in reversed(recorded)
                                  if math.isfinite(e.total)), last)
+                mag = np.abs(state.u)
+                at = [int(k) for k in np.unravel_index(int(np.argmax(mag)), mag.shape)]
+                max_abs = float(mag[tuple(at)])
+                for ax, sl in enumerate(lines):  # a lines block starts at Omega's lines
+                    at[ax] += sl.indices(config.domain.n[ax])[0]
                 raise BlowUpError(f"blow-up at step {i} (t = {t:g})", step=i, t=t,
-                                  energy=last,
-                                  max_abs=float(np.max(np.abs(state.u)))) from None
+                                  energy=last, max_abs=max_abs, index=tuple(at)) from None
             state = nxt
             state.t = i * dt
             if recording:
@@ -447,8 +504,8 @@ def sup_bound_from_energy(traj: Trajectory) -> float:
     half the squared order-s seminorm, so H^s^2 = L2^2 + 2 * elastic."""
     dom = traj.config.domain
     const = embedding_constant(dom.d, dom.s)
-    return const * max(math.sqrt(l2_norm(dom, st.u) ** 2 + 2.0 * e.elastic)
-                       for st, e in zip(traj.states, traj.energies))
+    return const * max(math.sqrt(l2_norm(dom, u) ** 2 + 2.0 * e.elastic)
+                       for u, e in zip(traj.us, traj.energies))
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,8 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
     for i, eps in enumerate(eps_list):
         traj = dyn.simulate(replace(config, potential=family.make(eps)))
         if i > 0:
-            dists.append(max(sp.l2_norm(config.domain, sa.u - sb.u)
-                             for sa, sb in zip(prev.states, traj.states)))
+            dists.append(max(sp.l2_norm(config.domain, ua - ub)
+                             for ua, ub in zip(prev.us, traj.us)))
         if i > 1:
             report.check(f"cauchy_decrease({eps_list[i - 2]:g}->{eps_list[i - 1]:g})",
                          dists[-1] < dists[-2],
@@ -276,7 +276,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     report.check("energy_bound", max_energy <= e_cap,
                  measured=max_energy, threshold=e_cap)
 
-    l2_u = [sp.l2_norm(domain, st.u) for st in traj.states]
+    l2_u = [sp.l2_norm(domain, u) for u in traj.us]
     report.check("l2_apriori_bound", max(l2_u) <= l2_cap, measured=max(l2_u), threshold=l2_cap)
 
     sup_bound = dyn.sup_bound_from_energy(traj)
@@ -289,8 +289,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     report.check("confinement", max_abs < 1.0, measured=max_abs, threshold=1.0,
                  comparator="<", note=f"eta = {eta:.6g}")
 
-    gap = max(float(np.max(np.abs(sa.u - sb.u)))
-              for sa, sb in zip(traj.states, traj_base.states))
+    gap = max(float(np.max(np.abs(ua - ub))) for ua, ub in zip(traj.us, traj_base.us))
     region = max(0.0, 1.0 - eta)
     dev_region = _sampled_gap(member.grad, base.grad, region, 2001)
     agree_tol = dev_region * T ** 2 / 2.0 + 1e-12

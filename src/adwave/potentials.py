@@ -140,8 +140,10 @@ def clipped_quadratic(u_star: float) -> Potential:
     top = u_star * u_star
 
     def value(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) <= u_star, u * u, top)
+        # |u| clipped at u* (fmin takes u* for NaN): u^2 up to u*, and top
+        # bit for bit beyond it, with no square that overflows
+        c = np.fmin(np.abs(np.asarray(u, dtype=float)), u_star)
+        return c * c
 
     def grad(u):
         u = np.asarray(u, dtype=float)
@@ -231,9 +233,12 @@ def linear_taper_family() -> RegularizedFamily:
 
         def value(u):
             a = np.abs(np.asarray(u, dtype=float))
-            inner = 0.5 * slope * a * a
-            mid = 0.5 * slope + (slope / eps) * ((1.0 + eps) * (a - 1.0)
-                                                 - 0.5 * (a * a - 1.0))
+            # clipped at 1 + eps: the pieces keep their bits where they are
+            # taken, and no square overflows where the plateau is
+            c = np.minimum(a, 1.0 + eps)
+            inner = 0.5 * slope * c * c
+            mid = 0.5 * slope + (slope / eps) * ((1.0 + eps) * (c - 1.0)
+                                                 - 0.5 * (c * c - 1.0))
             return np.where(a <= 1.0, inner,
                             np.where(a < 1.0 + eps, mid, plateau))
 

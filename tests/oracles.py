@@ -4,9 +4,11 @@ Everything here is built from first principles (explicit DFT matrices,
 closed-form antiderivatives, generic quadrature, one CSV cell at a time,
 the full-box time step) and never calls the package code they check, so
 agreement is a genuine cross-check. The randomized embedding check and the
-sin^2 time window at the end are test inputs, not oracles.
+sin^2 time window at the end are test inputs, not oracles, and
+:func:`traced_memory` is a measuring tool.
 """
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,3 +386,17 @@ def window_sin_sq(T: float) -> TimeWindow:
         return 2.0 * w * w * math.cos(2.0 * w * t)
 
     return TimeWindow(value, d1, d2, "sin^2 window")
+
+
+def traced_memory(fn) -> tuple[int, int]:
+    """``(held, peak)``: the bytes that ``fn()`` allocated and still holds
+    when it returns (its result kept alive), and the most it held at once,
+    as ``tracemalloc`` counts them from the call's start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()  # alive while the memory is read
+        held, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return held, peak

@@ -256,6 +256,35 @@ class TestLinearTaperFamily:
         assert same_bits(got, want)
 
 
+# every piece of both potentials, |u| where squaring it overflows, inf and NaN
+_FAR = np.array([0.0, -0.0, 5e-324, 0.5, -0.8, 1.0, 1.01, -1.2, 2.0, 2e154, -1.3e154,
+                 1e200, -1e200, np.inf, -np.inf, np.nan])
+
+
+class TestValuesFarOnThePlateau:
+    """``value`` squares |u| clipped at the edge of the flat piece, so a
+    finite |u| above 1.3e154, inf or NaN raises no ``RuntimeWarning`` (the
+    suite turns one into an error), and every value keeps the bits that
+    squaring |u| itself gave."""
+
+    def test_clipped_quadratic(self):
+        u_star = 0.8
+        with np.errstate(all="ignore"):
+            want = np.where(np.abs(_FAR) <= u_star, _FAR * _FAR, u_star * u_star)
+        assert same_bits(clipped_quadratic(u_star).value(_FAR), want)
+
+    @pytest.mark.parametrize("eps", [0.03125, 0.3, 1.9])
+    def test_linear_taper(self, eps):
+        slope, a = 2.0 - eps, np.abs(_FAR)
+        with np.errstate(all="ignore"):
+            inner = 0.5 * slope * a * a
+            mid = 0.5 * slope + (slope / eps) * ((1.0 + eps) * (a - 1.0)
+                                                 - 0.5 * (a * a - 1.0))
+            want = np.where(a <= 1.0, inner, np.where(
+                a < 1.0 + eps, mid, 1.0 + 0.5 * eps - 0.5 * eps * eps))
+        assert same_bits(linear_taper_family().make(eps).value(_FAR), want)
+
+
 class TestMollifiedFamily:
     def test_value_at_origin_small(self):
         fam = mollified_family(clipped_quadratic(1.0))

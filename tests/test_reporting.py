@@ -1,11 +1,12 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adwave.reporting import Check, ExperimentReport, fmt, svg_line_plot, write_csv
+
+from oracles import traced_memory
 
 
 class TestFormatting:
@@ -57,12 +58,8 @@ class TestCsv:
             for i in range(7400):
                 yield f"{i},{'x' * (i % 61)}\n" * 64
 
-        tracemalloc.start()
-        try:
-            path = write_csv(str(tmp_path / "x.csv"), ["i", "s"], blocks())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        path = str(tmp_path / "x.csv")
+        _, peak = traced_memory(lambda: write_csv(path, ["i", "s"], blocks()))
         data = Path(path).read_text()
         assert len(data) > 15 * 2 ** 20
         assert data == "i,s\n" + "".join(blocks())

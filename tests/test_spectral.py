@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from oracles import (
     per_axis_laplacian_oracle,
     same_bits,
     seminorm_sq_oracle,
+    traced_memory,
 )
 
 
@@ -641,14 +641,8 @@ class TestLinesBlock:
         block[inner] = np.random.default_rng(0).standard_normal(block[inner].shape)
         apply_fractional_laplacian(op, block)  # builds the operator's cached arrays
         half = np.dtype(complex).itemsize * math.prod(dom.n[:-1]) * (dom.n[-1] // 2 + 1) * 2
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = apply_fractional_laplacian(op, block)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= half + out.nbytes + 64 * 1024
+        _, peak = traced_memory(lambda: apply_fractional_laplacian(op, block))
+        assert peak <= half + block.nbytes + 64 * 1024  # the output is block-shaped
 
     @settings(max_examples=300, deadline=None)
     @given(case=_fields_inside_omega())
