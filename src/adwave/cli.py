@@ -535,9 +535,9 @@ def _trajectory_blocks(traj: dyn.Trajectory):
     leads = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*dom.n[:-1])]
     parts = ["", *(f"{i},{comp},%.17g\n" for i in range(dom.n[-1]) for comp in range(m))]
     zeros = ["", *(f"{i},{comp},0\n" for i in range(dom.n[-1]) for comp in range(m))]
-    for t, u in zip(traj.times, traj.us):
+    for t, st in zip(traj.times, traj.states):
         head = fmt(t) + ","
-        lines = u.reshape(len(leads), -1)
+        lines = st.u.reshape(len(leads), -1)
         zero = (~lines.view(np.uint64).any(axis=1)).tolist()
         for lead, line, is_zero in zip(leads, lines, zero):
             yield ((head + lead).join(zeros) if is_zero

@@ -29,13 +29,14 @@ A state comes in either of two layouts (:meth:`Domain.layout`): the full
 box, or its lines block ``u[domain.interior_lines]``, which is all a state
 that vanishes off those lines needs. ``step``, ``force`` and ``energies``
 take either and return the layout they were given. :func:`simulate`
-advances the lines block. Once a snapshot's energies are taken, it keeps
-that snapshot as Omega's block of u and v plus the sign bits of each lines
-block: off Omega a recorded field is +0 or -0, and the projection's -0
-shows in ``trajectory.csv``. :attr:`Trajectory.states` (and
-:attr:`Trajectory.us`, u alone) expands a snapshot to the full box only
-when it is read. In periodic and neumann-1d mode, and at d = 1, the block
-is the box, and snapshots are kept as they are.
+advances the lines block. Every recorded state is read through
+:attr:`Trajectory.states`, whose ``st.u`` and ``st.v`` are full boxes. In
+periodic and neumann-1d mode, and at d = 1, the block is the box, and a
+state is kept as it is. Otherwise, once its energies are taken, a state is
+packed: Omega's block of u and v plus the sign bits of each lines block,
+since off Omega a recorded field is +0 or -0 (the projection's -0 shows in
+``trajectory.csv``). Reading ``st.u`` or ``st.v`` of a packed state builds
+that field's full box alone.
 
 Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
 (u, v): :func:`energies` takes a stack's energies with one transform, one
@@ -51,9 +52,8 @@ the spectrum the second kick of its step took of the same u (``step``'s
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -205,109 +205,75 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots, aligned times, and energy series of one run.
+    """Recorded states, aligned times, and energy series of one run.
 
-    ``snapshots`` holds the recorded states as full boxes, or, as
-    :func:`simulate` stores an exterior-dirichlet run with d > 1, packed:
-    Omega's block of ``u`` and of ``v`` and the sign bits of each lines
-    block (:meth:`Domain.layout`). Off Omega a recorded field is +0 or -0,
-    and only its sign is kept, one bit per value. :attr:`states` and
-    :attr:`us` give them as full boxes, expanded on access: the first
-    snapshot, the initial state, starts from the initial data (its own +0
-    or -0 off Omega's lines) and later ones from +0, as :func:`step` leaves
-    them; the stored signs then go on Omega's lines and the Omega block in
-    its place.
+    ``states`` holds one state per recorded time, each with ``t``, ``u``
+    and ``v``: :class:`FieldState` objects, or, where :func:`simulate` runs
+    exterior-dirichlet with d > 1, packed snapshots whose ``u`` and ``v``
+    each build that field's full box when read. Either way a reader gets
+    the full box of every field, every bit of it.
     """
 
     config: SimConfig
     times: np.ndarray
-    snapshots: list[FieldState | _Packed]
+    states: list[FieldState | _Packed]
     energies: list[EnergyBreakdown]
-
-    @property
-    def states(self) -> Sequence[FieldState]:
-        """The snapshots as full-box states: ``snapshots`` itself when they
-        are full boxes, else a sequence that expands each when read."""
-        if isinstance(self.snapshots[0], FieldState):
-            return self.snapshots
-        cfg = self.config
-
-        def state(i):
-            p = self.snapshots[i]
-            return FieldState(self._box(i, cfg.u0, p.u, p.u_signs),
-                              self._box(i, cfg.v0, p.v, p.v_signs), p.t)
-
-        return _Expanded(len(self.snapshots), state)
-
-    @property
-    def us(self) -> Sequence[np.ndarray]:
-        """The recorded ``u`` alone as full boxes, expanded when read like
-        :attr:`states`, which also expands ``v``."""
-        if isinstance(self.snapshots[0], FieldState):
-            return [st.u for st in self.snapshots]
-        return _Expanded(len(self.snapshots), lambda i: self._box(
-            i, self.config.u0, self.snapshots[i].u, self.snapshots[i].u_signs))
-
-    def _box(self, i: int, initial: np.ndarray, on_omega: np.ndarray,
-             signs: np.ndarray) -> np.ndarray:
-        """Snapshot ``i``'s field as a full box, from its Omega block and
-        the packed sign bits of its lines block."""
-        out = initial.copy() if i == 0 else np.zeros_like(initial)
-        block = out[self.config.domain.interior_lines]
-        # +0 or -0 on Omega's lines: each stored bit shifted into the sign bit
-        np.left_shift(np.unpackbits(signs, count=block.size).reshape(block.shape),
-                      np.uint64(63), out=block.view(np.uint64))
-        block[self.config.domain.layout(block).inner] = on_omega
-        return out
 
     @property
     def totals(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
 
     def max_abs_series(self) -> np.ndarray:
-        # off Omega a snapshot is zero, so its stored part holds the maximum
-        return np.array([float(np.max(np.abs(st.u))) for st in self.snapshots])
+        return np.array([float(np.max(np.abs(st.u))) for st in self.states])
 
     def u_stacks(self):
         """The recorded ``u`` as full boxes along a new leading axis, in the
         stacks of :func:`stack_size` snapshots that :func:`simulate`
         evaluates."""
-        k, us = stack_size(FieldState(self.config.u0, self.config.v0)), self.us
-        for i in range(0, len(us), k):
-            yield _stacked(us[i:i + k])
+        k = stack_size(FieldState(self.config.u0, self.config.v0))
+        for i in range(0, len(self.states), k):
+            yield _stacked([st.u for st in self.states[i:i + k]])
 
 
-class _Packed(NamedTuple):
-    """A recorded lines-block state as :func:`simulate` keeps it: the Omega
-    block of ``u`` and ``v``, and ``np.packbits`` of each lines block's
-    sign bits."""
+class _Packed:
+    """A recorded lines-block state as :func:`simulate` keeps it: Omega's
+    block of ``u`` and of ``v`` and ``np.packbits`` of the sign bits of each
+    lines block (:meth:`Domain.layout`). Off Omega a recorded field is +0 or
+    -0, so its sign is all it holds, one bit per value.
 
-    u: np.ndarray
-    v: np.ndarray
-    u_signs: np.ndarray
-    v_signs: np.ndarray
-    t: float
+    ``u`` and ``v`` each build that field's full box when read: the first
+    snapshot, the initial state, starts from the initial data (its own +0
+    or -0 off Omega's lines) and later ones from +0, as :func:`step` leaves
+    them; the stored signs then go on Omega's lines and the Omega block in
+    its place.
+    """
 
-    @staticmethod
-    def of(state: FieldState, inner: tuple) -> "_Packed":
-        return _Packed(state.u[inner].copy(), state.v[inner].copy(),
-                       np.packbits(np.signbit(state.u)), np.packbits(np.signbit(state.v)),
-                       state.t)
+    __slots__ = ("t", "_config", "_first", "_u", "_v", "_u_signs", "_v_signs")
 
+    def __init__(self, state: FieldState, config: SimConfig, first: bool):
+        inner = config.domain.layout(state.u).inner
+        self.t, self._config, self._first = state.t, config, first
+        self._u, self._v = state.u[inner].copy(), state.v[inner].copy()
+        self._u_signs = np.packbits(np.signbit(state.u))
+        self._v_signs = np.packbits(np.signbit(state.v))
 
-class _Expanded(Sequence):
-    """``count`` stored snapshots read through ``expand(i)``, one at a time."""
+    @property
+    def u(self) -> np.ndarray:
+        return self._box(self._config.u0, self._u, self._u_signs)
 
-    def __init__(self, count: int, expand: Callable):
-        self._count, self._expand = count, expand
+    @property
+    def v(self) -> np.ndarray:
+        return self._box(self._config.v0, self._v, self._v_signs)
 
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return self._expand(range(len(self))[i])
+    def _box(self, initial: np.ndarray, on_omega: np.ndarray,
+             signs: np.ndarray) -> np.ndarray:
+        out = initial.copy() if self._first else np.zeros_like(initial)
+        block = out[self._config.domain.interior_lines]
+        # +0 or -0 on Omega's lines: each stored bit shifted into the sign bit
+        np.left_shift(np.unpackbits(signs, count=block.size).reshape(block.shape),
+                      np.uint64(63), out=block.view(np.uint64))
+        block[self._config.domain.layout(block).inner] = on_omega
+        return out
 
 
 def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
@@ -424,7 +390,7 @@ def simulate(config: SimConfig) -> Trajectory:
     that made it (``step``'s ``seminorms``). The state is advanced as its
     lines block (:meth:`Domain.layout`), which is the full box unless the
     mode is exterior-dirichlet with d > 1; there a snapshot is packed once
-    its energy is taken (:class:`Trajectory`). Overflow and invalid values
+    its energy is taken (:class:`_Packed`). Overflow and invalid values
     raise no numpy warning during the run; a non-finite state raises
     :class:`BlowUpError`.
     """
@@ -437,14 +403,14 @@ def simulate(config: SimConfig) -> Trajectory:
     per_stack = stack_size(FieldState(config.u0, config.v0))
     # a lines block that is not the box is kept packed once its energy is taken
     packed = state.u.shape != config.u0.shape
-    inner = config.domain.layout(state.u).inner
 
     def flush(seminorms=None):
         done = len(recorded)
         if done < len(snapshots):
             recorded.extend(energies(op, potential, snapshots[done:], seminorms=seminorms))
             if packed:
-                snapshots[done:] = [_Packed.of(st, inner) for st in snapshots[done:]]
+                snapshots[done:] = [_Packed(st, config, i == 0)
+                                    for i, st in enumerate(snapshots[done:], done)]
 
     def record(st: FieldState, seminorms=None):
         times.append(st.t)
@@ -504,8 +470,8 @@ def sup_bound_from_energy(traj: Trajectory) -> float:
     half the squared order-s seminorm, so H^s^2 = L2^2 + 2 * elastic."""
     dom = traj.config.domain
     const = embedding_constant(dom.d, dom.s)
-    return const * max(math.sqrt(l2_norm(dom, u) ** 2 + 2.0 * e.elastic)
-                       for u, e in zip(traj.us, traj.energies))
+    return const * max(math.sqrt(l2_norm(dom, st.u) ** 2 + 2.0 * e.elastic)
+                       for st, e in zip(traj.states, traj.energies))
 
 
 @dataclass(frozen=True)

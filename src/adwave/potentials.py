@@ -108,9 +108,10 @@ def _radius(y: np.ndarray, m: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if m == 1:
         return np.abs(y)
-    sq = y[..., 0] * y[..., 0]
-    for c in range(1, m):
-        sq += y[..., c] * y[..., c]
+    with np.errstate(over="ignore"):  # a square past the largest float is inf
+        sq = y[..., 0] * y[..., 0]
+        for c in range(1, m):
+            sq += y[..., c] * y[..., c]
     return np.sqrt(sq)
 
 
@@ -227,8 +228,12 @@ def linear_taper_family() -> RegularizedFamily:
             # takes +0 alone (NaN, 0-d and empty input keep the chain)
             if a.ndim and a.size and np.minimum.reduce(a, axis=None) >= 1.0 + eps:
                 return np.zeros(u.shape)
-            ramp = np.sign(u) * (slope / eps) * (1.0 + eps - a)
-            return np.where(a <= 1.0, slope * u,
+            # both pieces on |u| clipped at 1 + eps: they keep their bits where
+            # they are taken (copysign gives u back there, -0 and NaN
+            # included), and neither overflows where the zero piece is
+            c = np.minimum(a, 1.0 + eps)
+            ramp = np.sign(u) * (slope / eps) * (1.0 + eps - c)
+            return np.where(a <= 1.0, slope * np.copysign(c, u),
                             np.where(a < 1.0 + eps, ramp, 0.0))
 
         def value(u):

@@ -625,8 +625,9 @@ def _negative_zeros(f) -> int:
 
 class TestRecordedStates:
     """An exterior run with d > 1 keeps each snapshot as Omega's block and
-    the sign bits of its lines block; ``traj.states`` and ``traj.us`` give
-    back every bit of the full boxes that repeated ``step`` calls make."""
+    the sign bits of its lines block; the ``u`` and ``v`` of
+    ``traj.states`` give back every bit of the full boxes that repeated
+    ``step`` calls make."""
 
     @pytest.mark.parametrize("d, n, m, stacked", [(2, 64, 1, True), (3, 20, 2, False)])
     def test_states_are_the_full_box_steps_bit_for_bit(self, d, n, m, stacked):
@@ -647,9 +648,10 @@ class TestRecordedStates:
             if i % cfg.record_every == 0 or i == cfg.nsteps:
                 want.append(state)
         traj = simulate(cfg)
-        assert len(traj.states) == len(traj.us) == len(want)
-        for got, u, w in zip(traj.states, traj.us, want):
-            for a, b in ((got.u, w.u), (u, w.u), (got.v, w.v)):
+        assert len(traj.states) == len(want)
+        assert [got.t for got in traj.states] == traj.times.tolist()
+        for got, w in zip(traj.states, want):
+            for a, b in ((got.u, w.u), (got.v, w.v)):
                 assert a.shape == b.shape
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         # the signs are what the comparison can miss: -0 on the collar of
@@ -659,6 +661,20 @@ class TestRecordedStates:
         assert all(sum(_negative_zeros(getattr(w, f)[lines][collar]) for w in want[1:])
                    for f in ("u", "v"))
         assert _negative_zeros(traj.states[0].u[_off_lines(dom)]) > 0
+
+    def test_reading_one_field_builds_one_box(self):
+        """Reading ``v`` of a packed 3-D, m = 2 snapshot builds ``v``'s full
+        box and no ``u``: the read peaks below 1.5 boxes (1.27 here; the
+        unpacked sign bits and numpy's buffers come on top of the box)."""
+        dom = Domain(d=3, s=1.0, omega_extent=3.0, n=32, pad_factor=2.0)
+        W = mollified_family(ball_potential(2)).make(0.1)
+        u0 = np.zeros(dom.n + (2,))
+        u0[dom.interior] = 0.5
+        traj = simulate(SimConfig(domain=dom, potential=W, T=0.2, dt=0.05, u0=u0,
+                                  v0=np.zeros_like(u0), record_every=1))
+        traj.states[-1].v  # builds the domain's cached layout of the lines block
+        _, peak = traced_memory(lambda: traj.states[-1].v)
+        assert u0.nbytes <= peak < 1.5 * u0.nbytes
 
 
 class TestStackedEvaluation:

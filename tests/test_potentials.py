@@ -249,8 +249,8 @@ class TestLinearTaperFamily:
         knots 1 and 1 + eps), and 0-d and empty input come back as the
         chain's ndarray."""
         eps, u = case
-        with np.errstate(over="ignore"):  # the ramp of |u| near the largest float
-            got = linear_taper_family().make(eps).grad(u)
+        got = linear_taper_family().make(eps).grad(u)
+        with np.errstate(over="ignore"):  # the chain's pieces at |u| near the largest float
             want = taper_grad_oracle(eps)(u)
         assert type(got) is type(want) is np.ndarray
         assert same_bits(got, want)
@@ -265,7 +265,8 @@ class TestValuesFarOnThePlateau:
     """``value`` squares |u| clipped at the edge of the flat piece, so a
     finite |u| above 1.3e154, inf or NaN raises no ``RuntimeWarning`` (the
     suite turns one into an error), and every value keeps the bits that
-    squaring |u| itself gave."""
+    squaring |u| itself gave. The taper's ``grad`` takes its pieces on the
+    same clipped |u|, so it raises none up to the largest float."""
 
     def test_clipped_quadratic(self):
         u_star = 0.8
@@ -283,6 +284,23 @@ class TestValuesFarOnThePlateau:
             want = np.where(a <= 1.0, inner, np.where(
                 a < 1.0 + eps, mid, 1.0 + 0.5 * eps - 0.5 * eps * eps))
         assert same_bits(linear_taper_family().make(eps).value(_FAR), want)
+
+    @pytest.mark.parametrize("eps", [0.03125, 0.3, 1.9])
+    def test_linear_taper_grad(self, eps):
+        u = np.concatenate([_FAR, [1e308, -1e308, 1.7e308, -1.7e308, np.inf, -np.inf]])
+        with np.errstate(over="ignore"):
+            want = taper_grad_oracle(eps)(u)
+        assert same_bits(linear_taper_family().make(eps).grad(u), want)
+
+    @pytest.mark.parametrize("W", [ball_potential(2),
+                                   mollified_family(ball_potential(2)).make(0.1)],
+                             ids=["ball", "mollified"])
+    def test_radial_vector_far_out(self, W):
+        """|y|^2 past the largest float reads |y| = inf: W is 1 and its
+        gradient 0 there, with no overflow warning."""
+        y = np.array([[1e200, 0.0], [0.0, -1e200], [-1.3e154, 1.3e154]])
+        assert same_bits(W.value(y), np.ones(3))
+        assert np.array_equal(W.grad(y), np.zeros((3, 2)))
 
 
 class TestMollifiedFamily:
@@ -533,9 +551,9 @@ class TestRadiusAgainstOracle:
         """Bit for bit ``np.linalg.norm(y, axis=-1)`` (|y| for m = 1), which
         sums the squares left to right."""
         y, m = case
+        got = np.asarray(_radius(y, m))
         with np.errstate(over="ignore"):
             want = np.asarray(radius_oracle(y, m))
-            got = np.asarray(_radius(y, m))
         assert same_bits(got, want)
 
     @settings(max_examples=100, deadline=None)
