@@ -52,6 +52,7 @@ the spectrum the second kick of its step took of the same u (``step``'s
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -235,6 +236,9 @@ class Trajectory:
             yield _stacked([st.u for st in self.states[i:i + k]])
 
 
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0  # of a float64
+
+
 class _Packed:
     """A recorded lines-block state as :func:`simulate` keeps it: Omega's
     block of ``u`` and of ``v`` and ``np.packbits`` of the sign bits of each
@@ -269,9 +273,10 @@ class _Packed:
              signs: np.ndarray) -> np.ndarray:
         out = initial.copy() if self._first else np.zeros_like(initial)
         block = out[self._config.domain.interior_lines]
-        # +0 or -0 on Omega's lines: each stored bit shifted into the sign bit
+        # +0 or -0 on Omega's lines: each stored bit shifted into the top bit
+        # of its value's sign byte, whose other bytes are 0 off Omega
         np.left_shift(np.unpackbits(signs, count=block.size).reshape(block.shape),
-                      np.uint64(63), out=block.view(np.uint64))
+                      7, out=block.view(np.uint8)[..., _SIGN_BYTE::8])
         block[self._config.domain.layout(block).inner] = on_omega
         return out
 

@@ -124,7 +124,9 @@ def _radial(profile, m: int) -> tuple:
     def grad(y):
         y = np.asarray(y, dtype=float)
         r = _radius(y, m)
-        return _times_grid(y, profile.grad(r) / np.maximum(r, 1e-300))
+        ratio = profile.grad(r) / np.maximum(r, 1e-300)
+        with np.errstate(invalid="ignore"):  # an infinite component times ratio 0 is NaN
+            return _times_grid(y, ratio)
 
     return (lambda y: profile.value(_radius(y, m))), grad
 
@@ -270,20 +272,13 @@ def linear_taper_family() -> RegularizedFamily:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _kernel(t: np.ndarray) -> np.ndarray:
-    # C-infinity bump exp(-1/(1-t^2)) on (-1, 1), unnormalized.
-    t = np.asarray(t, dtype=float)
+def _kernel_pair(t: np.ndarray) -> tuple:
+    # C-infinity bump phi(t) = exp(-1/(1-t^2)) on (-1, 1), unnormalized, and
+    # its derivative phi(t) * (-2t) / (1 - t^2)^2, from one exp
     inside = np.abs(t) < 1.0
     arg = np.where(inside, 1.0 - t * t, 1.0)
-    return np.where(inside, np.exp(-1.0 / arg), 0.0)
-
-
-def _kernel_d1(t: np.ndarray) -> np.ndarray:
-    # Derivative of the bump: phi(t) * (-2t) / (1 - t^2)^2.
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    arg = np.where(inside, 1.0 - t * t, 1.0)
-    return np.where(inside, np.exp(-1.0 / arg) * (-2.0 * t) / (arg * arg), 0.0)
+    phi = np.exp(-1.0 / arg)
+    return np.where(inside, phi, 0.0), np.where(inside, phi * (-2.0 * t) / (arg * arg), 0.0)
 
 
 _MAX_LATTICE = 60000
@@ -341,33 +336,32 @@ class MollifiedProfile:
     def _build(self, profile: Profile, u: np.ndarray):
         r = self.radius
         knots = np.asarray(profile.knots, dtype=float)
-        # Group lattice points by which kinks fall inside their source window;
-        # inside a group the quadrature subdivision has one fixed layout.
-        flags = np.abs(u[:, None] - knots[None, :]) < r if knots.size else \
-            np.zeros((u.size, 0), dtype=bool)
+        # Group lattice points by which kinks fall inside their source window,
+        # one integer code per pattern; inside a group the quadrature
+        # subdivision has one fixed layout.
+        bit = 2 ** np.arange(knots.size)[::-1]
+        codes = (np.abs(u[:, None] - knots[None, :]) < r) @ bit
         val = np.zeros_like(u)
         grd = np.zeros_like(u)
         grd2 = np.zeros_like(u)
-        # the rows of np.unique(flags, axis=0), in its (lexicographic) order,
-        # from a set of row tuples: several times faster than its row sort
-        patterns = np.array(sorted(set(map(tuple, flags.tolist()))), dtype=bool) \
-            if flags.size else np.zeros((1, 0), bool)
-        for pat in patterns:
-            sel = np.all(flags == pat[None, :], axis=1)
+        for code in np.unique(codes):
+            sel = codes == code
             uu = u[sel]
-            active = knots[pat] if knots.size else np.empty(0)
+            active = knots[(code & bit) != 0]
+            # a kink-free window is the one segment [-1, 1] for every row:
+            # one row of bounds, whose nodes broadcast against the sources
             cuts = np.sort((uu[:, None] - active[None, :]) / r, axis=1) \
-                if active.size else np.empty((uu.size, 0))
-            bounds = np.concatenate([np.full((uu.size, 1), -1.0), cuts,
-                                     np.full((uu.size, 1), 1.0)], axis=1)
+                if active.size else np.empty((1, 0))
+            ends = np.ones((cuts.shape[0], 1))
+            bounds = np.concatenate([-ends, cuts, ends], axis=1)
             acc = [np.zeros_like(uu) for _ in range(5)]
             for j in range(bounds.shape[1] - 1):
                 a, b = bounds[:, j], bounds[:, j + 1]
                 mid, half = 0.5 * (a + b), 0.5 * (b - a)
                 t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
                 wq = half[:, None] * _GL_WEIGHTS[None, :]
-                w = wq * _kernel(t)
-                kd1 = _kernel_d1(t)
+                phi, kd1 = _kernel_pair(t)
+                w = wq * phi
                 src = uu[:, None] - r * t
                 gsrc = profile.grad(src)
                 acc[0] += np.sum(w * profile.value(src), axis=1)
@@ -392,9 +386,8 @@ class MollifiedProfile:
         np.minimum(t, self.hi, out=t)
         t -= self.lo
         t /= self.step
-        i = t.astype(np.intp)
-        # the lower bound only acts on NaN input, which then stays NaN
-        np.maximum(i, 0, out=i)
+        # fmax gives t for finite input and index 0 for NaN, which stays NaN
+        i = np.fmax(t, 0.0, out=np.empty_like(t)).astype(np.intp)
         np.minimum(i, pieces[0].size - 1, out=i)
         t -= i
         c3, c2, c1, c0 = pieces

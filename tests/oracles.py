@@ -323,6 +323,62 @@ def radial_grad_oracle(profile, m: int):
     return grad
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _bump(t):
+    inside = np.abs(t) < 1.0
+    arg = np.where(inside, 1.0 - t * t, 1.0)
+    return np.where(inside, np.exp(-1.0 / arg), 0.0)
+
+
+def _bump_d1(t):
+    inside = np.abs(t) < 1.0
+    arg = np.where(inside, 1.0 - t * t, 1.0)
+    return np.where(inside, np.exp(-1.0 / arg) * (-2.0 * t) / (arg * arg), 0.0)
+
+
+def profile_build_oracle(profile, radius: float, u: np.ndarray) -> tuple:
+    """``(value, grad, grad')`` of the profile convolved with the bump of
+    ``radius`` at the lattice ``u``, as ``MollifiedProfile`` built them
+    before kink-free windows shared one kernel row: lattice points grouped
+    by the pattern of kinks inside their window (the set of row tuples,
+    each group picked by comparing whole rows), every row of every group
+    cut into segments at its kinks, and the bump and its derivative taken
+    anew, each with its own ``exp``, at every row's 24 Gauss-Legendre
+    nodes of every segment."""
+    r = float(radius)
+    knots = np.asarray(profile.knots, dtype=float)
+    flags = np.abs(u[:, None] - knots[None, :]) < r
+    val, grd, grd2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    for pat in np.array(sorted(set(map(tuple, flags.tolist()))), dtype=bool):
+        sel = np.all(flags == pat[None, :], axis=1)
+        uu = u[sel]
+        active = knots[pat]
+        cuts = np.sort((uu[:, None] - active[None, :]) / r, axis=1)
+        bounds = np.concatenate([np.full((uu.size, 1), -1.0), cuts,
+                                 np.full((uu.size, 1), 1.0)], axis=1)
+        acc = [np.zeros_like(uu) for _ in range(5)]
+        for j in range(bounds.shape[1] - 1):
+            a, b = bounds[:, j], bounds[:, j + 1]
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+            wq = half[:, None] * _GL_WEIGHTS[None, :]
+            w = wq * _bump(t)
+            kd1 = _bump_d1(t)
+            src = uu[:, None] - r * t
+            gsrc = profile.grad(src)
+            acc[0] += np.sum(w * profile.value(src), axis=1)
+            acc[1] += np.sum(w * gsrc, axis=1)
+            acc[2] += np.sum(wq * kd1 * gsrc, axis=1)
+            acc[3] += np.sum(w, axis=1)
+            acc[4] += np.sum(-wq * t * kd1, axis=1)
+        val[sel] = acc[0] / acc[3]
+        grd[sel] = acc[1] / acc[3]
+        grd2[sel] = acc[2] / (r * acc[4])
+    return val, grd, grd2
+
+
 @dataclass(frozen=True)
 class EmbeddingReport:
     """Outcome of a randomized max-norm vs H^s-norm inequality check."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from adwave.potentials import (
     POINTWISE_OFFCRITICAL,
     UNIFORM_C1,
     MollifiedProfile,
+    Profile,
+    _cubic_pieces,
     _radius,
     ball_potential,
     certify_family,
@@ -27,6 +30,7 @@ from oracles import (
     ball_oracle,
     central_difference_gradient,
     extreme_floats,
+    profile_build_oracle,
     radial_grad_oracle,
     radius_oracle,
     same_bits,
@@ -303,6 +307,50 @@ class TestValuesFarOnThePlateau:
         assert np.array_equal(W.grad(y), np.zeros((3, 2)))
 
 
+# one potential of every kind, with its state dimension m
+_KINDS = {
+    "mollified-m1": mollified_family(clipped_quadratic(1.0)).make(0.1),
+    "mollified-m2": mollified_family(ball_potential(2)).make(0.1),
+    "clipped": clipped_quadratic(0.8),
+    "ball-m2": ball_potential(2),
+    "ball-m3": ball_potential(3),
+    "taper": linear_taper_family().make(0.3),
+    "zero-m1": zero_potential(1),
+    "zero-m2": zero_potential(2),
+}
+
+
+@st.composite
+def _kind_fields(draw):
+    """``(kind, y)``: a key of :data:`_KINDS` and an array of its states,
+    over 0 to 2 leading axes, with entries from ``extreme_floats()``."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    m = _KINDS[kind].m
+    lead = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))
+    shape = lead + ((m,) if m > 1 else ())
+    return kind, draw(arrays(np.float64, shape, elements=extreme_floats(), fill=st.nothing()))
+
+
+class TestExtremeInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_kind_fields())
+    @example(case=("mollified-m1", np.array([np.nan, 0.3])))
+    @example(case=("mollified-m2", np.array([[np.nan, 0.0], [np.inf, 0.0]])))
+    @example(case=("ball-m2", np.array([[np.inf, 0.0], [0.0, -np.inf], [1e200, 0.0]])))
+    @example(case=("ball-m3", np.array([np.inf, -np.inf, 0.0])))
+    def test_value_and_grad_raise_no_warning(self, case):
+        """Every kind's ``value`` and ``grad`` take signed zeros,
+        subnormals, +-inf, NaN and 1e200 with no ``RuntimeWarning``, and
+        keep the states' shape (``value`` drops the component axis)."""
+        kind, y = case
+        W = _KINDS[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, grad = W.value(y), W.grad(y)
+        assert np.shape(grad) == y.shape
+        assert np.shape(value) == (y.shape if W.m == 1 else y.shape[:-1])
+
+
 class TestMollifiedFamily:
     def test_value_at_origin_small(self):
         fam = mollified_family(clipped_quadratic(1.0))
@@ -463,9 +511,99 @@ class TestHornerEvaluation:
     def test_nan_propagates(self):
         prof = MollifiedProfile(clipped_quadratic(1.0).profile, 0.1)
         for fn in (prof.value, prof.grad):
-            with np.errstate(invalid="ignore"):
-                out = fn(np.array([np.nan, 0.3]))
+            out = fn(np.array([np.nan, 0.3]))
             assert np.isnan(out[0]) and np.isfinite(out[1])
+            assert np.isnan(fn(np.nan))
+
+    def test_finite_input_takes_the_truncated_cell_index(self):
+        """Bit for bit Horner's rule in the cell that truncating the
+        clipped lattice coordinate picks, the last cell at the top end, on
+        a profile with no flat end, whose cells all differ."""
+        prof = MollifiedProfile(_kinked_profile((-0.5, 0.3)), 0.2)
+        grid = lattice(prof)
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(prof.lo - 1.0, prof.hi + 1.0, 5000), grid,
+                            [-0.0, 5e-324, prof.lo, prof.hi, -1e200, 1e200, -np.inf, np.inf]])
+        for pieces, fn in ((prof._value_pieces, prof.value), (prof._grad_pieces, prof.grad)):
+            t = (np.clip(x, prof.lo, prof.hi) - prof.lo) / prof.step
+            i = np.minimum(t.astype(np.intp), grid.size - 2)
+            t = t - i
+            c3, c2, c1, c0 = (c[i] for c in pieces)
+            assert same_bits(fn(x), ((c3 * t + c2) * t + c1) * t + c0)
+
+
+def _kinked_profile(knots) -> Profile:
+    """sin(x) + sum of |x - k| over the knots, kinked at each of them."""
+    ks = np.asarray(knots, dtype=float)
+
+    def value(x):
+        return np.sin(x) + np.sum(np.abs(np.asarray(x)[..., None] - ks), axis=-1)
+
+    def grad(x):
+        return np.cos(x) + np.sum(np.sign(np.asarray(x)[..., None] - ks), axis=-1)
+
+    return Profile(value, grad, tuple(knots))
+
+
+@st.composite
+def _build_cases(draw):
+    """``(profile, radius)``: 0 to 7 knots in any order, neighbours often
+    closer than two radii, so that one window holds several kinks. With a
+    power-of-two radius and knots on multiples of the lattice step every
+    lattice coordinate is exact, and lattice points lie exactly one radius
+    from each knot; otherwise knots and radius are arbitrary floats."""
+    k = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        radius = draw(st.sampled_from([0.25, 0.125, 0.0625, 0.03125]))
+        step = radius / 32
+        start = draw(st.integers(-64, 64))
+        gaps = draw(st.lists(st.integers(1, 160), min_size=k, max_size=k))
+        knots = [(start + int(g)) * step for g in np.cumsum(gaps)]
+    else:
+        radius = draw(st.floats(0.02, 0.5))
+        start = draw(st.floats(-1.5, 1.5))
+        gaps = draw(st.lists(st.floats(1e-3, 2.0) | st.floats(1e-3, 2.0 * radius),
+                             min_size=k, max_size=k))
+        knots = [start + float(g) for g in np.cumsum(gaps)]
+    return _kinked_profile(draw(st.permutations(knots))), radius
+
+
+# the bases and radii of the six members the experiments build, and of
+# mollified(ball(2), eps = 0.1)
+_MEMBERS = [(clipped_quadratic(1.0), 1.0, 0.1), (clipped_quadratic(1.0), 1.0, 0.05)] + [
+    (clipped_quadratic(1.0), 2.0, eps) for eps in (0.2, 0.1, 0.05, 0.025)] + [
+    (ball_potential(2), 1.0, 0.1)]
+
+
+class TestBuildAgainstOracle:
+    """The Hermite coefficients and the Lipschitz constant of a mollified
+    profile are those of the per-row quadrature of
+    :func:`oracles.profile_build_oracle`, bit for bit."""
+
+    @staticmethod
+    def check(profile, radius):
+        prof = MollifiedProfile(profile, radius)
+        grid = lattice(prof)
+        assert grid.size == prof._value_pieces[0].size + 1
+        val, grd, grd2 = profile_build_oracle(profile, radius, grid)
+        want = _cubic_pieces(val, grd, prof.step) + _cubic_pieces(grd, grd2, prof.step)
+        for got, w in zip(prof._value_pieces + prof._grad_pieces, want):
+            assert same_bits(got, w)
+        assert prof.grad_lipschitz == float(np.max(np.abs(grd2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_build_cases())
+    def test_generated_profiles(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("base, ratio, eps", _MEMBERS)
+    def test_members(self, base, ratio, eps):
+        fam = mollified_family(base, kernel_width_ratio=ratio)
+        with mock.patch.object(potentials, "MollifiedProfile",
+                               wraps=MollifiedProfile) as builds:
+            fam.make(eps)
+        (profile, radius), _ = builds.call_args
+        self.check(profile, radius)
 
 
 class TestLatticeResolution:
