@@ -24,7 +24,6 @@ from .spectral import (
     hs_norm,
     l2_inner,
     l2_norm,
-    mask_exterior,
     seminorm_s,
 )
 from .potentials import (

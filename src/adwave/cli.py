@@ -1,29 +1,17 @@
 """Command-line front end: config parsing, dispatch, deterministic output.
 
-Configuration files are flat INI-style text: ``[section]`` headers and
-``key = value`` lines, with ``#`` comments. Each key's converter is in
-``_SCHEMA``; each descriptor ``kind(arg=value, ...)`` kind's factory and
-argument defaults are in ``_POTENTIALS``, ``_FAMILIES`` or ``_DATA``. One
-table, ``_READS``, says which sections and keys each command reads; an
-experiment reads the [experiment] keys among its run's keyword parameters.
-Lists, swept values and descriptor arguments split at top-level commas.
-Unknown sections, keys, kinds and arguments and stray commas are rejected
-at their line, as is a section or key the command does not read. An error
-about a whole section names its header's line, or, if the section is unread
-and sets a key, that key's line. Every physical parameter of a simulation,
-a non-finite one included, is validated against the module invariants at
-its line before any computation starts; an [experiment] number must be
-finite, and an [experiment] name must be the experiment the command runs.
-``_at_lines`` turns a library range error into an error at the line of the
-first key that carries its parameter (``_PASSED_AS``). An output
-directory that cannot be created, and a negative [run] seed, are errors at
-their line when the config sets them; only certify-potential reads a seed.
-
-Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
+Configuration files are flat INI-style text (README's "Configuration
+files" lists the sections, keys, descriptors and defaults). Every error in
+one, a library range error included, is a :class:`ConfigError` at the line
+of the key that carries the offending value, raised before anything is
+written. Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
 3 numerical blow-up.
 
-Environment: ``ADWAVE_OUT`` overrides the output directory, ``ADWAVE_WORKERS``
-(a whole number >= 1, default 1) sets how many sweep sub-runs run at once.
+Environment: ``ADWAVE_OUT`` overrides the output directory, and
+``ADWAVE_WORKERS`` (a whole number >= 1, default 1) sets how many sweep
+sub-runs run at once. The first sub-run to fail cancels those not yet
+started; those already started finish and write, so with two or more
+workers a blow-up can leave a later sub-run written in full.
 """
 from __future__ import annotations
 
@@ -67,12 +55,6 @@ class Descriptor:
                           for k, v in self.args)
         return f"{self.kind}({inner})"
 
-    def get(self, key, default=None):
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
-
 
 def _split_top_level(text: str) -> list[str]:
     """``text`` split at the commas outside parentheses; an empty part is
@@ -112,9 +94,9 @@ def parse_descriptor(text: str, line: int | None = None) -> Descriptor:
 
 def _build(table: dict, what: str, desc: Descriptor, line: int | None, *lead):
     """``factory(*lead, **arguments)`` for ``table[desc.kind] = (factory,
-    {argument: default})``. An argument whose default is an int must be a
-    whole number, ``base`` is a potential descriptor, built first, and a
-    ``None`` default leaves the factory to reject a missing argument."""
+    {argument: default})``. ``base`` is a potential descriptor, built first,
+    and the factory checks every other argument (an ``m`` or ``k`` must be a
+    whole number) and rejects a missing one whose default is ``None``."""
     if desc.kind not in table:
         raise ConfigError(f"unknown {what} kind {desc.kind!r}", line)
     factory, defaults = table[desc.kind]
@@ -125,16 +107,10 @@ def _build(table: dict, what: str, desc: Descriptor, line: int | None, *lead):
                 raise ValueError(f"{desc.kind} takes no argument {key!r}; it takes "
                                  + (", ".join(defaults) or "none"))
             args[key] = value
-        for key, default in defaults.items():
-            value = args[key]
-            if key == "base":
-                if not isinstance(value, Descriptor):
-                    raise ValueError(f"base must be a potential kind(...), got {value!r}")
-                args[key] = build_potential(value, line)
-            elif isinstance(default, int):
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValueError(f"{key} must be a whole number, got {value!r}")
-                args[key] = int(value)
+        if "base" in args:
+            if not isinstance(args["base"], Descriptor):
+                raise ValueError(f"base must be a potential kind(...), got {args['base']!r}")
+            args["base"] = build_potential(args["base"], line)
         return factory(*lead, **args)
     except ConfigError:
         raise
@@ -279,14 +255,10 @@ class RunSpec:
         if self.get("domain", "d") is None or self.get("domain", "s") is None:
             raise ConfigError("[domain] section with keys d and s is required",
                               self.line_of("domain"))
-        n = self.get("domain", "n", [64.0])
-        if not all(v.is_integer() for v in n):
-            raise ConfigError(f"invalid [domain]: grid sizes must be integers, got "
-                              f"{', '.join(fmt(v) for v in n)}", self.line_of("domain", "n"))
         return _at_lines(self, "domain", sp.Domain,
                          d=self.get("domain", "d"), s=self.get("domain", "s"),
                          omega_extent=_per_axis(self.get("domain", "omega_extent", [1.0])),
-                         n=_per_axis([int(v) for v in n]),
+                         n=_per_axis(self.get("domain", "n", [64.0])),
                          pad_factor=self.get("domain", "pad_factor"),
                          boundary_mode=self.get("domain", "boundary"))
 

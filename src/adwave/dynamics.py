@@ -1,53 +1,17 @@
 """Time integration, energy bookkeeping, and weak-form diagnostics.
 
-The second-order system u_tt = -(-Delta)^s u - grad W(u) is advanced with a
-Stoermer-Verlet (kick-drift-kick) scheme. In exterior-dirichlet mode the
-position update is followed by the exterior projection and the second kick
-uses the projected state, which makes the map identical to plain Verlet on
-the constrained subspace: it stays symplectic there, exactly
-time-reversible, and keeps every recorded snapshot supported in Omega.
-The blow-up check reads the new v alone, after the second kick: a
-non-finite value anywhere in the new u makes the second force's zero
-frequency NaN (the symbol is 0 there), which the inverse transform adds
-into every v. ``bound`` caps |grad W|, so ``force`` makes no ``grad`` call
-for a bound-0 potential such as the free wave's: subtracting +0 would
-leave every bit as it is, -0 and NaN included.
-
-Exterior contract: u vanishes outside Omega: it is +0 or -0 at every point
-off ``domain.interior_mask``, a set that is empty unless the mode is
-exterior-dirichlet, so one check serves every mode. W models the adhesive
-layer on Omega, so grad W(u) and W(u) are evaluated on the interior block
-``u[domain.interior]`` only. A field's layout is the only promise the
-transforms of :mod:`adwave.spectral` read: ``step`` hands ``force`` the
-lines block ``[domain.interior_lines]``, the lines along the last spatial
-axis through Omega, and kicks, drifts and projects on those lines alone.
-On their points outside Omega the force holds the nonlocal term
--(-Delta)^s u alone, which the step's projection discards (a negative value
-leaves -0 there); off them a new state is +0.
-
-A state comes in either of two layouts (:meth:`Domain.layout`): the full
-box, or its lines block ``u[domain.interior_lines]``, which is all a state
-that vanishes off those lines needs. ``step``, ``force`` and ``energies``
-take either and return the layout they were given. :func:`simulate`
-advances the lines block. Every recorded state is read through
-:attr:`Trajectory.states`, whose ``st.u`` and ``st.v`` are full boxes. In
-periodic and neumann-1d mode, and at d = 1, the block is the box, and a
-state is kept as it is. Otherwise, once its energies are taken, a state is
-packed: Omega's block of u and v plus the sign bits of each lines block,
-since off Omega a recorded field is +0 or -0 (the projection's -0 shows in
-``trajectory.csv``). Reading ``st.u`` or ``st.v`` of a packed state builds
-that field's full box alone.
-
-Recorded snapshots are evaluated in stacks of up to :data:`STACK_BYTES` of
-(u, v): :func:`energies` takes a stack's energies with one transform, one
-``potential.value`` and one row sum per term, and :func:`weak_residual`
-reads the snapshots in the same stacks. On the experiments' 1-D grids a
-transform or potential call costs several times its arithmetic in dispatch,
-and the stacks pay it once per few hundred snapshots; a 2-D 128^2 snapshot
-or larger is evaluated alone at its record step, with no extra copy and,
-after the first, no transform: its elastic term is the Parseval sum of
-the spectrum the second kick of its step took of the same u (``step``'s
-``seminorms``). Every value equals the one-state one bit for bit.
+u_tt = -(-Delta)^s u - grad W(u) is advanced with kick-drift-kick
+Stoermer-Verlet. In exterior-dirichlet mode each step projects the new u
+and v onto the states that vanish outside Omega (+0 or -0 off
+``domain.interior``), so the map is plain Verlet on that subspace:
+symplectic and time-reversible. W acts on Omega alone: grad W and W are
+taken on ``u[domain.interior]``. ``step``, ``force`` and ``energies`` take
+a state as the full box or as its lines block (:meth:`Domain.layout`) and
+return the layout they were given. :func:`simulate` records snapshots whose
+``st.u`` and ``st.v`` read as full boxes, and evaluates their energies in
+stacks, each equal to the one-state energy bit for bit. README's
+"Numerical scheme in brief" explains the lines block, the packed snapshots,
+the stacks and the seminorm a step carries to the energy.
 """
 from __future__ import annotations
 
@@ -66,7 +30,7 @@ from .spectral import (
     SpectralOperator,
     _as_tuple,
     _placed,
-    _times_grid,
+    _whole,
     apply_fractional_laplacian,
     build_operator,
     embedding_constant,
@@ -189,6 +153,7 @@ class SimConfig:
                 "dt", f"dt = {self.dt!r} does not divide T = {self.T!r} into a whole "
                 f"number of steps (T / dt = {steps!r}); use dt = T / ceil(T / dt) "
                 f"= {self.T / math.ceil(steps)!r}")
+        self.record_every = _whole(self.record_every, "record_every", SimConfigError)
         if self.record_every < 1:
             raise SimConfigError("record_every", "record_every must be >= 1")
         for label, f in (("u0", self.u0), ("v0", self.v0)):
@@ -316,22 +281,24 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     seminorm of the new ``u`` appended, which the second kick's force takes
     from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit.
     """
-    lines, _, _, mask = op.domain.layout(state.u)
+    lines, collar = op.domain.layout(state.u).lines, op.domain._collar
     u, v = (state.u[lines], state.v[lines]) if lines else (state.u, state.v)
     vh = force(op, potential, u)
     vh *= 0.5 * dt
     vh += v
     u1 = vh * dt
     u1 += u
-    if mask is not None:
-        _times_grid(u1, mask, out=u1)
+    for slab in collar:  # times 0.0, which keeps the sign of a zero and NaN
+        edge = u1[slab]  # a view: u1[slab] *= 0.0 would also write it back
+        edge *= 0.0
     # a step that records nothing keeps force's three-argument call, which
     # a substitute force with that signature still serves
     v1 = force(op, potential, u1) if seminorms is None else force(op, potential, u1, seminorms)
     v1 *= 0.5 * dt
     v1 += vh
-    if mask is not None:
-        _times_grid(v1, mask, out=v1)
+    for slab in collar:
+        edge = v1[slab]
+        edge *= 0.0
     if not np.logical_and.reduce(np.isfinite(v1), axis=None):
         raise BlowUpError("non-finite field values during time step")
     if lines:  # a full box
@@ -607,8 +574,8 @@ def bump_field(domain: Domain, amplitude: float = 1.0, width_frac: float = 0.6,
 
 def sine_field(domain: Domain, k=1, amplitude: float = 1.0) -> np.ndarray:
     """Single periodic Fourier mode prod_i sin(2 pi k_i x_i / L_i); ``k`` is
-    one integer for every axis or one per axis (a sequence of the wrong
-    length raises :class:`~adwave.spectral.ParameterError` naming it)."""
+    one whole number for every axis or one per axis (a fraction, or a sequence
+    of the wrong length, raises :class:`~adwave.spectral.ParameterError`)."""
     grids = domain.grids()
     out = np.ones(domain.n)
     for ki, L, x in zip(_as_tuple(k, domain.d, int, "k"), domain.box_extent, grids):

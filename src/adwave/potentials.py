@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .reporting import Check
-from .spectral import ParameterError, _times_grid
+from .spectral import ParameterError, _times_grid, _whole
 
 C1_UNIFORM = "c1-uniform"
 DISCONTINUOUS_GRAD = "discontinuous-gradient"
@@ -170,9 +170,9 @@ def ball_potential(m: int) -> Potential:
     """W(y) = |y|^2 on the closed unit ball, 1 outside the open ball.
 
     The unit sphere is the critical set; on it the gradient takes the inside
-    closure value 2y.
+    closure value 2y. A fractional or non-finite ``m`` raises ParameterError.
     """
-    m = int(m)
+    m = _whole(m, "m")
     scalar = clipped_quadratic(1.0)
     if m == 1:
         return scalar
@@ -192,7 +192,8 @@ def ball_potential(m: int) -> Potential:
 
 
 def zero_potential(m: int = 1) -> Potential:
-    """W identically 0; turns the dynamics into the free fractional wave."""
+    """W identically 0, the free fractional wave's; ``m`` as in :func:`ball_potential`."""
+    m = _whole(m, "m")
 
     def value(y):
         shape = np.shape(y)  # drops the component axis of m >= 2

@@ -1,63 +1,17 @@
-"""Fourier-multiplier discretization of the fractional Laplacian.
+"""Fourier-multiplier discretization of the fractional Laplacian (-Delta)^s.
 
-The operator (-Delta)^s is realized through its symbol |xi|^(2s) on the
-frequency lattice of a rectangular computational box. Three boundary modes
-are supported:
-
-* ``exterior-dirichlet``: the physical region Omega sits centered inside a
-  strictly larger periodic box (``pad_factor > 1``). Fields that represent
-  states of the constrained problem vanish identically outside Omega. Use
-  :func:`mask_exterior` to project onto that subspace. The symbol acts on
-  the periodised field, so at non-integer s every periodic image of Omega
-  adds its nonlocal interaction, a bias that neither the collar nor the
-  resolution removes (README gives its size on the unit-ball oracle).
-* ``periodic``: Omega is the whole box, no exterior constraint. This is the
-  natural setting for single-mode and dispersion diagnostics.
-* ``neumann-1d``: one-dimensional cosine basis on (0, L) sampled at cell
-  midpoints, so zero-slope endpoint conditions hold structurally. Restricted
-  to d = 1, s = 1.
-
-Grid layout contract: arrays are row-major with spatial axes ordered
-(x1, ..., xd). Vector-valued fields carry their m components on one trailing
-axis; scalar fields have no trailing axis. :func:`_times_grid` multiplies
-either kind, or its spectrum, by an array over the grid (a symbol, a mask),
-one component view at a time, so NumPy's inner loop runs along a spatial
-axis rather than the length-m component axis. The grid points inside
-Omega form one block, ``f[domain.interior]``: :attr:`Domain.interior` holds
-its per-axis slices and :attr:`Domain.interior_mask` is the same set as a
-boolean grid. Both span the whole box unless the mode is exterior-dirichlet.
-
-Spectral layout: fields are real, so the periodic modes use real-to-complex
-transforms, one pass per spatial axis in ``rfftn``'s order: real-to-complex
-along the last spatial axis, then complex along the leading axes in turn
-(the inverse does the complex passes first, in the same order, then
-complex-to-real). Every pass scales with ``norm="backward"``,
-so with whole axes this is ``rfftn``/``irfftn`` up to rounding, and bit for
-bit when every n is a power of two. Spectra keep only the non-negative half
-of the last spatial axis, ``n/2 + 1`` columns; ``n`` is even, so the Nyquist
-column is always present. Every pass, cosine transforms included, calls
-scipy's pocketfft kernel directly on one thread (see the binding's comment
-below), so ``scipy.fft.set_workers`` does not apply.
-
-A field comes in one of two layouts, told apart by shape
-(:meth:`Domain.layout`): the full box, or its lines block
-``f[domain.interior_lines]``, the lines along the last spatial axis through
-Omega, which is all a field that vanishes off those lines needs. The layout
-alone decides which lines a transform reads: a full box is transformed
-whole, a lines block on Omega's lines alone, so that the forward passes
-skip the all-zero lines of the exterior and the inverse produces Omega's
-lines only (FFT pruning, Markel 1971). On a full box that vanishes off
-those lines both make the same passes, so on the lines the results are
-equal bit for bit. Every function that takes a field returns the layout it
-was given. In exterior-dirichlet mode at d = 3 with pad 2 the block holds
-961 of the 4,096 lines of a 64^3 box; in the other modes, and at d = 1, it
-is the box. A :class:`SpectralOperator` carries the full symbol plus
-read-only half-spectrum copies for the multiplier and for Parseval sums
-(:func:`seminorms_sq` takes them of a stack;
-:func:`apply_fractional_laplacian` hands out that of its own forward
-spectrum on request), and :func:`build_operator` is memoised on the
-(frozen, hashable) :class:`Domain`, so every caller that asks for the
-operator of one domain shares one instance.
+The symbol |xi|^(2s) acts on the frequency lattice of a rectangular box in
+one of three boundary modes: ``exterior-dirichlet`` (Omega centred in a
+strictly larger periodic box, states vanish outside Omega), ``periodic``
+(Omega is the box) and ``neumann-1d`` (cosine basis, d = 1 and s = 1).
+Arrays are row-major over the spatial axes (x1, ..., xd); a vector field
+carries its m components on one trailing axis. A field comes as the full
+box or as its lines block ``f[domain.interior_lines]`` (:meth:`Domain.layout`),
+and every function returns the layout it was given, with the same bits on
+Omega's lines. Transforms call scipy's pocketfft kernel on one thread, and
+:func:`build_operator` is memoised per :class:`Domain`. README's "Numerical
+scheme in brief" explains the pruned transforms, and the bias of the
+periodised symbol at non-integer s.
 """
 from __future__ import annotations
 
@@ -107,15 +61,21 @@ class DomainError(ParameterError):
     """An invalid :class:`Domain` parameter."""
 
 
+def _whole(value, field: str, error=ParameterError) -> int:
+    """``value`` as an int, an integral float such as 2.0 included; a
+    fractional or non-finite value raises ``error`` naming ``field``."""
+    if not float(value).is_integer():
+        raise error(field, f"{field} must be a whole number, got {value}")
+    return int(value)
+
+
 def _as_tuple(value, d: int, kind: type, field: str, error=ParameterError) -> tuple:
-    """``value`` as ``d`` per-axis values of type ``kind``; a sequence of the
-    wrong length raises ``error`` naming ``field``."""
-    if np.isscalar(value):
-        return (kind(value),) * d
-    out = tuple(kind(v) for v in value)
-    if len(out) != d:
-        raise error(field, f"{field}: expected {d} per-axis values, got {len(out)}")
-    return out
+    """``value`` as ``d`` per-axis values of ``kind``, ``int`` through :func:`_whole`;
+    a sequence of the wrong length raises ``error`` naming ``field``."""
+    values = (value,) * d if np.isscalar(value) else tuple(value)
+    if len(values) != d:
+        raise error(field, f"{field}: expected {d} per-axis values, got {len(values)}")
+    return tuple(_whole(v, field, error) if kind is int else kind(v) for v in values)
 
 
 class Layout(NamedTuple):
@@ -124,7 +84,6 @@ class Layout(NamedTuple):
     lines: tuple  # Omega's grid lines within the field; () in a lines block
     inner: tuple  # Omega's interior block within the field
     lead: tuple | None  # the grid lines the field holds; None: cosine transform
-    mask: np.ndarray | None  # the exterior projection on the lines block; None: identity
 
 
 @dataclass(frozen=True)
@@ -147,7 +106,8 @@ class Domain:
     boundary_mode:
         One of ``exterior-dirichlet``, ``periodic``, ``neumann-1d``.
 
-    An invalid parameter raises :class:`DomainError` naming the field.
+    An invalid parameter raises :class:`DomainError` naming the field; ``d``
+    and ``n`` take whole numbers, an integral float such as 2.0 included.
     """
 
     d: int
@@ -158,6 +118,7 @@ class Domain:
     boundary_mode: str = EXTERIOR_DIRICHLET
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _whole(self.d, "d", DomainError))
         if not 1 <= self.d <= 3:
             raise DomainError("d", f"spatial dimension must be 1..3, got {self.d}")
         if not 0 < self.s < math.inf:
@@ -165,7 +126,11 @@ class Domain:
                               f"got {self.s}")
         object.__setattr__(self, "omega_extent", _as_tuple(
             self.omega_extent, self.d, float, "omega_extent", DomainError))
-        object.__setattr__(self, "n", _as_tuple(self.n, self.d, int, "n", DomainError))
+        n = _as_tuple(self.n, self.d, float, "n", DomainError)
+        if not all(m.is_integer() for m in n):
+            got = ", ".join(f"{m:.17g}" for m in (n[:1] if np.isscalar(self.n) else n))
+            raise DomainError("n", f"grid sizes must be integers, got {got}")
+        object.__setattr__(self, "n", tuple(map(int, n)))
         if not all(0 < e < math.inf for e in self.omega_extent):
             raise DomainError("omega_extent",
                               "omega_extent must be positive and finite on every axis")
@@ -254,11 +219,18 @@ class Domain:
                       zip(self.interior_lines, self.n)) + self.n[-1:]
         whole = (slice(None),) * (self.d - 1)
         cosine = self.boundary_mode == NEUMANN_1D
-        mask = (self.interior_mask[self.interior_lines]
-                if self.boundary_mode == EXTERIOR_DIRICHLET else None)
         return {block: Layout((), whole + self.interior[-1:],
-                              None if cosine else self.interior_lines, mask),
-                self.n: Layout(self.interior_lines, self.interior, None if cosine else whole, mask)}
+                              None if cosine else self.interior_lines),
+                self.n: Layout(self.interior_lines, self.interior, None if cosine else whole)}
+
+    @cached_property
+    def _collar(self) -> tuple:
+        # Omega's exterior in a lines block: the last axis's slabs off interior[-1]
+        if self.boundary_mode != EXTERIOR_DIRICHLET:
+            return ()
+        lo, hi, _ = self.interior[-1].indices(self.n[-1])
+        whole = (slice(None),) * (self.d - 1)
+        return whole + (slice(None, lo),), whole + (slice(hi, None),)
 
     def layout(self, f: np.ndarray) -> Layout:
         """The :class:`Layout` of the field ``f``, which comes in one of two
@@ -365,7 +337,7 @@ def _times_grid(f: np.ndarray, grid: np.ndarray, *, stacked: int = 0,
     """``f * grid`` into ``out`` (a new array by default; ``f`` itself to
     multiply in place), for a field or its spectrum ``f`` after ``stacked``
     stack axes and ``grid`` an array over its spatial axes (a symbol, a
-    mask). Over a trailing component axis the product runs one component
+    weight grid). Over a trailing component axis the product runs one component
     view ``f[..., c]`` at a time, so NumPy's inner loop walks a spatial axis
     and not the length-m component axis; every value is that of
     ``f * grid[..., None]`` bit for bit."""
@@ -542,19 +514,6 @@ def _parseval_sums(op: SpectralOperator, spec: np.ndarray) -> list[float]:
 def hs_norm(op: SpectralOperator, f: np.ndarray) -> float:
     """Full H^s norm: sqrt(l2_norm^2 + seminorm_s^2)."""
     return math.sqrt(l2_norm(op.domain, f) ** 2 + seminorm_s(op, f) ** 2)
-
-
-def mask_exterior(domain: Domain, f: np.ndarray) -> np.ndarray:
-    """Zero a field on all grid points outside Omega, in a new array. Idempotent.
-
-    In periodic mode Omega is the whole box, so the result equals the field
-    bit for bit (-0 and NaN included). Not meaningful in neumann-1d mode.
-    """
-    if domain.boundary_mode == NEUMANN_1D:
-        raise ValueError("mask_exterior is undefined in neumann-1d mode")
-    f = np.asarray(f, dtype=float)
-    domain.field_components(f)
-    return _times_grid(f, domain.interior_mask)
 
 
 def _tail_series(c: float, d: int, s: float, stop: float) -> tuple[float, float]:

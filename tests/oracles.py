@@ -3,9 +3,9 @@
 Everything here is built from first principles (explicit DFT matrices,
 closed-form antiderivatives, generic quadrature, one CSV cell at a time,
 the full-box time step) and never calls the package code they check, so
-agreement is a genuine cross-check. The randomized embedding check and the
-sin^2 time window at the end are test inputs, not oracles, and
-:func:`traced_memory` is a measuring tool.
+agreement is a genuine cross-check. The randomized embedding check, the
+sin^2 time window and :func:`mask_exterior` at the end are test inputs,
+not oracles, and :func:`traced_memory` is a measuring tool.
 """
 import math
 import tracemalloc
@@ -27,6 +27,7 @@ from adwave.spectral import (
     l2_inner,
     l2_norm,
     seminorm_s,
+    _times_grid,
 )
 
 
@@ -442,6 +443,19 @@ def window_sin_sq(T: float) -> TimeWindow:
         return 2.0 * w * w * math.cos(2.0 * w * t)
 
     return TimeWindow(value, d1, d2, "sin^2 window")
+
+
+def mask_exterior(domain, f: np.ndarray) -> np.ndarray:
+    """Zero a field on all grid points outside Omega, in a new array. Idempotent.
+
+    In periodic mode Omega is the whole box, so the result equals the field
+    bit for bit (-0 and NaN included). Not meaningful in neumann-1d mode.
+    """
+    if domain.boundary_mode == NEUMANN_1D:
+        raise ValueError("mask_exterior is undefined in neumann-1d mode")
+    f = np.asarray(f, dtype=float)
+    domain.field_components(f)
+    return _times_grid(f, domain.interior_mask)
 
 
 def traced_memory(fn) -> tuple[int, int]:

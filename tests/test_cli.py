@@ -137,6 +137,12 @@ class TestDomainSection:
         with pytest.raises(ConfigError, match=f"^line {line}: .*{what}"):
             parse_config(self.TWO_D.replace(old, new)).build_domain()
 
+    @pytest.mark.parametrize("n", ["64.5", "64.5, 32", "64, inf"])
+    def test_fractional_grid_sizes_are_the_librarys_error_in_the_cli_text(self, n):
+        with pytest.raises(ConfigError) as err:
+            parse_config(self.TWO_D.replace("n = 64", f"n = {n}")).build_domain()
+        assert str(err.value) == f"line 5: invalid [domain]: grid sizes must be integers, got {n}"
+
 
 class TestSimulationSection:
     # [simulation] starts at line 14 of MINIMAL: T on line 15, the key after it on 16
@@ -301,8 +307,9 @@ class TestDescriptors:
         d = parse_descriptor("mollified(base=clipped_quadratic(u_star=1.0), "
                              "ratio=2.0, eps=0.1)")
         assert d.kind == "mollified"
-        assert isinstance(d.get("base"), Descriptor)
-        assert d.get("ratio") == 2.0
+        args = dict(d.args)
+        assert isinstance(args["base"], Descriptor)
+        assert args["ratio"] == 2.0
 
     def test_canonical_text_round_trips(self):
         text = "mollified(base=clipped_quadratic(u_star=1.0), ratio=2.0, eps=0.1)"
@@ -905,6 +912,42 @@ def test_a_failing_sub_run_cancels_the_sub_runs_not_yet_started(monkeypatch):
         cli._map_ordered(sub_run, list(range(10)))
     assert sorted(started) == list(range(len(started)))
     assert len(started) - 2 <= 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_blow_up_stops_a_sweep_and_the_sub_runs_already_started_write(
+        tmp_path, capsys, monkeypatch, workers):
+    """run-000 blows up at step 128, run-001 is stable. With one worker
+    run-001 never starts: only run-000's config.ini is written. With two,
+    run-000 blows up only once run-001 has started, which then finishes
+    and writes all of its output. Both exit 3 with run-000's error."""
+    monkeypatch.setenv("ADWAVE_WORKERS", workers)
+    started, simulate = threading.Event(), cli.dyn.simulate
+
+    def ordered_simulate(config):
+        if config.dt != 0.5:
+            started.set()
+        elif workers == "2":
+            assert started.wait(timeout=60)
+        return simulate(config)
+
+    monkeypatch.setattr(cli.dyn, "simulate", ordered_simulate)
+    text = (MINIMAL.replace("n = 64", "n = 64\npad_factor = 1.0\nboundary = periodic")
+            .replace("u0 = zero()", "u0 = sine(k=31, amplitude=1.0)")
+            .replace("T = 0.5", "T = 80.0\nenforce_cfl = false")
+            + "\n[sweep]\nsimulation.dt = 0.5, 0.05\n")
+    rc, (out, err) = _run(tmp_path, capsys, text, "sweep")
+    assert rc == 3 and out == ""
+    assert err == "numerical blow-up: blow-up at step 128 (t = 64)\n"
+    written = sorted(str(p.relative_to(tmp_path / "out"))
+                     for p in (tmp_path / "out").rglob("*") if p.is_file())
+    if workers == "1":
+        assert written == ["run-000/config.ini"]
+    else:
+        assert written == ["run-000/config.ini", "run-001/config.ini",
+                           "run-001/energy.csv", "run-001/trajectory.csv"]
+        rows = (tmp_path / "out" / "run-001" / "energy.csv").read_text().splitlines()
+        assert len(rows) == 1 + 161 and rows[-1].startswith("80,")
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-1"])

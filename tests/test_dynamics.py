@@ -62,6 +62,7 @@ from oracles import (
     energy_oracle,
     energy_per_state_oracle,
     interior_mask_oracle,
+    mask_exterior,
     step_oracle,
     sup_bound_oracle,
     traced_memory,
@@ -132,7 +133,6 @@ class TestEnergy:
         rng = np.random.default_rng(0)
         dom = dirichlet_domain(n=64)
         op = build_operator(dom)
-        from adwave.spectral import mask_exterior
         u = mask_exterior(dom, rng.standard_normal(64))
         v = mask_exterior(dom, rng.standard_normal(64))
         e = energy(op, clipped_quadratic(1.0), FieldState(u, v))
@@ -357,9 +357,9 @@ def _band_limited_inside_omega(dom, m, rng, band, amplitude):
 
 
 @st.composite
-def _step_cases(draw, embedding=False, mode=None, m=None):
-    """``(op, W, dt, state)``; with ``embedding``, 2s > d; ``mode`` and
-    ``m`` are drawn unless given."""
+def _step_cases(draw, embedding=False, mode=None, m=None, kind=None):
+    """``(op, W, dt, state)``; with ``embedding``, 2s > d; ``mode``, ``m``
+    and the potential's ``kind`` are drawn unless given."""
     if mode is None:
         mode = draw(st.sampled_from([EXTERIOR_DIRICHLET, PERIODIC, NEUMANN_1D]))
     d = 1 if mode == NEUMANN_1D else draw(st.integers(1, 3))
@@ -371,7 +371,7 @@ def _step_cases(draw, embedding=False, mode=None, m=None):
                  pad_factor=pad, boundary_mode=mode)
     if m is None:
         m = draw(st.integers(1, 2))
-    W = _potential(draw(st.sampled_from(_KINDS[m])), m)
+    W = _potential(kind or draw(st.sampled_from(_KINDS[m])), m)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     band = draw(st.integers(1, 3))
     u0 = _band_limited_inside_omega(dom, m, rng, band, draw(st.floats(0.05, 2.0)))
@@ -426,6 +426,55 @@ def test_k_steps_back_from_the_negated_velocity_return_to_the_start(case, k):
         state = step(state, op, W, dt)
     assert np.max(np.abs(state.u - start.u)) <= 1e-12 * scale
     assert np.max(np.abs(-state.v - start.v)) <= 1e-12 * scale
+
+
+def _leapfrog_invariant(op, W, dt, state):
+    """E_kin + E_ela + E_adh - (dt^2 / 8) ||F(u)||^2 over Omega, with F the
+    force: the leapfrog energy 1/2 v^2 + 1/2 w^2 u^2 (1 - w^2 dt^2 / 4) of
+    every eigenmode of the projected operator wherever grad W is linear."""
+    f = dynamics.force(op, W, state.u)[op.domain.interior]
+    modified = dt ** 2 / 8 * float(np.sum(f * f)) * op.domain.cell_volume
+    return energy(op, W, state).total - modified
+
+
+def _invariant_drift(case, steps=30, radius=0.5):
+    """The largest change of :func:`_leapfrog_invariant` over up to
+    ``steps`` steps from ``case``'s data scaled to max |u0| = max |v0| =
+    0.3, relative to 1/2 ||v0||^2 + 1/2 (lambda_max + L) ||u0||^2 + |E_adh|,
+    the scale of each energy term's rounding. The run stops before the
+    first state with a |u| >= ``radius``."""
+    op, W, dt, state = case
+    u, v = (f * (0.3 / max(np.max(np.abs(f)), 1e-300)) for f in (state.u, state.v))
+    state = FieldState(u, v)
+    stiff = float(np.max(op.symbol)) + W.grad_lipschitz
+    scale = (0.5 * float(np.sum(v * v) + stiff * np.sum(u * u)) * op.domain.cell_volume
+             + abs(energy(op, W, state).adhesive))
+    start, worst = _leapfrog_invariant(op, W, dt, state), 0.0
+    for _ in range(steps):
+        state = step(state, op, W, dt)
+        if np.max(np.abs(state.u)) >= radius:
+            break
+        worst = max(worst, abs(_leapfrog_invariant(op, W, dt, state) - start))
+    return worst / scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_step_cases(kind="zero"))
+def test_the_free_wave_conserves_the_leapfrog_energy_in_every_mode(case):
+    """Kick-drift-kick conserves the modified energy exactly, up to
+    rounding, when the force is linear: the zero potential's in all three
+    boundary modes, for scalar and vector data."""
+    assert _invariant_drift(case, radius=math.inf) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_step_cases())
+def test_every_potential_conserves_the_leapfrog_energy_in_its_quadratic_region(case):
+    """While |u| < 0.5 every drawn potential has a linear gradient: 2u (the
+    clipped quadratic, the ball and the mollified members, whose kernel
+    radius is 0.1) or (2 - eps) u (the taper). There the modified energy
+    is conserved up to rounding."""
+    assert _invariant_drift(case) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -1306,6 +1355,46 @@ class TestApproximationKnobs:
             tf = WeakTestField(psi=psi, window=window_sin_sq(2.0))
             vals.append(abs(weak_residual(traj, [tf], W)[0]))
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.3)
+
+
+_BOX = dict(s=1.0, omega_extent=1.0, pad_factor=2.0)
+
+
+def _record_every(value):
+    dom = periodic_domain(n=8)
+    return SimConfig(domain=dom, potential=zero_potential(), T=1.0, dt=0.25,
+                     u0=zero_field(dom), v0=zero_field(dom), record_every=value)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("n", lambda: Domain(d=2, n=(32.9, 64.2), **_BOX)),
+    ("n", lambda: Domain(d=1, n=math.inf, **_BOX)),
+    ("d", lambda: Domain(d=1.5, n=8, **_BOX)),
+    ("d", lambda: Domain(d=math.nan, n=8, **_BOX)),
+    ("k", lambda: sine_field(Domain(d=1, n=8, **_BOX), k=1.6)),
+    ("k", lambda: sine_field(Domain(d=2, n=8, **_BOX), k=(1, 2.5))),
+    ("m", lambda: ball_potential(2.5)),
+    ("m", lambda: ball_potential(math.inf)),
+    ("m", lambda: zero_potential(2.5)),
+    ("record_every", lambda: _record_every(2.5)),
+    ("record_every", lambda: _record_every(math.nan)),
+], ids=["domain-n", "domain-n-inf", "domain-d", "domain-d-nan", "sine-k", "sine-k-axis",
+        "ball-m", "ball-m-inf", "zero-m", "record_every", "record_every-nan"])
+def test_a_fractional_or_non_finite_whole_number_raises_on_its_field(field, call):
+    """The library, not only the CLI, decides which numbers are whole: none
+    is truncated silently."""
+    with pytest.raises(ParameterError, match="whole number|integers") as err:
+        call()
+    assert err.value.field == field
+
+
+def test_an_integral_float_is_a_whole_number():
+    dom = Domain(d=2.0, n=(16.0, 8), **_BOX)
+    assert dom == Domain(d=2, n=(16, 8), **_BOX) and type(dom.d) is int
+    assert [type(k) for k in dom.n] == [int, int]
+    assert ball_potential(2.0).name == "ball(m=2)" and zero_potential(2.0).m == 2
+    assert np.array_equal(sine_field(dom, k=(2.0, 1)), sine_field(dom, k=(2, 1)))
+    assert _record_every(2.0).record_every == 2
 
 
 class TestDataHelpers:

@@ -11,7 +11,7 @@ import pytest
 from adwave import cli
 from adwave import experiments as ex
 from adwave import potentials
-from adwave.dynamics import SimConfig, bump_field, stability_limit, zero_field
+from adwave.dynamics import SimConfig, bump_field, simulate, sine_field, stability_limit, zero_field
 from adwave.experiments import (
     fitted_dt,
     run_dispersion_check,
@@ -28,7 +28,7 @@ from adwave.potentials import (
     zero_potential,
 )
 from adwave.reporting import ExperimentReport
-from adwave.spectral import Domain, build_operator
+from adwave.spectral import PERIODIC, Domain, build_operator, row_sums
 
 
 def energy_config(n=64, amplitude=0.5, T=5.0, potential=None):
@@ -206,6 +206,26 @@ class TestDispersion:
         rep = run_dispersion_check(cases=((1, 1.0),), n=16)
         assert rep.passed
         assert rep.series["omega_fitted"][0] == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("k, s, box, factor", [
+        (2, 1.0, 2 * math.pi, 0.45), (4, 1.0, 2 * math.pi, 0.2), (3, 0.5, 2 * math.pi, 0.9),
+        (1, 0.75, 3.0, 0.6), (5, 1.5, 9.0, 0.3), (2, 0.6, 5.0, 0.05)])
+    def test_the_fitted_frequency_is_the_discrete_dispersion_relation(self, k, s, box, factor):
+        """A lone periodic mode steps by the exact recurrence a_{j+1} +
+        a_{j-1} = (2 - lam dt^2) a_j, so ``_fit_frequency`` returns
+        arccos(1 - lam dt^2 / 2) / dt, with lam = (2 pi k / L)^(2s) in closed
+        form: a symbol exponent off by 1e-4 moves it by 1e-5 or more where
+        2 pi k / L is not 1."""
+        dom = Domain(d=1, s=s, omega_extent=box, n=32, pad_factor=1.0, boundary_mode=PERIODIC)
+        lam = (2.0 * math.pi * k / box) ** (2.0 * s)
+        T = 3 * 2.0 * math.pi / math.sqrt(lam)  # three periods
+        dt = fitted_dt(T, factor * stability_limit(build_operator(dom), zero_potential()))
+        traj = simulate(SimConfig(domain=dom, potential=zero_potential(), T=T, dt=dt,
+                                  u0=sine_field(dom, k=k), v0=zero_field(dom), record_every=1))
+        mode = sine_field(dom, k=k)
+        amplitude = np.concatenate([row_sums(us * mode) for us in traj.u_stacks()])
+        want = math.acos(1.0 - lam * dt ** 2 / 2.0) / dt
+        assert ex._fit_frequency(amplitude, dt) == pytest.approx(want, rel=1e-9)
 
 
 class TestReportMechanics:

@@ -1,6 +1,7 @@
 """The suite's own configuration: a failing property test is reported as
-one failure, and the tests after it still run; and the package's modules
-import no name they never use.
+one failure, and the tests after it still run; the package's modules
+import no name they never use; and every private module-level name is read
+somewhere in the package.
 
 When a hypothesis test fails, its pytest plugin imports libcst, which emits
 a ``DeprecationWarning`` for ``mypy_extensions.TypedDict``; under the
@@ -63,3 +64,35 @@ def test_a_module_imports_no_name_it_never_uses(path):
             imported.update((a.asname or a.name, node.lineno) for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    """Every ``_name`` that a module of ``src/adwave`` defines at module
+    level (a function, class or assignment) is read somewhere in the
+    package, as a name or an attribute. This catches the helpers and
+    tables a deletion leaves behind."""
+    trees = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "adwave", "*.py")):
+        with open(path) as f:
+            trees[os.path.basename(path)] = ast.parse(f.read())
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []
