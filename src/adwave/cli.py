@@ -182,18 +182,23 @@ def _float_or_auto(raw: str):
     return "auto" if raw == "auto" else float(raw)
 
 
+def _whole(raw: str) -> int:
+    """A whole number, an integral float such as 2.0 included (``spectral._whole``)."""
+    return int(raw) if raw.lstrip("+-").isdigit() else sp._whole(float(raw), "the value")
+
+
 _SCHEMA = {
-    "domain": {"d": int, "s": float, "omega_extent": _floats, "n": _floats,
+    "domain": {"d": _whole, "s": float, "omega_extent": _floats, "n": _floats,
                "pad_factor": float, "boundary": str},
     "potential": {"kind": parse_descriptor},
     "family": {"kind": parse_descriptor},
     "data": {"u0": parse_descriptor, "v0": parse_descriptor, "u0_hs": float,
              "v0_l2": float},
-    "simulation": {"T": float, "dt": _float_or_auto, "record_every": int,
+    "simulation": {"T": float, "dt": _float_or_auto, "record_every": _whole,
                    "cfl_safety": float, "enforce_cfl": _bool},
-    "run": {"seed": int, "out": str},
+    "run": {"seed": _whole, "out": str},
     "experiment": {"name": str, "eps_list": _floats, "T": float, "L": float,
-                   "n": int, "extent": float, "eps1": float, "eps2": float,
+                   "n": _whole, "extent": float, "eps1": float, "eps2": float,
                    "family_eps": float, "amplitude": float, "eps": float},
     "sweep": {},  # free-form section.key names, each value split at top-level commas
 }

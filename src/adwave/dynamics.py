@@ -4,20 +4,23 @@ u_tt = -(-Delta)^s u - grad W(u) is advanced with kick-drift-kick
 Stoermer-Verlet. In exterior-dirichlet mode each step projects the new u
 and v onto the states that vanish outside Omega (+0 or -0 off
 ``domain.interior``), so the map is plain Verlet on that subspace:
-symplectic and time-reversible. W acts on Omega alone: grad W and W are
-taken on ``u[domain.interior]``. ``step``, ``force`` and ``energies`` take
-a state as the full box or as its lines block (:meth:`Domain.layout`) and
-return the layout they were given. :func:`simulate` records snapshots whose
-``st.u`` and ``st.v`` read as full boxes, and evaluates their energies in
-stacks, each equal to the one-state energy bit for bit. README's
-"Numerical scheme in brief" explains the lines block, the packed snapshots,
-the stacks and the seminorm a step carries to the energy.
+symplectic and time-reversible. W acts on Omega alone. ``step`` and
+``force`` take a state as the full box or as its lines block
+(:meth:`Domain.layout`) and return the layout they were given. Per step,
+:func:`simulate` calls this module's ``step`` once, ``step`` calls its
+``force`` twice (with three positional arguments where it records
+nothing), and each ``force`` calls its ``apply_fractional_laplacian`` once
+and ``potential.grad`` at most once: wrappers of these names see every
+step, transform and gradient of a run. README's "Numerical scheme in
+brief" explains the lines block, the stored stacks, the packed snapshots
+and the seminorm a step carries to the energy.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -89,8 +92,11 @@ class EnergyBreakdown:
 
     @staticmethod
     def of(kinetic: float, elastic: float, adhesive: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(kinetic, elastic, adhesive,
-                               kinetic + elastic + adhesive)
+        # fills __dict__ as the frozen __init__ does, less its object.__setattr__ calls
+        e = object.__new__(EnergyBreakdown)
+        e.__dict__.update(kinetic=kinetic, elastic=elastic, adhesive=adhesive,
+                          total=kinetic + elastic + adhesive)
+        return e
 
 
 def stability_limit(op: SpectralOperator, potential: Potential) -> float:
@@ -174,31 +180,37 @@ class Trajectory:
     """Recorded states, aligned times, and energy series of one run.
 
     ``states`` holds one state per recorded time, each with ``t``, ``u``
-    and ``v``: :class:`FieldState` objects, or, where :func:`simulate` runs
-    exterior-dirichlet with d > 1, packed snapshots whose ``u`` and ``v``
-    each build that field's full box when read. Either way a reader gets
-    the full box of every field, every bit of it.
+    and ``v`` read as full boxes, every bit: :class:`FieldState` objects,
+    or, where :func:`simulate` runs exterior-dirichlet with d > 1, packed
+    snapshots. ``stored_u``, where :func:`simulate` sets it, holds the
+    stacks whose rows the states' ``u`` are.
     """
 
     config: SimConfig
     times: np.ndarray
     states: list[FieldState | _Packed]
     energies: list[EnergyBreakdown]
+    stored_u: list[np.ndarray] = field(default_factory=list)
 
     @property
     def totals(self) -> np.ndarray:
         return np.array([e.total for e in self.energies])
 
     def max_abs_series(self) -> np.ndarray:
-        return np.array([float(np.max(np.abs(st.u))) for st in self.states])
+        return np.concatenate([np.max(np.abs(us).reshape(len(us), -1), axis=1)
+                               for us in self.u_stacks()])
 
     def u_stacks(self):
         """The recorded ``u`` as full boxes along a new leading axis, in the
         stacks of :func:`stack_size` snapshots that :func:`simulate`
-        evaluates."""
+        evaluates: ``stored_u`` itself where it is set."""
+        if self.stored_u:
+            yield from self.stored_u
+            return
         k = stack_size(FieldState(self.config.u0, self.config.v0))
         for i in range(0, len(self.states), k):
-            yield _stacked([st.u for st in self.states[i:i + k]])
+            us = [st.u for st in self.states[i:i + k]]
+            yield us[0][None] if len(us) == 1 else np.stack(us)  # a lone field: a view
 
 
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0  # of a float64
@@ -207,15 +219,10 @@ _SIGN_BYTE = 7 if sys.byteorder == "little" else 0  # of a float64
 class _Packed:
     """A recorded lines-block state as :func:`simulate` keeps it: Omega's
     block of ``u`` and of ``v`` and ``np.packbits`` of the sign bits of each
-    lines block (:meth:`Domain.layout`). Off Omega a recorded field is +0 or
-    -0, so its sign is all it holds, one bit per value.
-
-    ``u`` and ``v`` each build that field's full box when read: the first
-    snapshot, the initial state, starts from the initial data (its own +0
-    or -0 off Omega's lines) and later ones from +0, as :func:`step` leaves
-    them; the stored signs then go on Omega's lines and the Omega block in
-    its place.
-    """
+    lines block (:meth:`Domain.layout`), +0 or -0 off Omega. ``u`` and ``v``
+    each build that field's full box when read, from the initial data for
+    the first snapshot and from +0, as :func:`step` leaves it, for later
+    ones."""
 
     __slots__ = ("t", "_config", "_first", "_u", "_v", "_u_signs", "_v_signs")
 
@@ -268,8 +275,8 @@ def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
     return f
 
 
-def step(state: FieldState, op: SpectralOperator, potential: Potential,
-         dt: float, *, seminorms: list | None = None) -> FieldState:
+def step(state: FieldState, op: SpectralOperator, potential: Potential, dt: float, *,
+         seminorms: list | None = None, out: tuple | None = None) -> FieldState:
     """One kick-drift-kick step; projects onto the exterior constraint.
 
     ``state`` holds full boxes or lines blocks (:meth:`Domain.layout`), and
@@ -279,49 +286,58 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential,
     them; a full-box new state holds +0 off those lines. ``state`` is not
     written to. A list passed as ``seminorms`` gets the squared order-s
     seminorm of the new ``u`` appended, which the second kick's force takes
-    from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit.
+    from its spectrum: ``seminorms_sq`` of that ``u`` bit for bit. ``out``,
+    two lines-block arrays, receives the new u and v.
     """
     lines, collar = op.domain.layout(state.u).lines, op.domain._collar
+    half, whole, zero = _scalars(dt)
     u, v = (state.u[lines], state.v[lines]) if lines else (state.u, state.v)
     vh = force(op, potential, u)
-    vh *= 0.5 * dt
+    vh *= half
     vh += v
-    u1 = vh * dt
+    u1 = np.multiply(vh, whole, out=None if out is None else out[0])
     u1 += u
     for slab in collar:  # times 0.0, which keeps the sign of a zero and NaN
         edge = u1[slab]  # a view: u1[slab] *= 0.0 would also write it back
-        edge *= 0.0
+        edge *= zero
     # a step that records nothing keeps force's three-argument call, which
     # a substitute force with that signature still serves
     v1 = force(op, potential, u1) if seminorms is None else force(op, potential, u1, seminorms)
-    v1 *= 0.5 * dt
-    v1 += vh
+    v1 *= half
+    v1 = np.add(v1, vh, out=v1 if out is None else out[1])
     for slab in collar:
         edge = v1[slab]
-        edge *= 0.0
-    if not np.logical_and.reduce(np.isfinite(v1), axis=None):
+        edge *= zero
+    # v1 . v1 is finite unless a value is not or the sum overflows: one call, not two
+    if not math.isfinite(np.vdot(v1, v1)) and not np.isfinite(v1).all():
         raise BlowUpError("non-finite field values during time step")
     if lines:  # a full box
         u1, v1 = _placed(u1, lines, state.u.shape), _placed(v1, lines, state.u.shape)
     return FieldState(u1, v1, state.t + dt)
 
 
+@lru_cache(maxsize=16)
+def _scalars(dt: float) -> tuple[np.ndarray, ...]:
+    # 0.5 * dt, dt and 0.0 as 0-d arrays: a field's product with one skips
+    # NumPy's Python-scalar path (0.3 us of a 1-D product), with the same bits
+    return np.array(0.5 * dt), np.array(dt, dtype=float), np.zeros(())
+
+
 def energy(op: SpectralOperator, potential: Potential,
            state: FieldState) -> EnergyBreakdown:
     """Energy of a state: kinetic + elastic + adhesive over Omega."""
-    return energies(op, potential, [state])[0]
+    return energies(op, potential, state.u[None], state.v[None])[0]
 
 
-def energies(op: SpectralOperator, potential: Potential, states: list[FieldState], *,
-             seminorms: list[float] | None = None) -> list[EnergyBreakdown]:
-    """Energies of a nonempty list of equally shaped states, evaluated as
-    one stack: one transform of the stacked ``u``, one ``potential.value``
+def energies(op: SpectralOperator, potential: Potential, us: np.ndarray, vs: np.ndarray,
+             *, seminorms: list[float] | None = None) -> list[EnergyBreakdown]:
+    """Energies of the states whose ``u`` and ``v`` are the rows of the
+    equally shaped stacks ``us`` and ``vs`` (nonempty, C-contiguous),
+    evaluated in place: one transform of ``us``, one ``potential.value``
     and one row sum per term. Each equals the energy of its state alone,
-    bit for bit; a lone state is viewed as a stack, not copied.
-    ``seminorms``, the squared order-s seminorms of the states' ``u`` as
-    :func:`step` hands them out, replaces the transform."""
+    bit for bit. ``seminorms``, the squared order-s seminorms of the rows
+    of ``us`` as :func:`step` hands them out, replaces the transform."""
     dom = op.domain
-    us, vs = _stacked([st.u for st in states]), _stacked([st.v for st in states])
     inner = dom.layout(us[0]).inner
     # summed over the full box: over the lines alone, numpy's pairwise sum
     # would group the terms otherwise and change the bits
@@ -330,14 +346,10 @@ def energies(op: SpectralOperator, potential: Potential, states: list[FieldState
     ela = seminorms_sq(op, us) if seminorms is None else seminorms
     adh = row_sums(potential.value(us[(slice(None),) + inner]))
     cv = dom.cell_volume
-    return [EnergyBreakdown.of(0.5 * math.sqrt(k * cv) ** 2,
-                               0.5 * math.sqrt(max(e, 0.0)) ** 2, a * cv)
-            for k, e, a in zip(kin.tolist(), ela, adh.tolist())]
-
-
-def _stacked(fields: list[np.ndarray]) -> np.ndarray:
-    """``fields`` along a new leading axis; a view of a lone field."""
-    return fields[0][None] if len(fields) == 1 else np.stack(fields)
+    # math.sqrt, max and * value by value, the same IEEE operations; ** 2 stays Python's
+    return [EnergyBreakdown.of(0.5 * k ** 2, 0.5 * e ** 2, a) for k, e, a in
+            zip(np.sqrt(kin * cv).tolist(), np.sqrt(np.maximum(ela, 0.0)).tolist(),
+                (adh * cv).tolist())]
 
 
 # bytes of (u, v) per stack of recorded snapshots: 1-D snapshots of 32 to 256
@@ -355,50 +367,72 @@ def stack_size(state: FieldState) -> int:
 def simulate(config: SimConfig) -> Trajectory:
     """Integrate to T, recording a snapshot every ``record_every`` steps.
 
-    Recorded energies are evaluated by :func:`energies` in stacks of
-    :func:`stack_size` snapshots: when a stack is full, at the end, and at
-    a blow-up. Where a stack holds one snapshot, every snapshot but the
-    initial one takes its elastic energy from the spectrum of the step
-    that made it (``step``'s ``seminorms``). The state is advanced as its
-    lines block (:meth:`Domain.layout`), which is the full box unless the
-    mode is exterior-dirichlet with d > 1; there a snapshot is packed once
-    its energy is taken (:class:`_Packed`). Overflow and invalid values
-    raise no numpy warning during the run; a non-finite state raises
-    :class:`BlowUpError`.
+    Recorded snapshots are made in the rows of stacks of :func:`stack_size`
+    snapshots (``step``'s ``out``), whose energies :func:`energies` takes in
+    place when a stack is full, at the end, and at a blow-up. A snapshot
+    that stands alone keeps its step's arrays and, but the initial one,
+    takes its elastic energy from that step's spectrum (``seminorms``). The
+    state is advanced as its lines block (:meth:`Domain.layout`), which is
+    the full box unless the mode is exterior-dirichlet with d > 1; there a
+    snapshot is packed once its energy is taken (:class:`_Packed`), else
+    the trajectory keeps the stacks (``Trajectory.stored_u``). Overflow and
+    invalid values raise no numpy warning during the run; a non-finite
+    state raises :class:`BlowUpError`.
     """
     op = build_operator(config.domain)
     potential, dt, every = config.potential, config.dt, config.record_every
     nsteps, lines = config.nsteps, config.domain.interior_lines
-    # step never writes into its input, so recorded states need no copies
-    state = FieldState(config.u0[lines].copy(), config.v0[lines].copy(), 0.0)
+    u0, v0 = config.u0[lines], config.v0[lines]
     times, snapshots, recorded = [], [], []  # recorded: the energies evaluated so far
+    stored, rows = [], None  # stored: the kept u stacks; rows: the pending stacks
     per_stack = stack_size(FieldState(config.u0, config.v0))
+    count = 2 + (nsteps - 1) // every  # snapshots: t = 0, every record_every-th step, T
     # a lines block that is not the box is kept packed once its energy is taken
-    packed = state.u.shape != config.u0.shape
+    packed = u0.shape != config.u0.shape
 
     def flush(seminorms=None):
+        nonlocal rows
         done = len(recorded)
         if done < len(snapshots):
-            recorded.extend(energies(op, potential, snapshots[done:], seminorms=seminorms))
+            us, vs = (stack[:len(snapshots) - done] for stack in rows)
+            rows = None  # so a packed lone snapshot's blocks go with its state
+            recorded.extend(energies(op, potential, us, vs, seminorms=seminorms))
             if packed:
                 snapshots[done:] = [_Packed(st, config, i == 0)
                                     for i, st in enumerate(snapshots[done:], done)]
+            else:
+                stored.append(us)
+
+    def next_rows():  # the rows of the pending stacks that the next snapshot fills
+        nonlocal rows
+        j = len(snapshots) - len(recorded)
+        if per_stack > 1 and j == 0:
+            k = min(per_stack, count - len(recorded))
+            rows = np.empty((k,) + u0.shape), np.empty((k,) + v0.shape)
+        return (rows[0][j], rows[1][j]) if per_stack > 1 else None
 
     def record(st: FieldState, seminorms=None):
+        nonlocal rows
         times.append(st.t)
         snapshots.append(st)
-        if len(snapshots) - len(recorded) == per_stack:
+        if per_stack == 1:  # step's own arrays: made after its first force, they peak lower
+            rows = st.u[None], st.v[None]
+        if len(snapshots) - len(recorded) == len(rows[0]):
             flush(seminorms)
 
     # once per run: entered per step, it would cost about 1 us a step
     with np.errstate(over="ignore", invalid="ignore"):
+        state = FieldState(*(next_rows() or (np.empty_like(u0), np.empty_like(v0))), 0.0)
+        np.copyto(state.u, u0)
+        np.copyto(state.v, v0)
         record(state)
         for i in range(1, nsteps + 1):
             recording = i % every == 0 or i == nsteps
             # a snapshot that stands alone takes its elastic energy from its step
             carried = [] if recording and per_stack == 1 else None
             try:
-                nxt = step(state, op, potential, dt, seminorms=carried)
+                nxt = step(state, op, potential, dt, seminorms=carried,
+                           out=next_rows() if recording else None)
             except BlowUpError:
                 flush()
                 t = i * dt
@@ -419,7 +453,7 @@ def simulate(config: SimConfig) -> Trajectory:
             if recording:
                 record(state, carried)
         flush()
-    return Trajectory(config, np.array(times), snapshots, recorded)
+    return Trajectory(config, np.array(times), snapshots, recorded, stored)
 
 
 def energy_drift_tolerance(config: SimConfig) -> float:

@@ -241,6 +241,9 @@ def linear_taper_family() -> RegularizedFamily:
 
         def value(u):
             a = np.abs(np.asarray(u, dtype=float))
+            # a field wholly on the plateau takes it alone, as grad does
+            if a.ndim and a.size and np.minimum.reduce(a, axis=None) >= 1.0 + eps:
+                return np.full(a.shape, plateau)
             # clipped at 1 + eps: the pieces keep their bits where they are
             # taken, and no square overflows where the plateau is
             c = np.minimum(a, 1.0 + eps)

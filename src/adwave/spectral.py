@@ -362,18 +362,11 @@ def _placed(block: np.ndarray, index: tuple, shape: tuple) -> np.ndarray:
 
 def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
     """Half spectrum over the spatial axes of the field whose grid lines
-    ``[lead]`` are ``f``, where ``lead`` holds one slice per leading
-    spatial axis: the field must vanish off those lines. The first
-    ``stacked`` axes of ``f`` index a stack of fields, each transformed
-    alone.
-
-    One pass per axis, in ``rfftn``'s order, all in one zeroed half
-    spectrum: real-to-complex along the last spatial axis writes the lines
-    into their place, then each leading axis gets a complex pass in place,
-    on the view whose axes up to that one are whole and whose later
-    leading axes are still cut to ``lead``. With whole axes this is
-    ``rfftn`` bit for bit.
-    """
+    ``[lead]`` are ``f`` (one slice per leading spatial axis; the field
+    vanishes off those lines), each field of a stack along the first
+    ``stacked`` axes alone. One pass per axis in ``rfftn``'s order, in one
+    zeroed half spectrum, each complex pass in place on the part that is
+    not all zeros yet: with whole axes ``rfftn`` bit for bit."""
     if not lead:
         return _pocketfft.r2c(f, (stacked,), True, 0, None, 1)
     stack = (slice(None),) * stacked
@@ -388,46 +381,14 @@ def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
 
 
 def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
-    """Inverse of :func:`_rfft`: the grid lines ``[lead]`` alone; consumes
-    ``fhat``.
-
-    Complex passes along the leading axes keep only the rows of ``lead``
-    after each pass, then complex-to-real along the last spatial axis to
-    its ``n`` points. Every pass scales by 1/n of its own axis, which is
-    ``irfftn``'s single 1/N bit for bit when every n is a power of two.
-    """
-    if not lead:
-        return _pocketfft.c2r(fhat, (0,), n[-1], False, 2, None, 1)
+    """Inverse of :func:`_rfft`: the grid lines ``[lead]`` alone, each
+    complex pass keeping only those rows, then complex-to-real; every pass
+    scales by 1/n of its axis, ``irfftn``'s 1/N bit for bit on power-of-two
+    grids. Consumes ``fhat``."""
     g = fhat
     for ax, sl in enumerate(lead):
         g = _pocketfft.c2c(g, (ax,), False, 2, g, 1)[(slice(None),) * ax + (sl,)]
     return _pocketfft.c2r(g, (len(lead),), n[-1], False, 2, None, 1)
-
-
-def _spectrum(op: SpectralOperator, fs: np.ndarray, stacked: int,
-              seminorms: list | None) -> tuple[np.ndarray, tuple | None, np.ndarray]:
-    """``(spectrum, lead, symbol)`` of the field ``fs``, or of each field of
-    a stack along its leading axis when ``stacked`` is 1: in neumann-1d mode
-    the orthonormal cosine coefficients, ``lead`` None and ``op.symbol``;
-    otherwise the half spectrum of :func:`_rfft`, the grid lines ``lead``
-    that the field holds (:meth:`Domain.layout`) and ``op.half_symbol``.
-    A list passed as ``seminorms`` gets each field's squared order-s
-    seminorm appended, the Parseval sum of this spectrum."""
-    fs = np.asarray(fs, dtype=float)
-    lead = op.domain.layout(fs[0] if stacked else fs).lead
-    if lead is None:
-        spec, sym = _pocketfft.dct(fs, 2, (stacked,), 1, None, 1), op.symbol
-    else:
-        # read before the transform: a first read builds these long-lived
-        # copies, which would otherwise land among the transform's temporaries
-        # and keep the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
-        sym = op.half_symbol
-        if seminorms is not None:
-            op.parseval_symbol
-        spec = _rfft(fs, lead, op.domain.n, stacked)
-    if seminorms is not None:
-        seminorms.extend(_parseval_sums(op, spec if stacked else spec[None]))
-    return spec, lead, sym
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
@@ -444,11 +405,30 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     the symbol multiplies it: ``seminorms_sq(op, f[None])[0]`` bit for bit,
     with no transform of its own.
     """
-    fhat, lead, sym = _spectrum(op, f, 0, seminorms)
+    f = np.asarray(f, dtype=float)
+    lead, n = op.domain.layout(f).lead, op.domain.n
+    # read before the transform: a first read builds these long-lived copies,
+    # which would otherwise land among the transform's temporaries and keep
+    # the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
+    sym = op.symbol if lead is None else op.half_symbol
+    if seminorms is not None and lead is not None:
+        op.parseval_symbol
+    # the 1-D passes are called here, not through _rfft and _irfft: on a
+    # 1-D grid a call costs about 0.15 us
+    if lead is None:
+        fhat = _pocketfft.dct(f, 2, (0,), 1, None, 1)
+    elif not lead:
+        fhat = _pocketfft.r2c(f, (0,), True, 0, None, 1)
+    else:
+        fhat = _rfft(f, lead, n)
+    if seminorms is not None:
+        seminorms.extend(_parseval_sums(op, fhat[None]))
     _times_grid(fhat, sym, out=fhat)
     if lead is None:  # the inverse of the orthonormal type-2 transform is type 3
         return _pocketfft.dct(fhat, 3, (0,), 1, None, 1)
-    return _irfft(fhat, lead, op.domain.n)
+    if not lead:
+        return _pocketfft.c2r(fhat, (0,), n[-1], False, 2, None, 1)
+    return _irfft(fhat, lead, n)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
@@ -484,9 +464,12 @@ def seminorms_sq(op: SpectralOperator, fs: np.ndarray) -> list[float]:
     each equals ``seminorm_s(op, f) ** 2`` before the square root, bit for
     bit. The fields are full boxes or lines blocks (:meth:`Domain.layout`),
     with the same values in either layout."""
-    out = []
-    _spectrum(op, fs, 1, out)
-    return out
+    fs = np.asarray(fs, dtype=float)
+    lead = op.domain.layout(fs[0]).lead
+    if lead is None:
+        return _parseval_sums(op, _pocketfft.dct(fs, 2, (1,), 1, None, 1))
+    op.parseval_symbol  # read before the transform (see apply_fractional_laplacian)
+    return _parseval_sums(op, _rfft(fs, lead, op.domain.n, 1))
 
 
 def _parseval_sums(op: SpectralOperator, spec: np.ndarray) -> list[float]:
@@ -508,7 +491,7 @@ def _parseval_sums(op: SpectralOperator, spec: np.ndarray) -> list[float]:
             flat[i:i + k] += imag[i:i + k] ** 2
         _times_grid(terms, op.parseval_symbol, stacked=1, out=terms)
         scale = dom.cell_volume / math.prod(dom.n)
-    return [float(x) * scale for x in row_sums(terms)]
+    return (row_sums(terms) * scale).tolist()
 
 
 def hs_norm(op: SpectralOperator, f: np.ndarray) -> float:

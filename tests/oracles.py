@@ -299,6 +299,23 @@ def taper_grad_oracle(eps: float):
     return grad
 
 
+def taper_value_oracle(eps: float):
+    """W of ``linear_taper_family().make(eps)`` as one ``where`` chain over
+    every point on |u| clipped at 1 + eps, whichever pieces the field
+    occupies: the quadratic on |u| <= 1, the ramp's antiderivative on
+    1 < |u| < 1 + eps, the plateau elsewhere (NaN included)."""
+    slope = 2.0 - eps
+
+    def value(u):
+        a = np.abs(np.asarray(u, dtype=float))
+        c = np.minimum(a, 1.0 + eps)
+        mid = 0.5 * slope + (slope / eps) * ((1.0 + eps) * (c - 1.0) - 0.5 * (c * c - 1.0))
+        return np.where(a <= 1.0, 0.5 * slope * c * c,
+                        np.where(a < 1.0 + eps, mid, 1.0 + 0.5 * eps - 0.5 * eps * eps))
+
+    return value
+
+
 def grid_product_oracle(f, grid, stacked: int = 0):
     """``f * grid`` in one broadcast product, for ``f`` holding ``stacked``
     stack axes, then ``grid``'s axes, then perhaps one component axis, over

@@ -74,6 +74,23 @@ class TestParse:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("[domain]\nd = one\n")
 
+    @pytest.mark.parametrize("section, key, raw, want", [
+        ("domain", "d", "1.0", 1), ("simulation", "record_every", "2.0", 2),
+        ("experiment", "n", "64.0", 64), ("run", "seed", "3.0", 3),
+        ("run", "seed", "12345678901234567890", 12345678901234567890)])
+    def test_whole_number_keys_take_integral_floats(self, section, key, raw, want):
+        got = parse_config(f"[{section}]\n{key} = {raw}\n").get(section, key)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("section, key", [
+        ("domain", "d"), ("simulation", "record_every"), ("experiment", "n"), ("run", "seed")])
+    @pytest.mark.parametrize("raw", ["1.5", "inf", "nan"])
+    def test_a_fractional_whole_number_key_names_its_line(self, section, key, raw):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# a comment\n[{section}]\n{key} = {raw}\n")
+        assert str(err.value) == (f"line 3: bad value for {key!r}: the value must be "
+                                  f"a whole number, got {float(raw)}")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[domain]\nd = 1\nd = 2\n")

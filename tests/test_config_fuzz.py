@@ -23,6 +23,7 @@ from adwave.cli import (
     _bool,
     _float_or_auto,
     _floats,
+    _whole,
     format_runspec,
     main,
     parse_config,
@@ -42,7 +43,7 @@ _DESCRIPTORS = st.recursive(
 
 # the text of one value, by converter; a swept value is one of these
 _VALUE_TEXT = {
-    int: st.integers(-100, 100).map(str),
+    _whole: st.integers(-100, 100).flatmap(lambda i: st.sampled_from([str(i), f"{i}.0"])),
     float: st.floats().map(repr),
     _floats: st.lists(st.floats().map(repr), min_size=1, max_size=3).map(", ".join),
     _bool: st.sampled_from(["true", "yes", "1", "false", "no", "0", "True", "NO"]),

@@ -16,6 +16,7 @@ from adwave.dynamics import (
     SimConfig,
     SimConfigError,
     TestField as WeakTestField,
+    Trajectory,
     apriori_l2_bound,
     bump_field,
     constant_field,
@@ -758,7 +759,8 @@ class TestStackedEvaluation:
         want = [energy_per_state_oracle(op, W, st) for st in traj.states]
         assert _bits([astuple(e) for e in traj.energies]) == _bits(want)
         for stack in (traj.states[:1], traj.states[:2], traj.states):
-            got = energies(op, W, stack)
+            got = energies(op, W, np.stack([st.u for st in stack]),
+                           np.stack([st.v for st in stack]))
             assert _bits([astuple(e) for e in got]) == _bits(want[:len(stack)])
         assert _bits(residuals) == _bits(weak_residual_oracle(traj, tests, W))
 
@@ -793,6 +795,77 @@ class TestStackedEvaluation:
         latest = next(t for t in reversed(totals) if math.isfinite(t))
         assert _bits(err.energy) == _bits(latest)
         assert err.max_abs == float(np.max(np.abs(state.u)))
+
+
+def _chunks_of_states(traj):
+    """``u_stacks`` as a trajectory built by hand gives them: ``np.stack``
+    of the states' ``u`` in chunks of ``stack_size``."""
+    k = stack_size(FieldState(traj.config.u0, traj.config.v0))
+    return [np.stack([st.u for st in traj.states[i:i + k]])
+            for i in range(0, len(traj.states), k)]
+
+
+class TestStoredStacks:
+    """Where the lines block is the box, simulate keeps the recorded states
+    as rows of per-stack ``u`` and ``v`` arrays, and ``u_stacks`` yields
+    those arrays themselves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_step_cases(), steps=st.integers(1, 9), per_stack=st.integers(1, 4),
+           every=st.integers(1, 3))
+    def test_u_stacks_are_the_stored_rows_of_the_states(self, case, steps, per_stack, every):
+        op, W, dt, state = case
+        cfg = SimConfig(domain=op.domain, potential=W, T=steps * dt, dt=dt, u0=state.u,
+                        v0=state.v, record_every=every, enforce_cfl=False)
+        with mock.patch.object(dynamics, "STACK_BYTES",
+                               per_stack * (state.u.nbytes + state.v.nbytes)):
+            traj = simulate(cfg)
+            stacks, want = list(traj.u_stacks()), _chunks_of_states(traj)
+        assert [a.shape for a in stacks] == [b.shape for b in want]
+        assert all(_bits(a) == _bits(b) for a, b in zip(stacks, want))
+        assert _bits([astuple(e) for e in traj.energies]) == \
+            _bits([energy_per_state_oracle(op, W, st_) for st_ in traj.states])
+        if state.u[op.domain.interior_lines].shape != state.u.shape:
+            assert traj.stored_u == []  # packed snapshots: stacked from the states
+            return
+        assert len(stacks) == len(traj.stored_u) and \
+            all(a is b for a, b in zip(stacks, traj.stored_u))
+        rows = iter(traj.states)
+        for us in stacks:
+            chunk = [next(rows) for _ in us]
+            assert all(np.shares_memory(st_.u, us) for st_ in chunk)
+            if len(us) > 1:  # and their v are the rows of one array of the same shape
+                vs = chunk[0].v.base
+                assert vs.shape == us.shape and all(st_.v.base is vs for st_ in chunk)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_step_cases())
+    def test_a_step_makes_its_new_state_in_out(self, case):
+        """``out`` receives the bits a step without it returns, the new
+        state holds those arrays, and the input state is not written to."""
+        op, W, dt, state = case
+        lines = op.domain.interior_lines
+        block = FieldState(state.u[lines].copy(), state.v[lines].copy())
+        kept = _bits(block.u) + _bits(block.v)
+        out = np.full_like(block.u, np.nan), np.full_like(block.v, np.nan)
+        new, plain = step(block, op, W, dt, out=out), step(block, op, W, dt)
+        assert new.u is out[0] and new.v is out[1]
+        assert _bits(new.u) + _bits(new.v) == _bits(plain.u) + _bits(plain.v)
+        assert _bits(block.u) + _bits(block.v) == kept
+
+    @pytest.mark.parametrize("dom, W, value, m", [
+        (neumann_domain(n=32), linear_taper_family().make(0.3), 1.2, 1),
+        (periodic_domain(n=16), ball_potential(2), (0.3, -0.4), 2),
+    ], ids=["neumann-taper", "periodic-ball-m2"])
+    def test_trajectories_built_by_hand_stack_their_states(self, dom, W, value, m):
+        traj = constant_trajectory(dom, W, value, np.linspace(0.0, 2.0, 700), m=m)
+        by_hand = Trajectory(traj.config, traj.times, traj.states, traj.energies)
+        want = _chunks_of_states(traj)
+        assert len(want) == 2 and len(want[1]) < len(want[0])  # a full stack, a short one
+        for t in (traj, by_hand):
+            got = list(t.u_stacks())
+            assert t.stored_u == [] and len(got) == len(want)
+            assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
 
 
 class TestBlowUpIndex:
@@ -904,6 +977,33 @@ class TestTracePatchPoints:
             assert grads.call_count == grads_per_step * cfg.nsteps
             # a step that records nothing calls force with three positional arguments
             assert all(len(c.args) == 3 and not c.kwargs for c in forces.call_args_list)
+
+    def test_a_2d_run_whose_snapshots_stand_alone_calls_every_patch_point(self):
+        """A 2-D exterior 128^2 snapshot fills a stack alone, so a record step
+        passes the seminorm list to its second force; every other force call
+        keeps the three positional arguments."""
+        dom = Domain(d=2, s=1.0, omega_extent=2.0, n=128, pad_factor=2.0)
+        member = linear_taper_family().make(0.2)
+        grads = mock.Mock(wraps=member.grad)
+        u0 = bump_field(dom, 1.1)
+        dt = 0.5 * stability_limit(build_operator(dom), member)
+        cfg = SimConfig(domain=dom, potential=replace(member, grad=grads), T=5 * dt, dt=dt,
+                        u0=u0, v0=zero_field(dom), record_every=2)
+        assert stack_size(FieldState(cfg.u0, cfg.v0)) == 1
+        with mock.patch.object(dynamics, "step", wraps=dynamics.step) as steps, \
+                mock.patch.object(dynamics, "force", wraps=dynamics.force) as forces, \
+                mock.patch.object(dynamics, "apply_fractional_laplacian",
+                                  wraps=dynamics.apply_fractional_laplacian) as transforms:
+            traj = simulate(cfg)
+        assert steps.call_count == cfg.nsteps == 5 and len(traj.states) == 4
+        assert forces.call_count == transforms.call_count == grads.call_count == 10
+        records = [i % 2 == 0 or i == cfg.nsteps for i in range(1, cfg.nsteps + 1)]
+        for i, recording in enumerate(records):
+            first, second = forces.call_args_list[2 * i: 2 * i + 2]
+            assert len(first.args) == 3 and not first.kwargs
+            assert len(second.args) == (4 if recording else 3) and not second.kwargs
+            if recording:
+                assert len(second.args[3]) == 1  # the seminorm of the new u
 
 
 class TestSimConfig:

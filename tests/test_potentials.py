@@ -35,6 +35,7 @@ from oracles import (
     radius_oracle,
     same_bits,
     taper_grad_oracle,
+    taper_value_oracle,
 )
 
 
@@ -256,6 +257,21 @@ class TestLinearTaperFamily:
         got = linear_taper_family().make(eps).grad(u)
         with np.errstate(over="ignore"):  # the chain's pieces at |u| near the largest float
             want = taper_grad_oracle(eps)(u)
+        assert type(got) is type(want) is np.ndarray
+        assert same_bits(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_taper_fields())
+    @example(case=(0.2, np.full(3, 1.2)))
+    @example(case=(0.2, np.array([1.2, np.nan])))
+    @example(case=(0.2, np.array(1.3)))
+    def test_value_is_the_where_chain_bit_for_bit(self, case):
+        """A field wholly on the plateau takes the plateau alone; on every
+        field the value is the ``where`` chain's bit for bit, and 0-d and
+        empty input come back as the chain's ndarray."""
+        eps, u = case
+        got = linear_taper_family().make(eps).value(u)
+        want = taper_value_oracle(eps)(u)
         assert type(got) is type(want) is np.ndarray
         assert same_bits(got, want)
 
