@@ -101,8 +101,7 @@ class EnergyBreakdown:
 
 def stability_limit(op: SpectralOperator, potential: Potential) -> float:
     """Largest stable step 2 / sqrt(lambda_max + L_gradW) for the scheme."""
-    lam = float(np.max(op.symbol))
-    lip = max(potential.grad_lipschitz, 0.0)
+    lam, lip = float(np.max(op.symbol)), potential.grad_lipschitz
     return 2.0 / math.sqrt(lam + lip) if lam + lip > 0 else math.inf
 
 
@@ -367,93 +366,85 @@ def stack_size(state: FieldState) -> int:
 def simulate(config: SimConfig) -> Trajectory:
     """Integrate to T, recording a snapshot every ``record_every`` steps.
 
-    Recorded snapshots are made in the rows of stacks of :func:`stack_size`
-    snapshots (``step``'s ``out``), whose energies :func:`energies` takes in
-    place when a stack is full, at the end, and at a blow-up. A snapshot
-    that stands alone keeps its step's arrays and, but the initial one,
-    takes its elastic energy from that step's spectrum (``seminorms``). The
-    state is advanced as its lines block (:meth:`Domain.layout`), which is
-    the full box unless the mode is exterior-dirichlet with d > 1; there a
-    snapshot is packed once its energy is taken (:class:`_Packed`), else
-    the trajectory keeps the stacks (``Trajectory.stored_u``). Overflow and
-    invalid values raise no numpy warning during the run; a non-finite
-    state raises :class:`BlowUpError`.
+    The recorded snapshots are made in batches of :func:`stack_size`, one
+    stack each, whose energies :func:`energies` takes in place when the
+    batch is done. A batch of more than one snapshot is made in the rows
+    of a pair of stacks (``step``'s ``out``); a snapshot that stands alone
+    keeps its step's arrays and, but the initial one, takes its elastic
+    energy from that step's spectrum (``seminorms``). The state is advanced
+    as its lines block (:meth:`Domain.layout`), which is the full box
+    unless the mode is exterior-dirichlet with d > 1; there a snapshot is
+    packed once its energy is taken (:class:`_Packed`), else the trajectory
+    keeps the stacks (``Trajectory.stored_u``). Overflow and invalid values
+    raise no numpy warning during the run; a non-finite state raises
+    :class:`BlowUpError`.
     """
     op = build_operator(config.domain)
     potential, dt, every = config.potential, config.dt, config.record_every
     nsteps, lines = config.nsteps, config.domain.interior_lines
     u0, v0 = config.u0[lines], config.v0[lines]
-    times, snapshots, recorded = [], [], []  # recorded: the energies evaluated so far
-    stored, rows = [], None  # stored: the kept u stacks; rows: the pending stacks
     per_stack = stack_size(FieldState(config.u0, config.v0))
     count = 2 + (nsteps - 1) // every  # snapshots: t = 0, every record_every-th step, T
     # a lines block that is not the box is kept packed once its energy is taken
     packed = u0.shape != config.u0.shape
-
-    def flush(seminorms=None):
-        nonlocal rows
-        done = len(recorded)
-        if done < len(snapshots):
-            us, vs = (stack[:len(snapshots) - done] for stack in rows)
-            rows = None  # so a packed lone snapshot's blocks go with its state
-            recorded.extend(energies(op, potential, us, vs, seminorms=seminorms))
-            if packed:
-                snapshots[done:] = [_Packed(st, config, i == 0)
-                                    for i, st in enumerate(snapshots[done:], done)]
-            else:
-                stored.append(us)
-
-    def next_rows():  # the rows of the pending stacks that the next snapshot fills
-        nonlocal rows
-        j = len(snapshots) - len(recorded)
-        if per_stack > 1 and j == 0:
-            k = min(per_stack, count - len(recorded))
-            rows = np.empty((k,) + u0.shape), np.empty((k,) + v0.shape)
-        return (rows[0][j], rows[1][j]) if per_stack > 1 else None
-
-    def record(st: FieldState, seminorms=None):
-        nonlocal rows
-        times.append(st.t)
-        snapshots.append(st)
-        if per_stack == 1:  # step's own arrays: made after its first force, they peak lower
-            rows = st.u[None], st.v[None]
-        if len(snapshots) - len(recorded) == len(rows[0]):
-            flush(seminorms)
-
+    states, recorded, stored, done = [], [], [], 0  # recorded: energies so far; done: steps
     # once per run: entered per step, it would cost about 1 us a step
     with np.errstate(over="ignore", invalid="ignore"):
-        state = FieldState(*(next_rows() or (np.empty_like(u0), np.empty_like(v0))), 0.0)
-        np.copyto(state.u, u0)
-        np.copyto(state.v, v0)
-        record(state)
-        for i in range(1, nsteps + 1):
-            recording = i % every == 0 or i == nsteps
-            # a snapshot that stands alone takes its elastic energy from its step
-            carried = [] if recording and per_stack == 1 else None
-            try:
-                nxt = step(state, op, potential, dt, seminorms=carried,
-                           out=next_rows() if recording else None)
-            except BlowUpError:
-                flush()
-                t = i * dt
-                with np.errstate(all="ignore"):
-                    last = energy(op, potential, state).total
-                if not math.isfinite(last):
-                    last = next((e.total for e in reversed(recorded)
-                                 if math.isfinite(e.total)), last)
-                mag = np.abs(state.u)
-                at = [int(k) for k in np.unravel_index(int(np.argmax(mag)), mag.shape)]
-                max_abs = float(mag[tuple(at)])
-                for ax, sl in enumerate(lines):  # a lines block starts at Omega's lines
-                    at[ax] += sl.indices(config.domain.n[ax])[0]
-                raise BlowUpError(f"blow-up at step {i} (t = {t:g})", step=i, t=t,
-                                  energy=last, max_abs=max_abs, index=tuple(at)) from None
-            state = nxt
-            state.t = i * dt
-            if recording:
-                record(state, carried)
-        flush()
-    return Trajectory(config, np.array(times), snapshots, recorded, stored)
+        try:
+            for first in range(0, count, per_stack):
+                # the batch's one decision: its record steps write into a stack's
+                # rows, or a lone snapshot keeps its step's arrays and, past t = 0, its seminorm
+                size = min(per_stack, count - first)
+                rows = None if per_stack == 1 else (np.empty((size,) + u0.shape),
+                                                    np.empty((size,) + v0.shape))
+                carried = [] if rows is None and first else None
+                batch = []
+                for k, out in enumerate([None] if rows is None else zip(*rows), first):
+                    mark = min(k * every, nsteps)
+                    if k == 0:  # the initial data, copied
+                        state = FieldState(*(out or (np.empty_like(u0), np.empty_like(v0))))
+                        np.copyto(state.u, u0)
+                        np.copyto(state.v, v0)
+                    for i in range(done + 1, mark + 1):
+                        state = step(state, op, potential, dt,
+                                     seminorms=carried if i == mark else None,
+                                     out=out if i == mark else None)
+                        state.t = i * dt
+                    done = mark
+                    batch.append(state)
+                rows = rows or (state.u[None], state.v[None])
+                recorded += energies(op, potential, *rows, seminorms=carried)
+                if packed:
+                    states += [_Packed(st, config, j == 0) for j, st in enumerate(batch, first)]
+                else:
+                    states += batch
+                    stored.append(rows[0])
+        except BlowUpError:  # state: the last finite one; i: the step that failed
+            raise _blow_up(op, config, state, i, recorded, rows, len(batch)) from None
+    return Trajectory(config, np.array([st.t for st in states]), states, recorded, stored)
+
+
+def _blow_up(op: SpectralOperator, config: SimConfig, state: FieldState, i: int,
+             recorded: list, rows: tuple | None, filled: int) -> BlowUpError:
+    """The :class:`BlowUpError` that :func:`simulate` raises when step ``i``
+    fails; ``state`` is the last finite state, as its lines block. The
+    ``filled`` first rows of the batch's stacks ``rows`` are evaluated
+    first, so that the energy can fall back on the latest finite one of
+    every snapshot recorded (``recorded`` holds the others')."""
+    if filled:
+        recorded = recorded + energies(op, config.potential, rows[0][:filled], rows[1][:filled])
+    t = i * config.dt
+    with np.errstate(all="ignore"):
+        last = energy(op, config.potential, state).total
+    if not math.isfinite(last):
+        last = next((e.total for e in reversed(recorded) if math.isfinite(e.total)), last)
+    mag = np.abs(state.u)
+    at = [int(k) for k in np.unravel_index(int(np.argmax(mag)), mag.shape)]
+    max_abs = float(mag[tuple(at)])
+    for ax, sl in enumerate(config.domain.interior_lines):  # a block starts at Omega's lines
+        at[ax] += sl.indices(config.domain.n[ax])[0]
+    return BlowUpError(f"blow-up at step {i} (t = {t:g})", step=i, t=t, energy=last,
+                       max_abs=max_abs, index=tuple(at))
 
 
 def energy_drift_tolerance(config: SimConfig) -> float:

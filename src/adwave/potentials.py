@@ -56,7 +56,8 @@ class Potential:
     ``value`` maps arrays of states to W values; for m = 1 states are plain
     arrays, for m >= 2 the last axis holds the m components and ``value``
     drops it. ``grad`` preserves the input shape. ``bound`` is a K with
-    0 <= W <= K and |grad W| <= K everywhere.
+    0 <= W <= K and |grad W| <= K everywhere. A negative or non-finite
+    ``bound`` or ``grad_lipschitz`` raises ParameterError naming it.
     """
 
     name: str
@@ -75,6 +76,10 @@ class Potential:
             raise ValueError("codomain dimension m must be >= 1")
         if self.regularity not in (C1_UNIFORM, DISCONTINUOUS_GRAD):
             raise ValueError(f"unknown regularity tag {self.regularity!r}")
+        for name in ("bound", "grad_lipschitz"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(name, f"{name} must be >= 0 and finite, got "
+                                     f"{getattr(self, name)!r}")
 
     def grad_norm(self, y: np.ndarray) -> np.ndarray:
         return _radius(self.grad(y), self.m)

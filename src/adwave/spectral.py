@@ -16,7 +16,7 @@ periodised symbol at non-integer s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -277,34 +277,29 @@ class Domain:
 class SpectralOperator:
     """(-Delta)^s as a multiplier grid over the domain's frequency lattice.
 
-    ``symbol`` covers the full lattice. For the periodic lattice the
-    operator also carries read-only half-spectrum copies, computed on first
-    use: ``half_symbol`` is the symbol on the columns a real-to-complex
-    transform keeps (last spatial axis cut to n/2 + 1), and
-    ``parseval_symbol`` weights those columns by how often they stand for
-    a full-spectrum column: once for columns 0 and n/2, twice otherwise.
+    ``symbol`` covers the full lattice. The operator is built with two
+    read-only half-spectrum grids, which the Fourier transforms read (the
+    cosine transform of neumann-1d mode reads ``symbol``): ``half_symbol``
+    is the symbol on the columns a real-to-complex transform keeps (last
+    spatial axis cut to n/2 + 1), and ``parseval_symbol`` weights those
+    columns by how often they stand for a full-spectrum column: once for
+    columns 0 and n/2, twice otherwise.
     """
 
     domain: Domain
     symbol: np.ndarray
+    half_symbol: np.ndarray = field(init=False)
+    parseval_symbol: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.symbol.shape != self.domain.n:
             raise GridMismatchError("symbol grid does not match domain grid")
-
-    @cached_property
-    def half_symbol(self) -> np.ndarray:
         half = self.symbol[..., : self.domain.n[-1] // 2 + 1].copy()
-        half.flags.writeable = False
-        return half
-
-    @cached_property
-    def parseval_symbol(self) -> np.ndarray:
-        weighted = 2.0 * self.half_symbol
-        weighted[..., 0] = self.half_symbol[..., 0]
-        weighted[..., -1] = self.half_symbol[..., -1]
-        weighted.flags.writeable = False
-        return weighted
+        weighted = 2.0 * half
+        weighted[..., [0, -1]] = half[..., [0, -1]]
+        half.flags.writeable = weighted.flags.writeable = False
+        object.__setattr__(self, "half_symbol", half)
+        object.__setattr__(self, "parseval_symbol", weighted)
 
 
 @lru_cache(maxsize=8)
@@ -360,14 +355,17 @@ def _placed(block: np.ndarray, index: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
-def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
-    """Half spectrum over the spatial axes of the field whose grid lines
-    ``[lead]`` are ``f`` (one slice per leading spatial axis; the field
-    vanishes off those lines), each field of a stack along the first
-    ``stacked`` axes alone. One pass per axis in ``rfftn``'s order, in one
-    zeroed half spectrum, each complex pass in place on the part that is
-    not all zeros yet: with whole axes ``rfftn`` bit for bit."""
-    if not lead:
+def _forward(f: np.ndarray, lead: tuple | None, n: tuple, stacked: int = 0) -> np.ndarray:
+    """Spectrum over the spatial axes of the field whose grid lines
+    ``[lead]`` are ``f`` (:attr:`Layout.lead`; the field vanishes off those
+    lines), each field of a stack along the first ``stacked`` axes alone.
+    Where ``lead`` is None, the orthonormal type-2 cosine transform; else
+    the half spectrum, one pass per axis in ``rfftn``'s order, for d >= 2
+    in one zeroed half spectrum, each complex pass in place on the part
+    that is not all zeros yet: with whole axes ``rfftn`` bit for bit."""
+    if lead is None:
+        return _pocketfft.dct(f, 2, (stacked,), 1, None, 1)
+    if not lead:  # d = 1: the one real-to-complex pass
         return _pocketfft.r2c(f, (stacked,), True, 0, None, 1)
     stack = (slice(None),) * stacked
     d = len(lead) + 1
@@ -380,15 +378,17 @@ def _rfft(f: np.ndarray, lead: tuple, n: tuple, stacked: int = 0) -> np.ndarray:
     return g
 
 
-def _irfft(fhat: np.ndarray, lead: tuple, n: tuple) -> np.ndarray:
-    """Inverse of :func:`_rfft`: the grid lines ``[lead]`` alone, each
-    complex pass keeping only those rows, then complex-to-real; every pass
-    scales by 1/n of its axis, ``irfftn``'s 1/N bit for bit on power-of-two
-    grids. Consumes ``fhat``."""
-    g = fhat
+def _inverse(fhat: np.ndarray, lead: tuple | None, n: tuple) -> np.ndarray:
+    """Inverse of :func:`_forward` for one field: the type-3 cosine
+    transform where ``lead`` is None; else the grid lines ``[lead]`` alone,
+    each complex pass keeping only those rows, then complex-to-real. Every
+    pass scales by 1/n of its axis, ``irfftn``'s 1/N bit for bit on
+    power-of-two grids. Consumes ``fhat``."""
+    if lead is None:
+        return _pocketfft.dct(fhat, 3, (0,), 1, None, 1)
     for ax, sl in enumerate(lead):
-        g = _pocketfft.c2c(g, (ax,), False, 2, g, 1)[(slice(None),) * ax + (sl,)]
-    return _pocketfft.c2r(g, (len(lead),), n[-1], False, 2, None, 1)
+        fhat = _pocketfft.c2c(fhat, (ax,), False, 2, fhat, 1)[(slice(None),) * ax + (sl,)]
+    return _pocketfft.c2r(fhat, (len(lead),), n[-1], False, 2, None, 1)
 
 
 def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
@@ -407,28 +407,11 @@ def apply_fractional_laplacian(op: SpectralOperator, f: np.ndarray, *,
     """
     f = np.asarray(f, dtype=float)
     lead, n = op.domain.layout(f).lead, op.domain.n
-    # read before the transform: a first read builds these long-lived copies,
-    # which would otherwise land among the transform's temporaries and keep
-    # the heap from shrinking (2 MB more peak RSS on a 2-D 256^2 run)
-    sym = op.symbol if lead is None else op.half_symbol
-    if seminorms is not None and lead is not None:
-        op.parseval_symbol
-    # the 1-D passes are called here, not through _rfft and _irfft: on a
-    # 1-D grid a call costs about 0.15 us
-    if lead is None:
-        fhat = _pocketfft.dct(f, 2, (0,), 1, None, 1)
-    elif not lead:
-        fhat = _pocketfft.r2c(f, (0,), True, 0, None, 1)
-    else:
-        fhat = _rfft(f, lead, n)
+    fhat = _forward(f, lead, n)
     if seminorms is not None:
         seminorms.extend(_parseval_sums(op, fhat[None]))
-    _times_grid(fhat, sym, out=fhat)
-    if lead is None:  # the inverse of the orthonormal type-2 transform is type 3
-        return _pocketfft.dct(fhat, 3, (0,), 1, None, 1)
-    if not lead:
-        return _pocketfft.c2r(fhat, (0,), n[-1], False, 2, None, 1)
-    return _irfft(fhat, lead, n)
+    _times_grid(fhat, op.symbol if lead is None else op.half_symbol, out=fhat)
+    return _inverse(fhat, lead, n)
 
 
 def l2_norm(domain: Domain, f: np.ndarray) -> float:
@@ -465,16 +448,12 @@ def seminorms_sq(op: SpectralOperator, fs: np.ndarray) -> list[float]:
     bit. The fields are full boxes or lines blocks (:meth:`Domain.layout`),
     with the same values in either layout."""
     fs = np.asarray(fs, dtype=float)
-    lead = op.domain.layout(fs[0]).lead
-    if lead is None:
-        return _parseval_sums(op, _pocketfft.dct(fs, 2, (1,), 1, None, 1))
-    op.parseval_symbol  # read before the transform (see apply_fractional_laplacian)
-    return _parseval_sums(op, _rfft(fs, lead, op.domain.n, 1))
+    return _parseval_sums(op, _forward(fs, op.domain.layout(fs[0]).lead, op.domain.n, 1))
 
 
 def _parseval_sums(op: SpectralOperator, spec: np.ndarray) -> list[float]:
     """Squared order-s seminorm of each field of a stack from the stack's
-    spectrum ``spec``, stack axis first: the half spectrum of :func:`_rfft`
+    spectrum ``spec``, stack axis first: the half spectrum of :func:`_forward`
     weighted by ``op.parseval_symbol``, or in neumann-1d mode the
     orthonormal cosine coefficients weighted by ``op.symbol``. Takes one
     real temporary of the spectrum's size."""

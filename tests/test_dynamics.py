@@ -796,6 +796,62 @@ class TestStackedEvaluation:
         assert _bits(err.energy) == _bits(latest)
         assert err.max_abs == float(np.max(np.abs(state.u)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["periodic-1d", "exterior-2d"])
+    def test_the_blow_up_report_is_the_same_at_every_batch_boundary(self, case):
+        """Stacks of 1, 2, 3 and the default number of snapshots, with
+        record_every 1 and 3, put the failing step's snapshot at a batch's
+        first row, in its middle and in a run whose snapshots stand alone;
+        the 2-D exterior run packs its snapshots. Every report has the bits
+        of the per-state oracle."""
+        if case == "periodic-1d":
+            dom, W, dt = periodic_domain(n=64), zero_potential(), 0.5
+            u0 = sine_field(dom, k=31)
+        else:
+            dom, W = Domain(d=2, s=1.0, omega_extent=2.0, n=16), clipped_quadratic(1.0)
+            dt, u0 = 2.0 * stability_limit(build_operator(dom), W), bump_field(dom, 0.5)
+        rows = set()  # (stack size, the row of the failing step's snapshot)
+        for every in (1, 3):
+            cfg = SimConfig(domain=dom, potential=W, T=1000 * dt, dt=dt, u0=u0,
+                            v0=zero_field(dom), record_every=every, enforce_cfl=False)
+            want = _blow_up_oracle(cfg)
+            fields = cfg.u0.nbytes + cfg.v0.nbytes
+            for budget in (fields, 2 * fields, 3 * fields, dynamics.STACK_BYTES):
+                with mock.patch.object(dynamics, "STACK_BYTES", budget), \
+                        pytest.raises(BlowUpError) as info:
+                    simulate(cfg)
+                err = info.value
+                assert (err.step, _bits([err.t, err.energy, err.max_abs]), err.index) == want
+                rows.add((budget // fields, (1 + (err.step - 1) // every) % (budget // fields)))
+        assert {(2, 0), (3, 1)} <= rows
+        packed = dom.interior_lines != ()  # the lines block is not the box
+        assert packed == (case == "exterior-2d")
+
+
+def _blow_up_oracle(cfg):
+    """``BlowUpError``'s step, (t, energy, max_abs) as bits and index, from
+    full-box steps: the energy of the last finite state or, where it
+    overflows, the latest finite one of the snapshots recorded before."""
+    op, W = build_operator(cfg.domain), cfg.potential
+    state, totals = FieldState(cfg.u0, cfg.v0), []
+    for i in range(cfg.nsteps):  # i: the steps taken
+        if i % cfg.record_every == 0:
+            totals.append(energy_per_state_oracle(op, W, state)[3])
+        try:
+            nxt = step(state, op, W, cfg.dt)
+        except BlowUpError:
+            break
+        state = nxt
+    else:
+        raise AssertionError("the run does not blow up")
+    last = energy_per_state_oracle(op, W, state)[3]
+    if not math.isfinite(last):
+        last = next(t for t in reversed(totals) if math.isfinite(t))
+    mag = np.abs(state.u)
+    at = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    return (i + 1, _bits([(i + 1) * cfg.dt, last, float(mag[at])]),
+            tuple(int(k) for k in at))
+
 
 def _chunks_of_states(traj):
     """``u_stacks`` as a trajectory built by hand gives them: ``np.stack``

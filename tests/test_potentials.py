@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from adwave.potentials import (
     mollified_family,
     zero_potential,
 )
+from adwave.spectral import ParameterError
 
 from oracles import (
     ball_oracle,
@@ -161,6 +163,19 @@ class TestNonnegativityAndBounds:
         assert float(np.min(vals)) >= -1e-12
         assert float(np.max(vals)) <= W.bound + 1e-12
         assert float(np.max(W.grad_norm(pts))) <= W.bound + 1e-12
+
+    @pytest.mark.parametrize("name", ["bound", "grad_lipschitz"])
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+    def test_a_negative_or_non_finite_bound_or_lipschitz_constant_fails(self, name, bad):
+        """Such a value would reach the step: a NaN Lipschitz constant made
+        the stability limit inf, and SimConfig's auto step the whole run."""
+        with pytest.raises(ParameterError, match=name) as info:
+            replace(clipped_quadratic(1.0), **{name: bad})
+        assert info.value.field == name
+
+    @pytest.mark.parametrize("name", ["bound", "grad_lipschitz"])
+    def test_zero_bound_and_lipschitz_constant_are_accepted(self, name):
+        assert getattr(replace(clipped_quadratic(1.0), **{name: 0.0}), name) == 0.0
 
 
 @st.composite

@@ -14,6 +14,7 @@ from adwave.spectral import (
     PERIODIC,
     Domain,
     GridMismatchError,
+    SpectralOperator,
     apply_fractional_laplacian,
     build_operator,
     hs_norm,
@@ -704,3 +705,32 @@ class TestOperatorMemo:
                                         "boundary_mode": PERIODIC}))]
         assert len({id(op) for op in ops}) == len(ops)
         assert ops[1].domain.s == 0.8 and ops[2].symbol.shape == (32,)
+
+
+class TestTransformsHoldNothing:
+    """An operator is built with its half-spectrum grids, so a transform
+    holds nothing once it returns, its first call on an operator included."""
+
+    @pytest.mark.parametrize("mode", [EXTERIOR_DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("d, n", [(1, 2048), (2, 64), (3, 16)])
+    def test_a_first_transform_holds_only_its_result(self, mode, d, n):
+        dom = Domain(d=d, s=0.75, omega_extent=2.0, n=n, boundary_mode=mode,
+                     pad_factor=2.0 if mode == EXTERIOR_DIRICHLET else 1.0)
+        f = np.zeros(dom.n)
+        f[dom.interior] = np.random.default_rng(d).standard_normal(f[dom.interior].shape)
+
+        def fresh():  # build_operator is memoised; this operator is new
+            return SpectralOperator(dom, build_operator(dom).symbol)
+
+        slack = 1024  # the result's array or list object
+        assert fresh().half_symbol.nbytes > slack
+        for field in (f, f[dom.interior_lines]):
+            # a first run of each call fills the domain's caches and the plan cache
+            apply_fractional_laplacian(fresh(), field)
+            seminorms_sq(fresh(), field[None])
+            op = fresh()
+            held, _ = traced_memory(lambda: apply_fractional_laplacian(op, field))
+            assert 0 <= held - field.nbytes < slack
+            op = fresh()
+            held, _ = traced_memory(lambda: seminorms_sq(op, field[None]))
+            assert 0 <= held < slack

@@ -10,7 +10,10 @@ INTERNALERROR. ``pyproject.toml`` ignores that one message.
 """
 import ast
 import glob
+import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -96,3 +99,46 @@ def test_every_private_module_level_name_is_read_in_the_package():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in read]
     assert unread == []
+
+
+_MODULES = ("spectral", "dynamics", "potentials", "cli", "experiments", "reporting")
+
+
+def test_readme_names_only_what_exists():
+    """Every backticked ``module.name`` in README, for the modules above,
+    resolves to an attribute of that module (``adwave.`` in front allowed;
+    a dotted tail such as ``dynamics.Trajectory.u_stacks`` resolves too),
+    and every backticked private ``_name`` is defined at module level in
+    some ``src/adwave`` module. The benchmark's metric names, such as
+    ``potentials.grad_ms.linear_taper``, are no attributes and are skipped."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        spans = re.findall(r"`([^`\n]+)`", f.read())
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = {m["name"] for m in json.load(f)["per_layer"]}
+    defined = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "adwave", "*.py")):
+        with open(path) as f:
+            for node in ast.parse(f.read()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined.update(t.id for t in targets if isinstance(t, ast.Name))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    defined.update(a.asname or a.name for a in node.names)
+    pattern = re.compile(r"(?:adwave\.)?(%s)\.(\w+(?:\.\w+)*)" % "|".join(_MODULES))
+    missing, named, absent = [], 0, object()
+    for span in spans:
+        found = pattern.match(span)
+        if found and found.group(0) not in metrics:
+            named += 1
+            obj = importlib.import_module("adwave." + found.group(1))
+            for attr in found.group(2).split("."):
+                obj = getattr(obj, attr, absent)
+            if obj is absent:
+                missing.append(span)
+        elif re.fullmatch(r"_[A-Za-z]\w*", span):
+            named += 1
+            if span not in defined:
+                missing.append(span)
+    assert named > 10 and missing == []
