@@ -159,11 +159,6 @@ def build_family(desc: Descriptor, line: int | None = None) -> pot.RegularizedFa
     return _build(_FAMILIES, "family", desc, line)
 
 
-def build_data(desc: Descriptor, domain: sp.Domain, m: int,
-               line: int | None = None) -> np.ndarray:
-    return _build(_DATA, "data", desc, line, domain, m)
-
-
 # ---------------------------------------------------------------------------
 # config file schema: the converter of each key's text
 
@@ -279,8 +274,8 @@ class RunSpec:
         _checked(self, "simulate")
         domain = self.build_domain()
         potential = self.build("potential")
-        u0, v0 = (build_data(self.get("data", key, Descriptor("zero", ())), domain,
-                             potential.m, self.line_of("data", key)) for key in ("u0", "v0"))
+        u0, v0 = (_build(_DATA, "data", self.get("data", key, Descriptor("zero", ())),
+                         self.line_of("data", key), domain, potential.m) for key in ("u0", "v0"))
         op = sp.build_operator(domain)
         u0 = self._scaled("u0", "u0_hs", lambda f, x: dyn.scale_to_hs(op, f, x), u0)
         v0 = self._scaled("v0", "v0_l2", lambda f, x: dyn.scale_to_l2(domain, f, x), v0)
@@ -301,9 +296,6 @@ class RunSpec:
             line = None if np.any(f) else self.line_of("data", name)
             raise ConfigError(f"invalid [data]: {key}: {exc}",
                               line or self.line_of("data", key)) from None
-
-    def out_dir(self) -> str:
-        return os.environ.get("ADWAVE_OUT") or self.get("run", "out")
 
     def seed(self) -> int:
         seed = self.get("run", "seed", 0)
@@ -625,7 +617,9 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
 
 
 def _spec_and_out(args) -> tuple:
-    """The config ``args`` names, parsed, and its output directory, created."""
+    """The config ``args`` names, parsed, and its output directory, created:
+    ``--out``, else ``ADWAVE_OUT``, else [run] ``out``, whose line an error
+    in making it names."""
     text = ""
     if args.config is not None:
         try:
@@ -634,8 +628,8 @@ def _spec_and_out(args) -> tuple:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     spec = parse_config(text)
-    line = None if args.out or os.environ.get("ADWAVE_OUT") else spec.line_of("run", "out")
-    return spec, _made(args.out or spec.out_dir(), line)
+    out = args.out or os.environ.get("ADWAVE_OUT")
+    return spec, _made(out or spec.get("run", "out"), None if out else spec.line_of("run", "out"))
 
 
 def _made(path: str, line: int | None = None) -> str:

@@ -18,7 +18,6 @@ and the seminorm a step carries to the energy.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -212,16 +211,13 @@ class Trajectory:
             yield us[0][None] if len(us) == 1 else np.stack(us)  # a lone field: a view
 
 
-_SIGN_BYTE = 7 if sys.byteorder == "little" else 0  # of a float64
-
-
 class _Packed:
     """A recorded lines-block state as :func:`simulate` keeps it: Omega's
     block of ``u`` and of ``v`` and ``np.packbits`` of the sign bits of each
     lines block (:meth:`Domain.layout`), +0 or -0 off Omega. ``u`` and ``v``
     each build that field's full box when read, from the initial data for
     the first snapshot and from +0, as :func:`step` leaves it, for later
-    ones."""
+    ones, with -0 written on the lines where a stored bit is set."""
 
     __slots__ = ("t", "_config", "_first", "_u", "_v", "_u_signs", "_v_signs")
 
@@ -244,10 +240,8 @@ class _Packed:
              signs: np.ndarray) -> np.ndarray:
         out = initial.copy() if self._first else np.zeros_like(initial)
         block = out[self._config.domain.interior_lines]
-        # +0 or -0 on Omega's lines: each stored bit shifted into the top bit
-        # of its value's sign byte, whose other bytes are 0 off Omega
-        np.left_shift(np.unpackbits(signs, count=block.size).reshape(block.shape),
-                      7, out=block.view(np.uint8)[..., _SIGN_BYTE::8])
+        # +0 or -0 on Omega's lines: -0 where a stored bit is set, then Omega's values
+        block[np.unpackbits(signs, count=block.size).view(bool).reshape(block.shape)] = -0.0
         block[self._config.domain.layout(block).inner] = on_omega
         return out
 
@@ -478,11 +472,10 @@ class TimeWindow:
     value: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
-    label: str = ""
 
 
 def window_one() -> TimeWindow:
-    return TimeWindow(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, "const")
+    return TimeWindow(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
 
 
 @dataclass
@@ -491,7 +484,6 @@ class TestField:
 
     psi: np.ndarray
     window: TimeWindow
-    label: str = ""
 
 
 def weak_residual(traj: Trajectory, test_fields: list[TestField],

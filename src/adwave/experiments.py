@@ -140,7 +140,7 @@ def run_limit_obstruction(eps_list=(0.4, 0.2, 0.1), T: float = 10.0,
     report = ExperimentReport("limit-obstruction", parameters={
         "eps": eps_list, "T": T, "L": L, "n": n})
     psi = np.ones(domain.n)
-    test = dyn.TestField(psi=psi, window=dyn.window_one(), label="chi=1 psi=1")
+    test = dyn.TestField(psi=psi, window=dyn.window_one())
     times = None  # the first run's; the limit is sampled at them
     devs, residuals, limit_dev = [], [], []
     for eps in eps_list:

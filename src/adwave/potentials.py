@@ -89,6 +89,8 @@ class Potential:
 class RegularizedFamily:
     """Parametric map eps -> smooth Potential approximating ``base``.
 
+    ``mode`` follows the base's regularity: uniform-c1 for a c1-uniform
+    base, pointwise-offcritical for one whose gradient jumps.
     ``grad_region(eps)`` is the radius of the state-space ball on which the
     gradient deviation is certified for that eps (infinite in uniform-c1
     mode, where the deviation is certified everywhere).
@@ -97,12 +99,11 @@ class RegularizedFamily:
     name: str
     base: Potential
     make: Callable[[float], Potential]
-    mode: str
     grad_region: Callable[[float], float]
 
-    def __post_init__(self):
-        if self.mode not in (UNIFORM_C1, POINTWISE_OFFCRITICAL):
-            raise ValueError(f"unknown family mode {self.mode!r}")
+    @property
+    def mode(self) -> str:
+        return UNIFORM_C1 if self.base.regularity == C1_UNIFORM else POINTWISE_OFFCRITICAL
 
 
 def _radius(y: np.ndarray, m: int) -> np.ndarray:
@@ -141,11 +142,12 @@ def clipped_quadratic(u_star: float) -> Potential:
 
     The gradient at the jump points |u| = u* takes the inside closure value
     +-2u*, so the restoring force is still 'on' exactly at the layer edge.
+    A u* that is not positive, or whose square overflows, raises ValueError.
     """
     u_star = float(u_star)
-    if not 0 < u_star < math.inf:
-        raise ValueError(f"u_star must be positive and finite, got {u_star!r}")
     top = u_star * u_star
+    if not (u_star > 0 and top < math.inf):
+        raise ValueError(f"u_star must be positive with a finite square, got {u_star!r}")
 
     def value(u):
         # |u| clipped at u* (fmin takes u* for NaN): u^2 up to u*, and top
@@ -246,9 +248,6 @@ def linear_taper_family() -> RegularizedFamily:
 
         def value(u):
             a = np.abs(np.asarray(u, dtype=float))
-            # a field wholly on the plateau takes it alone, as grad does
-            if a.ndim and a.size and np.minimum.reduce(a, axis=None) >= 1.0 + eps:
-                return np.full(a.shape, plateau)
             # clipped at 1 + eps: the pieces keep their bits where they are
             # taken, and no square overflows where the plateau is
             c = np.minimum(a, 1.0 + eps)
@@ -273,7 +272,6 @@ def linear_taper_family() -> RegularizedFamily:
         name="linear_taper",
         base=base,
         make=make,
-        mode=POINTWISE_OFFCRITICAL,
         grad_region=lambda eps: 1.0,
     )
 
@@ -458,10 +456,8 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
         )
 
     if base.regularity == C1_UNIFORM:
-        mode = UNIFORM_C1
         region = lambda eps: math.inf
     else:
-        mode = POINTWISE_OFFCRITICAL
         inner = min(abs(k) for k in base.profile.knots) if base.profile.knots else math.inf
         region = lambda eps: inner - 2.0 * eps * ratio
 
@@ -469,7 +465,6 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
         name=f"mollified({base.name}, ratio={ratio:g})",
         base=base,
         make=make,
-        mode=mode,
         grad_region=region,
     )
 
@@ -482,7 +477,6 @@ def constant_family(potential: Potential) -> RegularizedFamily:
         name=f"constant({potential.name})",
         base=potential,
         make=lambda eps: potential,
-        mode=UNIFORM_C1,
         grad_region=lambda eps: math.inf,
     )
 

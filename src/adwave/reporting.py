@@ -66,10 +66,9 @@ class ExperimentReport:
         return next((c.name for c in self.checks if c.passed is False), None)
 
     def check(self, name: str, passed, measured, threshold,
-              comparator: str = "<=", note: str = "") -> Check:
-        c = Check(name, passed, float(measured), float(threshold), comparator, note)
-        self.checks.append(c)
-        return c
+              comparator: str = "<=", note: str = ""):
+        self.checks.append(Check(name, passed, float(measured), float(threshold),
+                                 comparator, note))
 
     def to_dict(self) -> dict:
         return {

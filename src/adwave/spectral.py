@@ -107,7 +107,10 @@ class Domain:
         One of ``exterior-dirichlet``, ``periodic``, ``neumann-1d``.
 
     An invalid parameter raises :class:`DomainError` naming the field; ``d``
-    and ``n`` take whole numbers, an integral float such as 2.0 included.
+    and ``n`` take whole numbers, an integral float such as 2.0 included. A
+    grid spacing that overflows or underflows names ``omega_extent``, and a
+    pad too wide for any grid point to lie strictly inside Omega names
+    ``pad_factor``.
     """
 
     d: int
@@ -151,6 +154,12 @@ class Domain:
                 raise DomainError("d", "neumann-1d mode requires d = 1")
             if abs(self.s - 1.0) > 1e-12:
                 raise DomainError("s", "neumann-1d mode requires s = 1")
+        if not all(0 < h < math.inf for h in self.h):
+            raise DomainError("omega_extent", f"the grid spacing omega_extent * pad_factor "
+                              f"/ n must be positive and finite, got {self.h}")
+        if not all(len(range(*sl.indices(m))) for sl, m in zip(self.interior, self.n)):
+            raise DomainError("pad_factor", f"pad_factor = {self.pad_factor!r} leaves no "
+                              "grid point strictly inside Omega")
 
     @cached_property
     def box_extent(self) -> tuple:
@@ -186,8 +195,8 @@ class Domain:
     def interior(self) -> tuple:
         """Per-axis slices whose Cartesian product is the set of grid points
         strictly inside Omega; they span the whole box unless the mode is
-        exterior-dirichlet. Never empty: the box's centre point, index n/2
-        on every axis, lies inside Omega."""
+        exterior-dirichlet. Never empty: :class:`Domain` refuses a grid on
+        which it would be."""
         if self.boundary_mode != EXTERIOR_DIRICHLET:
             return (slice(None),) * self.d
         out = []

@@ -459,7 +459,7 @@ def window_sin_sq(T: float) -> TimeWindow:
     def d2(t):
         return 2.0 * w * w * math.cos(2.0 * w * t)
 
-    return TimeWindow(value, d1, d2, "sin^2 window")
+    return TimeWindow(value, d1, d2)
 
 
 def mask_exterior(domain, f: np.ndarray) -> np.ndarray:

@@ -154,6 +154,26 @@ class TestDomainSection:
         with pytest.raises(ConfigError, match=f"^line {line}: .*{what}"):
             parse_config(self.TWO_D.replace(old, new)).build_domain()
 
+    @pytest.mark.parametrize("old, new, line, what", [
+        ("omega_extent = 6.283185307179586", "omega_extent = 1e308", 4,
+         "the grid spacing omega_extent * pad_factor / n must be positive and finite, "
+         "got (inf,)"),
+        ("omega_extent = 6.283185307179586", "omega_extent = 1e-323", 4,
+         "the grid spacing omega_extent * pad_factor / n must be positive and finite, "
+         "got (0.0,)"),
+        ("omega_extent = 6.283185307179586\nn = 64", "omega_extent = 1\nn = 64\n"
+         "pad_factor = 1e17", 6, "pad_factor = 1e+17 leaves no grid point strictly inside Omega"),
+    ], ids=["spacing-overflows", "spacing-underflows", "pad-too-wide"])
+    def test_a_grid_on_which_omega_holds_no_point_exits_2_at_its_key(
+            self, tmp_path, capsys, old, new, line, what):
+        """Refused before anything runs: unchecked, the overflowing spacing
+        writes NaN energies and the wide pad turns every field into zeros."""
+        rc, (out, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new))
+        assert rc == 2 and out == ""
+        _assert_one_error_at(err, line)
+        assert f"invalid [domain]: {what}\n" in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("n", ["64.5", "64.5, 32", "64, inf"])
     def test_fractional_grid_sizes_are_the_librarys_error_in_the_cli_text(self, n):
         with pytest.raises(ConfigError) as err:
@@ -634,8 +654,11 @@ class TestBadDescriptors:
          "invalid potential ball(m=1.5): m must be a whole number, got 1.5"),
         ("clipped_quadratic(u_star=1.0)", "ball(m=1, m=1)", 8,
          "descriptor argument 'm' given twice"),
+        ("clipped_quadratic(u_star=1.0)", "clipped_quadratic(u_star=1e200)", 8,
+         "invalid potential clipped_quadratic(u_star=1e+200): u_star must be positive "
+         "with a finite square, got 1e+200\n"),
     ], ids=["misspelt-potential-argument", "misspelt-data-argument", "numeric-base",
-            "vector-bump", "nested-fractional-m", "repeated-argument"])
+            "vector-bump", "nested-fractional-m", "repeated-argument", "u_star-squared-overflows"])
     def test_exit_2_with_one_prefix(self, tmp_path, capsys, old, new, line, what):
         rc, (_, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new))
         assert rc == 2

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +16,7 @@ from adwave.potentials import (
     UNIFORM_C1,
     MollifiedProfile,
     Profile,
+    RegularizedFamily,
     _cubic_pieces,
     _radius,
     ball_potential,
@@ -61,6 +62,18 @@ class TestClippedQuadratic:
             clipped_quadratic(0.0)
         with pytest.raises(ValueError):
             clipped_quadratic(-2.0)
+
+    @pytest.mark.parametrize("u_star", [1.35e154, 1e200, 1.7976931348623157e308])
+    def test_a_threshold_whose_square_overflows_is_refused_by_name(self, u_star):
+        """The bound u*^2 would be inf: the factory names u_star, not the
+        bound that ``Potential`` would refuse."""
+        with pytest.raises(ValueError, match="^u_star must be positive with a finite "
+                           "square, got "):
+            clipped_quadratic(u_star)
+
+    def test_a_threshold_just_below_the_overflow_is_accepted(self):
+        W = clipped_quadratic(1e154)
+        assert W.bound == 1e154 * 1e154 < math.inf
 
 
 class TestBallPotential:
@@ -281,9 +294,9 @@ class TestLinearTaperFamily:
     @example(case=(0.2, np.array([1.2, np.nan])))
     @example(case=(0.2, np.array(1.3)))
     def test_value_is_the_where_chain_bit_for_bit(self, case):
-        """A field wholly on the plateau takes the plateau alone; on every
-        field the value is the ``where`` chain's bit for bit, and 0-d and
-        empty input come back as the chain's ndarray."""
+        """On every field, one piece or several, the value is the ``where``
+        chain's bit for bit, and 0-d and empty input come back as the
+        chain's ndarray."""
         eps, u = case
         got = linear_taper_family().make(eps).value(u)
         want = taper_value_oracle(eps)(u)
@@ -695,6 +708,41 @@ class TestCertification:
         cert = certify_family(fam, [0.2, 0.1], samples=2000, seed=4)
         assert cert.passed
         assert cert.sup_value_gap[1] < cert.sup_value_gap[0]
+
+
+class TestFamilyMode:
+    """A family's ``mode`` is read off its base: uniform-c1 exactly when
+    the base is c1-uniform."""
+
+    @pytest.mark.parametrize("family, mode", [
+        (lambda: linear_taper_family(), POINTWISE_OFFCRITICAL),
+        (lambda: mollified_family(linear_taper_family().make(0.5)), UNIFORM_C1),
+        (lambda: mollified_family(clipped_quadratic(1.0), 2.0), POINTWISE_OFFCRITICAL),
+        (lambda: mollified_family(ball_potential(2)), POINTWISE_OFFCRITICAL),
+        (lambda: constant_family(zero_potential(2)), UNIFORM_C1),
+        (lambda: constant_family(linear_taper_family().make(0.5)), UNIFORM_C1),
+    ], ids=["linear-taper", "mollified-c1", "mollified-clipped", "mollified-ball",
+            "constant-zero", "constant-taper"])
+    def test_every_factory_s_mode_follows_its_base(self, family, mode):
+        fam = family()
+        assert fam.mode == mode
+        assert (fam.mode == UNIFORM_C1) == (fam.base.regularity == C1_UNIFORM)
+        # how a tracer wraps a family: a new make keeps the mode
+        assert replace(fam, make=lambda eps: fam.make(eps)).mode == mode
+
+    @pytest.mark.parametrize("base, mode", [
+        (zero_potential(), UNIFORM_C1),
+        (linear_taper_family().make(0.3), UNIFORM_C1),
+        (clipped_quadratic(0.5), POINTWISE_OFFCRITICAL),
+        (ball_potential(3), POINTWISE_OFFCRITICAL),
+    ], ids=["zero", "taper-member", "clipped", "ball"])
+    def test_a_family_built_by_hand_takes_its_base_s_mode(self, base, mode):
+        fam = RegularizedFamily("by-hand", base, lambda eps: base, lambda eps: math.inf)
+        assert fam.mode == mode
+        assert replace(fam, make=lambda eps: base).mode == mode
+        other = clipped_quadratic(1.0) if mode == UNIFORM_C1 else zero_potential(base.m)
+        assert replace(fam, base=other).mode != mode
+        assert "mode" not in {f.name for f in fields(RegularizedFamily)}
 
 
 @st.composite

@@ -13,6 +13,7 @@ from adwave.spectral import (
     NEUMANN_1D,
     PERIODIC,
     Domain,
+    DomainError,
     GridMismatchError,
     SpectralOperator,
     apply_fractional_laplacian,
@@ -113,6 +114,32 @@ class TestDomainValidation:
         with pytest.raises(ValueError, match="s = 1"):
             Domain(d=1, s=0.5, omega_extent=1.0, n=8, pad_factor=1.0,
                    boundary_mode=NEUMANN_1D)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(omega_extent=1e308), "omega_extent"),  # h overflows to inf
+        (dict(omega_extent=1e-323), "omega_extent"),  # h underflows to 0
+        (dict(omega_extent=1e-323, pad_factor=1.0, boundary_mode=PERIODIC), "omega_extent"),
+        (dict(d=2, omega_extent=(1.0, 1e308)), "omega_extent"),
+        (dict(omega_extent=1.0, pad_factor=1e17), "pad_factor"),  # no point strictly inside
+        (dict(d=3, omega_extent=(1.0, 1.0, 1e-300), pad_factor=1e17), "pad_factor"),
+    ], ids=["spacing-inf", "spacing-zero", "periodic-spacing-zero", "one-axis-inf",
+            "pad-too-wide", "pad-too-wide-3d"])
+    def test_a_grid_on_which_omega_holds_no_point_is_refused(self, kwargs, field):
+        with pytest.raises(DomainError) as err:
+            Domain(**{"d": 1, "s": 1.0, "n": 64, **kwargs})
+        assert err.value.field == field
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 3), n=st.sampled_from([2, 4, 64]),
+           extent=st.floats(1e-320, 1e308), pad=st.floats(1.0, 1e20, exclude_min=True))
+    def test_every_grid_it_accepts_holds_a_point_inside_omega(self, d, n, extent, pad):
+        try:
+            dom = Domain(d=d, s=1.0, omega_extent=extent, n=n, pad_factor=pad)
+        except DomainError as err:
+            assert err.field in ("omega_extent", "pad_factor")
+            return
+        assert all(0 < h < math.inf for h in dom.h)
+        assert dom.interior_mask.any()
 
     def test_geometry_is_cached_and_domain_stays_hashable(self):
         dom = Domain(d=2, s=1.0, omega_extent=(1.0, 2.0), n=(8, 16), pad_factor=1.5)

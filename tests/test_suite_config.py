@@ -101,7 +101,39 @@ def test_every_private_module_level_name_is_read_in_the_package():
     assert unread == []
 
 
-_MODULES = ("spectral", "dynamics", "potentials", "cli", "experiments", "reporting")
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    """Every field of a dataclass in ``src/adwave`` is read in ``src/``,
+    ``tests/`` or ``bench/``, as an attribute or through ``getattr`` with a
+    constant name. This catches the fields that nothing reads any more."""
+    fields, read = [], set()
+    for path in sorted(p for top in ("src", "tests", "bench")
+                       for p in glob.glob(os.path.join(ROOT, top, "**", "*.py"),
+                                          recursive=True)):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+            elif (path.startswith(os.path.join(ROOT, "src", "adwave", ""))
+                  and isinstance(node, ast.ClassDef)
+                  and any(_is_dataclass(d) for d in node.decorator_list)):
+                fields += [(os.path.basename(path), node.name, s.target.id)
+                           for s in node.body if isinstance(s, ast.AnnAssign)
+                           and isinstance(s.target, ast.Name)]
+    assert len(fields) > 20  # the walk found the package's dataclasses
+    assert [f"{m} {cls}.{name}" for m, cls, name in fields if name not in read] == []
+
+
+_MODULES =("spectral", "dynamics", "potentials", "cli", "experiments", "reporting")
 
 
 def test_readme_names_only_what_exists():
