@@ -552,10 +552,10 @@ def cmd_certify(spec: RunSpec, out_dir: str) -> int:
     eps_list = _checked(spec, "certify-potential").get("eps_list", [0.4, 0.2, 0.1])
     cert = _at_lines(spec, "experiment", pot.certify_family, spec.build("family"), eps_list,
                      seed=spec.seed())
-    write_csv(os.path.join(out_dir, "certification.csv"),
-              ["eps", "sup_W_dist", "sup_grad_dist", "lipschitz", "grad_bound"],
-              cert.rows())
-    print(f"family {cert.family} [{cert.mode}]: {'PASS' if cert.passed else 'FAIL'}")
+    write_csv(os.path.join(out_dir, "certification.csv"), list(cert.series),
+              zip(*cert.series.values()))
+    print(f"family {cert.name} [{cert.parameters['mode']}]: "
+          f"{'PASS' if cert.passed else 'FAIL'}")
     for c in cert.checks:
         print("  " + c.line())
     return 0 if cert.passed else 1

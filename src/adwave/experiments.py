@@ -114,8 +114,8 @@ def run_epsilon_convergence(family: pot.RegularizedFamily, eps_list,
                          dists[-1] < dists[-2],
                          measured=dists[-1], threshold=dists[-2], comparator="<")
         prev = traj
-    report.series.update(eps=eps_list, sup_W_dist=cert.sup_value_gap,
-                         sup_grad_dist=cert.sup_grad_gap, l2_cauchy_dist=dists + [math.nan])
+    report.series.update({k: cert.series[k] for k in ("eps", "sup_W_dist", "sup_grad_dist")},
+                         l2_cauchy_dist=dists + [math.nan])
     report.tables.append(("epsilon_study.csv", report.series))
     report.plots.append(("epsilon_study.svg", eps_list[:-1], {"l2 cauchy distance": dists},
                          dict(title="consecutive-eps trajectory distance",
@@ -333,18 +333,25 @@ def run_dispersion_check(cases=((1, 1.0), (4, 0.5), (2, 2.0)),
     oscillation frequency of the mode amplitude from the recurrence
     cos(w dt) = (a_{j-1} + a_{j+1}) / (2 a_j) and compares against the
     symbol; the allowance 5 dt^2 |xi_k|^{3s} covers the second-order phase
-    error of the integrator.
+    error of the integrator. A mode outside 1 <= k < n/2, which the grid
+    samples as zero or as a lower mode, raises
+    :class:`~adwave.spectral.ParameterError` naming ``n``.
     """
     box, periods = 2.0 * math.pi, 6.0
+    # every case's grid, and then its mode, is checked before any case runs
+    domains = [sp.Domain(d=1, s=float(s), omega_extent=box, n=n, pad_factor=1.0,
+                         boundary_mode=sp.PERIODIC) for _, s in cases]
+    unresolved = [k for k, _ in cases if not 1 <= k < n / 2]
+    if unresolved:
+        raise sp.ParameterError("n", f"n = {n} resolves the modes 1 <= k < n/2 only, "
+                                f"got k = {unresolved[0]}")
     report = ExperimentReport("dispersion", parameters={
         "cases": [list(c) for c in cases], "n": n, "box": box})
     potential = pot.zero_potential()
     columns = report.series
     columns.update(k=[], s=[], omega_expected=[], omega_fitted=[])
-    for case in cases:
+    for case, domain in zip(cases, domains):
         k, s = int(case[0]), float(case[1])
-        domain = sp.Domain(d=1, s=s, omega_extent=box, n=n, pad_factor=1.0,
-                           boundary_mode=sp.PERIODIC)
         op = sp.build_operator(domain)
         xi = 2.0 * math.pi * k / box
         omega = xi ** s

@@ -46,8 +46,12 @@ class Check:
 
 @dataclass
 class ExperimentReport:
-    """An experiment's checks and series; ``tables`` and ``plots``, kept out
-    of :meth:`to_dict`, declare what :func:`adwave.experiments.write` writes."""
+    """Checks and series of an experiment or of a certification. ``series``
+    maps a column name to its values; those of
+    :func:`~adwave.potentials.certify_family`, ``eps, sup_W_dist,
+    sup_grad_dist, lipschitz, grad_bound``, are certification.csv's header.
+    ``tables`` and ``plots``, kept out of :meth:`to_dict`, declare what
+    :func:`adwave.experiments.write` writes."""
 
     name: str
     parameters: dict = field(default_factory=dict)

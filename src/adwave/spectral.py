@@ -110,7 +110,8 @@ class Domain:
     and ``n`` take whole numbers, an integral float such as 2.0 included. A
     grid spacing that overflows or underflows names ``omega_extent``, and a
     pad too wide for any grid point to lie strictly inside Omega names
-    ``pad_factor``.
+    ``pad_factor``. A largest symbol value that overflows names
+    ``omega_extent`` where the squared frequency does, else ``s``.
     """
 
     d: int
@@ -160,6 +161,14 @@ class Domain:
         if not all(len(range(*sl.indices(m))) for sl, m in zip(self.interior, self.n)):
             raise DomainError("pad_factor", f"pad_factor = {self.pad_factor!r} leaves no "
                               "grid point strictly inside Omega")
+        # the largest symbol value is at most |xi|^2s with xi = pi / h per axis
+        xi2 = sum((math.pi / h) * (math.pi / h) for h in self.h)
+        if not xi2 < math.inf:
+            raise DomainError("omega_extent", f"the squared frequency (pi / h)^2 overflows "
+                              f"at the grid spacing h = {self.h}")
+        if xi2 > 1 and not self.s * math.log(xi2) < math.log(np.finfo(float).max):
+            raise DomainError("s", f"the largest symbol value {xi2:.17g}^s overflows "
+                              f"at s = {self.s}")
 
     @cached_property
     def box_extent(self) -> tuple:

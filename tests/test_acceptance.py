@@ -150,16 +150,18 @@ def test_criterion_7_family_certification():
     start = time.perf_counter()
     taper = certify_family(linear_taper_family(), [0.4, 0.2, 0.1], seed=7)
     assert taper.passed
-    for eps, gap in zip(taper.eps_list, taper.sup_grad_gap):
+    grad_gaps = taper.series["sup_grad_dist"]
+    for eps, gap in zip(taper.series["eps"], grad_gaps):
         assert abs(gap - eps) <= 1e-12
-    assert all(b < a for a, b in zip(taper.sup_grad_gap, taper.sup_grad_gap[1:]))
+    assert all(b < a for a, b in zip(grad_gaps, grad_gaps[1:]))
     moll = certify_family(mollified_family(clipped_quadratic(1.0)),
                           [0.2, 0.1, 0.05], seed=7)
     assert moll.passed
-    assert all(b < a for a, b in zip(moll.sup_value_gap, moll.sup_value_gap[1:]))
-    report(7, f"taper grad gaps {taper.sup_grad_gap} equal eps to 1e-12; "
-              f"mollified value gaps decrease {moll.sup_value_gap[0]:.3f} -> "
-              f"{moll.sup_value_gap[-1]:.3f}",
+    value_gaps = moll.series["sup_W_dist"]
+    assert all(b < a for a, b in zip(value_gaps, value_gaps[1:]))
+    report(7, f"taper grad gaps {grad_gaps} equal eps to 1e-12; "
+              f"mollified value gaps decrease {value_gaps[0]:.3f} -> "
+              f"{value_gaps[-1]:.3f}",
            time.perf_counter() - start, 10.0)
 
 

@@ -163,11 +163,16 @@ class TestDomainSection:
          "got (0.0,)"),
         ("omega_extent = 6.283185307179586\nn = 64", "omega_extent = 1\nn = 64\n"
          "pad_factor = 1e17", 6, "pad_factor = 1e+17 leaves no grid point strictly inside Omega"),
-    ], ids=["spacing-overflows", "spacing-underflows", "pad-too-wide"])
+        ("omega_extent = 6.283185307179586", "omega_extent = 1e-160", 4,
+         "the squared frequency (pi / h)^2 overflows at the grid spacing h = (3.125e-162,)"),
+        ("s = 1.0", "s = 300", 3, "the largest symbol value 256^s overflows at s = 300.0"),
+    ], ids=["spacing-overflows", "spacing-underflows", "pad-too-wide",
+            "symbol-squared-frequency-overflows", "symbol-power-overflows"])
     def test_a_grid_on_which_omega_holds_no_point_exits_2_at_its_key(
             self, tmp_path, capsys, old, new, line, what):
         """Refused before anything runs: unchecked, the overflowing spacing
-        writes NaN energies and the wide pad turns every field into zeros."""
+        writes NaN energies and the wide pad turns every field into zeros,
+        and an overflowing symbol warned, then blamed a dt never set."""
         rc, (out, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new))
         assert rc == 2 and out == ""
         _assert_one_error_at(err, line)
@@ -568,6 +573,31 @@ class TestCommands:
         assert rc == 0
         assert (tmp_path / "cert" / "certification.csv").exists()
 
+    def test_certify_potential_has_fixed_output(self, tmp_path, capsys):
+        """stdout and certification.csv of the exact taper family; a change
+        that alters a byte of either breaks it. A mollified family is not
+        pinned: its kernel values follow numpy's SIMD dispatch of np.exp."""
+        cfg = self.write(tmp_path, "[family]\nkind = linear_taper()\n\n"
+                                   "[experiment]\neps_list = 0.4, 0.2, 0.1\n\n"
+                                   "[run]\nseed = 3\n")
+        assert main(["certify-potential", cfg, "--out", str(tmp_path / "cert")]) == 0
+        assert capsys.readouterr().out == """\
+family linear_taper [pointwise-offcritical]: PASS
+  PASS nonnegative(eps=0.4): measured 0 >= 0
+  PASS uniform_bound(eps=0.4): measured 1.6000000000000001 <= 1.6000000000000001
+  PASS nonnegative(eps=0.2): measured 0 >= 0
+  PASS uniform_bound(eps=0.2): measured 1.8 <= 1.8
+  PASS nonnegative(eps=0.1): measured 0 >= 0
+  PASS uniform_bound(eps=0.1): measured 1.8999999999999999 <= 1.8999999999999999
+  PASS monotone_value_gap(0.4->0.2): measured 0.099999999999999978 <= 0.21999999999999997
+  PASS monotone_value_gap(0.2->0.1): measured 0.050000000000000044 <= 0.10999999999999999
+  PASS monotone_grad_gap(0.4->0.2): measured 0.19999999999999996 <= 0.43999999999999995
+  PASS monotone_grad_gap(0.2->0.1): measured 0.10000000000000009 <= 0.21999999999999997
+"""
+        data = (tmp_path / "cert" / "certification.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "c2299b63009698e5226f46c1338d59ccb2bcc14923a82270b4307ba4e402fd0c"
+
     def test_sweep_runs_cartesian_grid(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n"
         cfg = self.write(tmp_path, text)
@@ -859,6 +889,8 @@ class TestWhatEachCommandReads:
          "omega_extent must be positive and finite on every axis"),
         ("experiment limit-obstruction", "[experiment]\nL = -1\n", 2,
          "omega_extent must be positive and finite on every axis"),
+        ("experiment dispersion", "[experiment]\nn = 8\n", 2,
+         "n = 8 resolves the modes 1 <= k < n/2 only, got k = 4"),
         ("experiment small-data", "[experiment]\neps2 = -0.5\n", 2,
          "eps2 must be non-negative and finite, got -0.5"),
         ("experiment small-data", "[experiment]\nT = 0.5\neps1 = -0.05\n", 3,
@@ -867,7 +899,7 @@ class TestWhatEachCommandReads:
             "certify-eps_list-increasing", "small-data-family_eps",
             "epsilon-convergence-eps_list", "certify-eps_list-member",
             "energy-inequality-extent", "epsilon-convergence-extent", "limit-obstruction-L",
-            "small-data-eps2", "small-data-eps1"])
+            "dispersion-nyquist-mode", "small-data-eps2", "small-data-eps1"])
     def test_a_library_range_error_names_the_line_of_its_key(
             self, tmp_path, capsys, monkeypatch, workers, command, text, line, what):
         monkeypatch.setenv("ADWAVE_WORKERS", workers)

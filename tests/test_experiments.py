@@ -28,7 +28,7 @@ from adwave.potentials import (
     zero_potential,
 )
 from adwave.reporting import ExperimentReport
-from adwave.spectral import PERIODIC, Domain, build_operator, row_sums
+from adwave.spectral import PERIODIC, Domain, ParameterError, build_operator, row_sums
 
 
 def energy_config(n=64, amplitude=0.5, T=5.0, potential=None):
@@ -206,6 +206,19 @@ class TestDispersion:
         rep = run_dispersion_check(cases=((1, 1.0),), n=16)
         assert rep.passed
         assert rep.series["omega_fitted"][0] == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("n, k", [(8, 4), (6, 4), (32, 16), (32, 0)],
+                             ids=["nyquist", "aliased", "nyquist-32", "mode-0"])
+    def test_a_mode_the_grid_cannot_resolve_is_an_error_naming_n(self, n, k):
+        """At n = 8 the mode k = 4 samples as zero, and at n = 6 as k = 2;
+        both once passed with a frequency 1.88 or sqrt(2) against 2."""
+        with pytest.raises(ParameterError, match=f"got k = {k}") as err:
+            run_dispersion_check(cases=((1, 1.0), (k, 0.5)), n=n)
+        assert err.value.field == "n"
+
+    def test_the_highest_resolved_mode_runs(self):
+        rep = run_dispersion_check(cases=((3, 1.0),), n=8)
+        assert rep.series["k"] == [3]
 
     @pytest.mark.parametrize("k, s, box, factor", [
         (2, 1.0, 2 * math.pi, 0.45), (4, 1.0, 2 * math.pi, 0.2), (3, 0.5, 2 * math.pi, 0.9),

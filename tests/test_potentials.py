@@ -175,7 +175,7 @@ class TestNonnegativityAndBounds:
         vals = W.value(pts)
         assert float(np.min(vals)) >= -1e-12
         assert float(np.max(vals)) <= W.bound + 1e-12
-        assert float(np.max(W.grad_norm(pts))) <= W.bound + 1e-12
+        assert float(np.max(_radius(W.grad(pts), W.m))) <= W.bound + 1e-12
 
     @pytest.mark.parametrize("name", ["bound", "grad_lipschitz"])
     @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
@@ -666,34 +666,34 @@ class TestLatticeResolution:
 class TestCertification:
     def test_taper_gradient_gap_is_exactly_eps(self):
         cert = certify_family(linear_taper_family(), [0.4, 0.2, 0.1], seed=0)
-        for eps, gap in zip(cert.eps_list, cert.sup_grad_gap):
+        for eps, gap in zip(cert.series["eps"], cert.series["sup_grad_dist"]):
             assert abs(gap - eps) <= 1e-12
-        for eps, gap in zip(cert.eps_list, cert.sup_value_gap):
+        for eps, gap in zip(cert.series["eps"], cert.series["sup_W_dist"]):
             assert abs(gap - 0.5 * eps) <= 1e-2 * eps
         assert cert.passed
 
     def test_taper_lipschitz_estimate(self):
         cert = certify_family(linear_taper_family(), [0.1], seed=0)
         true_lip = (2.0 - 0.1) / 0.1
-        assert cert.lipschitz_estimate[0] >= 0.8 * true_lip
-        assert cert.lipschitz_estimate[0] <= true_lip * (1 + 1e-9)
+        assert cert.series["lipschitz"][0] >= 0.8 * true_lip
+        assert cert.series["lipschitz"][0] <= true_lip * (1 + 1e-9)
 
     def test_mollified_sup_distances_decrease(self):
         fam = mollified_family(clipped_quadratic(1.0))
         cert = certify_family(fam, [0.2, 0.1, 0.05, 0.025], seed=1)
-        gaps = cert.sup_value_gap
+        gaps = cert.series["sup_W_dist"]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert cert.passed
 
     def test_uniform_bound_reported(self):
         cert = certify_family(linear_taper_family(), [0.5], seed=2)
-        assert cert.grad_bound[0] == pytest.approx(2.0 - 0.5, abs=1e-12)
+        assert cert.series["grad_bound"][0] == pytest.approx(2.0 - 0.5, abs=1e-12)
 
     def test_constant_family_is_degenerate(self):
         base = linear_taper_family().make(0.5)
         cert = certify_family(constant_family(base), [0.4, 0.2], seed=3)
-        assert max(cert.sup_value_gap) == 0.0
-        assert max(cert.sup_grad_gap) == 0.0
+        assert max(cert.series["sup_W_dist"]) == 0.0
+        assert max(cert.series["sup_grad_dist"]) == 0.0
         assert cert.passed
 
     def test_eps_list_validation(self):
@@ -703,11 +703,50 @@ class TestCertification:
         with pytest.raises(ValueError):
             certify_family(fam, [0.1, 0.2])
 
-    def test_radial_family_certifies(self):
-        fam = mollified_family(ball_potential(2))
-        cert = certify_family(fam, [0.2, 0.1], samples=2000, seed=4)
+    @pytest.mark.parametrize("ratio, eps_list, samples, seed", [
+        (1.0, [0.2, 0.1], 2000, 4),
+        # the region is empty at eps 0.4, so the gap 0 is followed by the
+        # rounding noise 1.1e-15, which once failed monotone_grad_gap
+        (2.0, [0.4, 0.2, 0.1], 4096, 3),
+    ], ids=["ratio-1", "empty-region-then-rounding"])
+    def test_radial_family_certifies(self, ratio, eps_list, samples, seed):
+        fam = mollified_family(ball_potential(2), kernel_width_ratio=ratio)
+        cert = certify_family(fam, eps_list, samples=samples, seed=seed)
         assert cert.passed
-        assert cert.sup_value_gap[1] < cert.sup_value_gap[0]
+        assert cert.series["sup_W_dist"][1] < cert.series["sup_W_dist"][0]
+
+    def test_a_gradient_gap_that_grows_past_rounding_fails(self):
+        """Members whose gradients sit 1e-14, 2e-14 and 4e-14 off the base's:
+        the gap doubles, by far more than the rounding floor of 8 ulp of
+        the bound 1.5, so the monotone check still fails."""
+        base = linear_taper_family().make(0.5)
+        fam = RegularizedFamily(
+            "drifting", base, grad_region=lambda eps: math.inf,
+            make=lambda eps: replace(base, grad=lambda y: base.grad(y) + 4e-15 / eps))
+        cert = certify_family(fam, [0.4, 0.2, 0.1], seed=3)
+        assert [c.name for c in cert.checks if c.passed is False] == [
+            "monotone_grad_gap(0.4->0.2)", "monotone_grad_gap(0.2->0.1)"]
+
+    def test_each_member_gradient_runs_once_per_eps(self):
+        fam = linear_taper_family()
+        calls = []
+
+        def make(eps):
+            member = fam.make(eps)
+            return replace(member, grad=lambda y: calls.append(eps) or member.grad(y))
+
+        cert = certify_family(replace(fam, make=make), [0.4, 0.2, 0.1], seed=3)
+        assert calls == [0.4, 0.2, 0.1]
+        assert cert.series == certify_family(fam, [0.4, 0.2, 0.1], seed=3).series
+
+    def test_the_report_is_named_after_the_family_with_its_mode(self):
+        fam = mollified_family(clipped_quadratic(1.0))
+        cert = certify_family(fam, [0.2, 0.1], seed=0)
+        assert cert.name == fam.name and cert.parameters == {"mode": fam.mode}
+        assert list(cert.series) == ["eps", "sup_W_dist", "sup_grad_dist", "lipschitz",
+                                     "grad_bound"]
+        assert [len(v) for v in cert.series.values()] == [2] * 5
+        assert {type(c.passed) for c in cert.checks} == {bool}  # as report.json needs
 
 
 class TestFamilyMode:

@@ -122,12 +122,23 @@ class TestDomainValidation:
         (dict(d=2, omega_extent=(1.0, 1e308)), "omega_extent"),
         (dict(omega_extent=1.0, pad_factor=1e17), "pad_factor"),  # no point strictly inside
         (dict(d=3, omega_extent=(1.0, 1.0, 1e-300), pad_factor=1e17), "pad_factor"),
+        # a symbol that overflows is refused before it is built, with no warning
+        (dict(omega_extent=1e-160, n=16), "omega_extent"),  # (pi / h)^2 is inf
+        (dict(d=3, omega_extent=(1.0, 1.0, 1e-160), n=16), "omega_extent"),
+        (dict(omega_extent=1.0, s=200.0, n=16), "s"),  # (pi / h)^2 is finite, its s-th power not
     ], ids=["spacing-inf", "spacing-zero", "periodic-spacing-zero", "one-axis-inf",
-            "pad-too-wide", "pad-too-wide-3d"])
+            "pad-too-wide", "pad-too-wide-3d", "symbol-squared-frequency-inf",
+            "symbol-one-axis-squared-frequency-inf", "symbol-power-inf"])
     def test_a_grid_on_which_omega_holds_no_point_is_refused(self, kwargs, field):
         with pytest.raises(DomainError) as err:
             Domain(**{"d": 1, "s": 1.0, "n": 64, **kwargs})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("kwargs", [dict(s=100.0), dict(omega_extent=1e-150),
+                                        dict(omega_extent=1e300, n=2)])
+    def test_a_symbol_near_the_float_range_is_accepted(self, kwargs):
+        dom = Domain(**{"d": 1, "s": 1.0, "omega_extent": 1.0, "n": 16, **kwargs})
+        assert np.isfinite(build_operator(dom).symbol).all()
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 3), n=st.sampled_from([2, 4, 64]),

@@ -11,7 +11,9 @@ INTERNALERROR. ``pyproject.toml`` ignores that one message.
 import ast
 import glob
 import importlib
+import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -174,3 +176,33 @@ def test_readme_names_only_what_exists():
             if span not in defined:
                 missing.append(span)
     assert named > 10 and missing == []
+
+
+def _readme_default(text: str):
+    """The number or numbers that open a README default, such as ``0.1``
+    of "0.1, the member of ..." or the tuple of "0.2, 0.1, 0.05"; ``2π``
+    reads as 2π."""
+    values = []
+    for token in (t.strip() for t in text.split(",")):
+        found = re.fullmatch(r"(\d+(?:\.\d*)?)?(π?)", token)
+        if not token or not found:
+            break
+        values.append(float(found.group(1) or 1) * (math.pi if found.group(2) else 1))
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def test_readme_experiment_defaults_match_the_code():
+    """Each row of README's ``[experiment]`` table lists the keys its
+    experiment reads, each with the default of the run behind ``cli._RUNS``."""
+    from adwave import cli
+
+    with open(os.path.join(ROOT, "README.md")) as f:
+        rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", f.read(), re.M))
+    assert set(rows) == set(cli._RUNS)
+    for name, row in rows.items():
+        params = inspect.signature(cli._RUNS[name]()).parameters
+        readme = {key: _readme_default(text)
+                  for key, text in re.findall(r"`(\w+)` \(([^)]*)\)", row)}
+        code = {key: params[key].default
+                for key in cli._READS[name]["experiment"] if key != "name"}
+        assert readme == code, name
