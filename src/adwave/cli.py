@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -519,8 +519,8 @@ def _write_trajectory(traj: dyn.Trajectory, out_dir: str):
         write_csv(os.path.join(out_dir, "trajectory.csv"),
                   ["t", *idx_cols, "comp", "value"], _trajectory_blocks(traj)),
         write_csv(os.path.join(out_dir, "energy.csv"),
-                  ["t", *(f.name for f in fields(dyn.EnergyBreakdown))],
-                  ((t, *astuple(e)) for t, e in zip(traj.times, traj.energies))),
+                  ["t", *dyn.EnergyBreakdown._fields],
+                  ((t, *e) for t, e in zip(traj.times, traj.energies))),
     ]
 
 

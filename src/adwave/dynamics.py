@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,22 +80,14 @@ class FieldState:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Kinetic, elastic (order-s seminorm), and adhesive energy terms."""
+class EnergyBreakdown(NamedTuple):
+    """Kinetic, elastic (order-s seminorm), and adhesive energy terms, and
+    their sum ``total``, added left to right."""
 
     kinetic: float
     elastic: float
     adhesive: float
     total: float
-
-    @staticmethod
-    def of(kinetic: float, elastic: float, adhesive: float) -> "EnergyBreakdown":
-        # fills __dict__ as the frozen __init__ does, less its object.__setattr__ calls
-        e = object.__new__(EnergyBreakdown)
-        e.__dict__.update(kinetic=kinetic, elastic=elastic, adhesive=adhesive,
-                          total=kinetic + elastic + adhesive)
-        return e
 
 
 def stability_limit(op: SpectralOperator, potential: Potential) -> float:
@@ -118,7 +110,9 @@ class SimConfig:
     1e-9, so that the run ends at ``T``; :func:`fitted_dt` picks such a step
     below a bound. ``dt=None`` is the auto step, ``fitted_dt(T, cfl_safety *
     stability_limit(op, potential))``, taken once ``T`` and ``cfl_safety``
-    are checked. Invalid parameters raise :class:`SimConfigError`.
+    are checked. A plan of 5e8 steps or more, whose 1e-9 is half a step, is
+    refused on ``dt``, or on ``T`` for the auto step. Invalid parameters
+    raise :class:`SimConfigError`.
     """
 
     domain: Domain
@@ -147,11 +141,15 @@ class SimConfig:
             raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
         limit = self.cfl_safety * stability_limit(build_operator(self.domain),
                                                   self.potential)
-        if self.dt is None:
+        auto = self.dt is None
+        if auto:
             self.dt = fitted_dt(self.T, limit)
         if not 0 < self.dt < math.inf:
             raise SimConfigError("dt", "time step dt must be positive and finite")
         steps = self.T / self.dt
+        if steps >= 5e8:  # the check below could not see a fraction of a step
+            raise SimConfigError("T" if auto else "dt", f"T / dt = {steps:.6g} steps; plans "
+                                 "of 500,000,000 steps or more are refused")
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise SimConfigError(
                 "dt", f"dt = {self.dt!r} does not divide T = {self.T!r} into a whole "
@@ -261,7 +259,8 @@ def force(op: SpectralOperator, potential: Potential, u: np.ndarray,
     """
     f = apply_fractional_laplacian(op, u, seminorms=seminorms)
     np.negative(f, out=f)
-    if potential.bound:  # else grad W is +0, and f - (+0) is f bit for bit
+    # bound 0: grad W is +0, and f - (+0) is f bit for bit; experiments' steps: 1.04x without it
+    if potential.bound:
         inner = op.domain.layout(u).inner
         on_omega = f[inner]
         on_omega -= potential.grad(u[inner])
@@ -301,7 +300,8 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential, dt: floa
     for slab in collar:
         edge = v1[slab]
         edge *= zero
-    # v1 . v1 is finite unless a value is not or the sum overflows: one call, not two
+    # v1 . v1 is finite unless a value is not or the sum overflows: one call, not
+    # two; experiments' steps: 1.02x without it
     if not math.isfinite(np.vdot(v1, v1)) and not np.isfinite(v1).all():
         raise BlowUpError("non-finite field values during time step")
     if lines:  # a full box
@@ -311,8 +311,8 @@ def step(state: FieldState, op: SpectralOperator, potential: Potential, dt: floa
 
 @lru_cache(maxsize=16)
 def _scalars(dt: float) -> tuple[np.ndarray, ...]:
-    # 0.5 * dt, dt and 0.0 as 0-d arrays: a field's product with one skips
-    # NumPy's Python-scalar path (0.3 us of a 1-D product), with the same bits
+    # 0.5 * dt, dt and 0.0 as 0-d arrays: a field's product with one skips NumPy's
+    # Python-scalar path, same bits; experiments' steps: 1.04x without it
     return np.array(0.5 * dt), np.array(dt, dtype=float), np.zeros(())
 
 
@@ -340,9 +340,9 @@ def energies(op: SpectralOperator, potential: Potential, us: np.ndarray, vs: np.
     adh = row_sums(potential.value(us[(slice(None),) + inner]))
     cv = dom.cell_volume
     # math.sqrt, max and * value by value, the same IEEE operations; ** 2 stays Python's
-    return [EnergyBreakdown.of(0.5 * k ** 2, 0.5 * e ** 2, a) for k, e, a in
-            zip(np.sqrt(kin * cv).tolist(), np.sqrt(np.maximum(ela, 0.0)).tolist(),
-                (adh * cv).tolist())]
+    return [EnergyBreakdown(k := 0.5 * rk ** 2, e := 0.5 * re ** 2, a, k + e + a)
+            for rk, re, a in zip(np.sqrt(kin * cv).tolist(),
+                                 np.sqrt(np.maximum(ela, 0.0)).tolist(), (adh * cv).tolist())]
 
 
 # bytes of (u, v) per stack of recorded snapshots: 1-D snapshots of 32 to 256

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def run_energy_inequality(config: dyn.SimConfig,
                      note="drift should shrink ~4x per dt halving")
     report.series["drift"] = drifts
     time = list(first.times)
-    energy = {f.name: [getattr(e, f.name) for e in first.energies]
-              for f in fields(dyn.EnergyBreakdown)}
+    energy = {k: list(col) for k, col in zip(dyn.EnergyBreakdown._fields, zip(*first.energies))}
     report.series.update(time=time, **{f"energy_{k}": v for k, v in energy.items()
                                        if k != "total"})
     report.tables.append(("energy.csv", {"t": time, **energy}))

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -30,6 +32,8 @@ from adwave.potentials import zero_potential
 from adwave.reporting import fmt
 from adwave.spectral import PERIODIC, Domain
 from oracles import trajectory_csv_oracle
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINIMAL = """\
 [domain]
@@ -208,6 +212,23 @@ class TestSimulationSection:
             "config error: line 16: invalid [simulation]: dt = 0.7 does not divide T = 1.0")
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_an_auto_step_plan_that_never_ends_exits_2_at_the_T_line(self, tmp_path):
+        """s = 200 on 16 points gives an auto step of about 7e-121, some 7e119
+        steps to T = 0.5: refused before anything runs, where it once ran
+        with no output until killed (in a subprocess, so that a regression
+        ends at the timeout and does not hang the suite)."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(MINIMAL.replace("s = 1.0", "s = 200").replace("n = 64", "n = 16"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "adwave.cli", "simulate", str(cfg), "--out",
+             str(tmp_path / "out")], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": _SRC})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert re.fullmatch(r"config error: line 15: invalid \[simulation\]: T / dt = "
+                            r"7\.\d+e\+119 steps; plans of 500,000,000 steps or more are "
+                            r"refused\n", proc.stderr)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
 
 # floats whose text is easy to get wrong: signed zero, subnormals, huge and
 # integral values, non-finite values, and fractions with no exact binary form
@@ -247,7 +268,7 @@ def _trajectories(draw):
     states = [FieldState(draw(_snapshots(shape, n[-1] * m, values)), np.zeros(shape), t)
               for t in times]
     return Trajectory(config, np.array(times), states,
-                      [EnergyBreakdown.of(0.0, 0.0, 0.0)] * len(times))
+                      [EnergyBreakdown(0.0, 0.0, 0.0, 0.0)] * len(times))
 
 
 class TestTrajectoryCsv:
@@ -280,7 +301,7 @@ class TestTrajectoryCsv:
         times = [0.0, 0.5, 1.0]
         states = [FieldState(np.full(shape, t), np.zeros(shape), t) for t in times]
         traj = Trajectory(config, np.array(times), states,
-                          [EnergyBreakdown.of(0.0, 0.0, 0.0)] * len(times))
+                          [EnergyBreakdown(0.0, 0.0, 0.0, 0.0)] * len(times))
         blocks = list(_trajectory_blocks(traj))
         assert len(blocks) == len(times) * int(np.prod(n[:-1]))
         assert [b.count("\n") for b in blocks] == [n[-1] * m] * len(blocks)

@@ -1,7 +1,7 @@
 import functools
 import hashlib
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -495,8 +495,8 @@ def test_negated_data_give_the_negated_run_and_the_same_energies(case, steps):
                    for sign in (1.0, -1.0))
     for a, b in zip(plus.states, minus.states):
         assert np.array_equal(b.u, -a.u) and np.array_equal(b.v, -a.v)
-    assert _bits([astuple(e) for e in minus.energies]) == \
-        _bits([astuple(e) for e in plus.energies])
+    assert _bits([tuple(e) for e in minus.energies]) == \
+        _bits([tuple(e) for e in plus.energies])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -589,7 +589,7 @@ class TestLinesBlock:
             assert np.array_equal(st_.u.view(np.int64), want_u.view(np.int64))
             assert np.array_equal(st_.v.view(np.int64), want_v.view(np.int64))
             want = energy_per_state_oracle(op, W, FieldState(ou, ov))
-            assert _bits(astuple(traj.energies[k])) == _bits(want)
+            assert _bits(tuple(traj.energies[k])) == _bits(want)
 
     @settings(max_examples=80, deadline=None)
     @given(case=_step_cases())
@@ -757,11 +757,11 @@ class TestStackedEvaluation:
         assert [len(c.args[2]) for c in spy.call_args_list] == \
             [per_stack] * (count // per_stack) + [count % per_stack] * (count % per_stack > 0)
         want = [energy_per_state_oracle(op, W, st) for st in traj.states]
-        assert _bits([astuple(e) for e in traj.energies]) == _bits(want)
+        assert _bits([tuple(e) for e in traj.energies]) == _bits(want)
         for stack in (traj.states[:1], traj.states[:2], traj.states):
             got = energies(op, W, np.stack([st.u for st in stack]),
                            np.stack([st.v for st in stack]))
-            assert _bits([astuple(e) for e in got]) == _bits(want[:len(stack)])
+            assert _bits([tuple(e) for e in got]) == _bits(want[:len(stack)])
         assert _bits(residuals) == _bits(weak_residual_oracle(traj, tests, W))
 
     def test_one_d_snapshots_stack_by_the_hundreds_and_large_ones_stand_alone(self):
@@ -879,7 +879,7 @@ class TestStoredStacks:
             stacks, want = list(traj.u_stacks()), _chunks_of_states(traj)
         assert [a.shape for a in stacks] == [b.shape for b in want]
         assert all(_bits(a) == _bits(b) for a, b in zip(stacks, want))
-        assert _bits([astuple(e) for e in traj.energies]) == \
+        assert _bits([tuple(e) for e in traj.energies]) == \
             _bits([energy_per_state_oracle(op, W, st_) for st_ in traj.states])
         if state.u[op.domain.interior_lines].shape != state.u.shape:
             assert traj.stored_u == []  # packed snapshots: stacked from the states
@@ -893,6 +893,22 @@ class TestStoredStacks:
             if len(us) > 1:  # and their v are the rows of one array of the same shape
                 vs = chunk[0].v.base
                 assert vs.shape == us.shape and all(st_.v.base is vs for st_ in chunk)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_step_cases(), steps=st.integers(1, 9), per_stack=st.sampled_from([1, 3]))
+    def test_every_recorded_total_is_the_sum_of_its_terms(self, case, steps, per_stack):
+        """``total`` is kinetic + elastic + adhesive, added left to right,
+        bit for bit: in stacked snapshots and in lone ones, whose elastic
+        term comes from their step's spectrum."""
+        op, W, dt, state = case
+        cfg = SimConfig(domain=op.domain, potential=W, T=steps * dt, dt=dt, u0=state.u,
+                        v0=state.v, record_every=2, enforce_cfl=False)
+        with mock.patch.object(dynamics, "STACK_BYTES",
+                               per_stack * (state.u.nbytes + state.v.nbytes)):
+            traj = simulate(cfg)
+        assert len(traj.energies) == 2 + (steps - 1) // 2
+        assert _bits([e.total for e in traj.energies]) == \
+            _bits([e.kinetic + e.elastic + e.adhesive for e in traj.energies])
 
     @settings(max_examples=40, deadline=None)
     @given(case=_step_cases())
@@ -990,7 +1006,7 @@ class TestCarriedSeminorm:
             [i % 2 == 0 or i == cfg.nsteps for i in range(1, cfg.nsteps + 1)]
         op = build_operator(dom)
         want = [energy_per_state_oracle(op, W, st_) for st_ in traj.states]
-        assert _bits([astuple(e) for e in traj.energies]) == _bits(want)
+        assert _bits([tuple(e) for e in traj.energies]) == _bits(want)
 
     def test_snapshots_that_stack_carry_nothing(self):
         """1-D snapshots stack, so every step runs without the list and the
@@ -1120,6 +1136,39 @@ class TestSimConfig:
             SimConfig(domain=dom, potential=zero_potential(), T=T, dt=None,
                       u0=zero_field(dom), v0=zero_field(dom), cfl_safety=cfl)
         assert info.value.field == field
+
+    def test_a_plan_whose_fraction_of_a_step_no_check_sees_raises_on_dt(self):
+        """T / dt = 1e9 + 0.5 would pass the relative 1e-9 whole-step check
+        and end the run half a step short of T."""
+        dom = periodic_domain(n=8)
+        with pytest.raises(SimConfigError, match=r"^T / dt = 1e\+09 steps; plans of "
+                           r"500,000,000 steps or more are refused$") as info:
+            SimConfig(domain=dom, potential=zero_potential(), T=1.0, dt=1 / (1e9 + 0.5),
+                      u0=zero_field(dom), v0=zero_field(dom))
+        assert info.value.field == "dt"
+
+    def test_a_plan_just_under_the_step_limit_is_accepted_and_not_run(self):
+        dom = periodic_domain(n=8)
+        with mock.patch.object(dynamics, "step") as steps:
+            cfg = SimConfig(domain=dom, potential=zero_potential(), T=1.0,
+                            dt=1 / (5e8 - 1), u0=zero_field(dom),
+                            v0=zero_field(dom))
+        assert cfg.nsteps == 5e8 - 1 and steps.call_count == 0
+
+    def test_an_auto_step_plan_at_the_step_limit_raises_on_T(self):
+        """The auto step comes from T and the stability bound, so T is the
+        key to change."""
+        dom = Domain(d=1, s=200, omega_extent=2 * np.pi, n=16)
+        bound = 0.9 * stability_limit(build_operator(dom), zero_potential())
+
+        def plan(steps):
+            return SimConfig(domain=dom, potential=zero_potential(), T=steps * bound,
+                             dt=None, u0=zero_field(dom), v0=zero_field(dom))
+
+        assert plan(5e8 - 2).nsteps < 5e8
+        with pytest.raises(SimConfigError, match=r"^T / dt = 5e\+08 steps; ") as info:
+            plan(5e8)
+        assert info.value.field == "T"
 
     @pytest.mark.parametrize("T, dt_max", [(1e308, 1e-10), (1.0, 0.0)])
     def test_fitted_dt_is_T_where_no_finite_step_count_fits(self, T, dt_max):
@@ -1432,7 +1481,7 @@ def _trajectory_digests(traj):
         return h.hexdigest()
 
     return (digest(st.u for st in traj.states), digest(st.v for st in traj.states),
-            digest(astuple(e) for e in traj.energies))
+            digest(tuple(e) for e in traj.energies))
 
 
 class TestVectorPins:

@@ -103,15 +103,18 @@ def test_every_private_module_level_name_is_read_in_the_package():
     assert unread == []
 
 
-def _is_dataclass(decorator) -> bool:
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass, or a class that subclasses ``NamedTuple``."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases))
 
 
 def test_every_dataclass_field_is_read_somewhere():
-    """Every field of a dataclass in ``src/adwave`` is read in ``src/``,
-    ``tests/`` or ``bench/``, as an attribute or through ``getattr`` with a
-    constant name. This catches the fields that nothing reads any more."""
+    """Every field of a dataclass or a ``NamedTuple`` in ``src/adwave`` is
+    read in ``src/``, ``tests/`` or ``bench/``, as an attribute or through
+    ``getattr`` with a constant name. This catches the fields that nothing
+    reads any more."""
     fields, read = [], set()
     for path in sorted(p for top in ("src", "tests", "bench")
                        for p in glob.glob(os.path.join(ROOT, top, "**", "*.py"),
@@ -126,12 +129,12 @@ def test_every_dataclass_field_is_read_somewhere():
                   and isinstance(node.args[1], ast.Constant)):
                 read.add(node.args[1].value)
             elif (path.startswith(os.path.join(ROOT, "src", "adwave", ""))
-                  and isinstance(node, ast.ClassDef)
-                  and any(_is_dataclass(d) for d in node.decorator_list)):
+                  and isinstance(node, ast.ClassDef) and _is_record(node)):
                 fields += [(os.path.basename(path), node.name, s.target.id)
                            for s in node.body if isinstance(s, ast.AnnAssign)
                            and isinstance(s.target, ast.Name)]
     assert len(fields) > 20  # the walk found the package's dataclasses
+    assert {"Layout", "EnergyBreakdown"} <= {cls for _, cls, _ in fields}
     assert [f"{m} {cls}.{name}" for m, cls, name in fields if name not in read] == []
 
 
