@@ -3,15 +3,11 @@
 Configuration files are flat INI-style text (README's "Configuration
 files" lists the sections, keys, descriptors and defaults). Every error in
 one, a library range error included, is a :class:`ConfigError` at the line
-of the key that carries the offending value, raised before anything is
-written. Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
-3 numerical blow-up.
+of the key that carries the offending value, raised before the output
+directory is made. Exit codes: 0 pass, 1 assertion failure, 2 configuration
+error, 3 numerical blow-up.
 
-Environment: ``ADWAVE_OUT`` overrides the output directory, and
-``ADWAVE_WORKERS`` (a whole number >= 1, default 1) sets how many sweep
-sub-runs run at once. The first sub-run to fail cancels those not yet
-started; those already started finish and write, so with two or more
-workers a blow-up can leave a later sub-run written in full.
+Environment: ``ADWAVE_OUT`` overrides the output directory.
 """
 from __future__ import annotations
 
@@ -22,7 +18,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -478,9 +473,12 @@ def _bind(spec: RunSpec, name: str):
     return lambda: _at_lines(spec, "experiment", _RUNS[name](), **keys)
 
 
-def _run_experiment(name: str, spec: RunSpec, out_dir: str):
-    """Experiment ``name`` of ``spec``, computed and written to ``out_dir``."""
-    return ex.write(_bind(spec, name)(), out_dir)
+def _run_experiment(name: str, spec: RunSpec, out_dir: str, out_line: int | None = None):
+    """Experiment ``name`` of ``spec``, computed and then written to
+    ``out_dir``, which is made (``_made`` at ``out_line``) only once the
+    computation has accepted every value."""
+    report = _bind(spec, name)()
+    return ex.write(report, _made(out_dir, out_line))
 
 
 EXPERIMENTS = {name: functools.partial(_run_experiment, name) for name in _RUNS}
@@ -532,13 +530,14 @@ def _simulate(config: dyn.SimConfig, out_dir: str) -> list[str]:
             *(f"wrote {p}" for p in paths)]
 
 
-def cmd_simulate(spec: RunSpec, out_dir: str) -> int:
-    print("\n".join(_simulate(spec.build_simconfig(), out_dir)))
+def cmd_simulate(spec: RunSpec, out_dir: str, out_line: int | None) -> int:
+    config = spec.build_simconfig()
+    print("\n".join(_simulate(config, _made(out_dir, out_line))))
     return 0
 
 
-def cmd_experiment(spec: RunSpec, out_dir: str, name: str) -> int:
-    report = _run_experiment(name, spec, out_dir)
+def cmd_experiment(spec: RunSpec, out_dir: str, out_line: int | None, name: str) -> int:
+    report = _run_experiment(name, spec, out_dir, out_line)
     print("\n".join(report.summary_lines()))
     return 0 if report.passed else 1
 
@@ -548,11 +547,11 @@ def cmd_embed_const(d: int, s: float, tol: float) -> int:
     return 0
 
 
-def cmd_certify(spec: RunSpec, out_dir: str) -> int:
+def cmd_certify(spec: RunSpec, out_dir: str, out_line: int | None) -> int:
     eps_list = _checked(spec, "certify-potential").get("eps_list", [0.4, 0.2, 0.1])
     cert = _at_lines(spec, "experiment", pot.certify_family, spec.build("family"), eps_list,
                      seed=spec.seed())
-    write_csv(os.path.join(out_dir, "certification.csv"), list(cert.series),
+    write_csv(os.path.join(_made(out_dir, out_line), "certification.csv"), list(cert.series),
               zip(*cert.series.values()))
     print(f"family {cert.name} [{cert.parameters['mode']}]: "
           f"{'PASS' if cert.passed else 'FAIL'}")
@@ -561,29 +560,10 @@ def cmd_certify(spec: RunSpec, out_dir: str) -> int:
     return 0 if cert.passed else 1
 
 
-def _map_ordered(fn, items):
-    """``[fn(item) for item in items]``, with up to ``ADWAVE_WORKERS`` calls
-    running at once (default 1, no pool). The first call to raise cancels
-    every call not yet started; once the running ones finish, the error of
-    the first failed item in order is raised."""
-    raw = os.environ.get("ADWAVE_WORKERS", "1")
-    workers = int(raw) if raw.strip().isdecimal() else 0
-    if workers < 1:
-        raise ConfigError(f"ADWAVE_WORKERS must be a whole number >= 1, got {raw!r}")
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, it) for it in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
-    # the pool starts items in order, so the cancelled ones follow every
-    # one that ran, and a failure is raised before any cancellation is met
-    return [f.result() for f in futures]
-
-
-def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
-    """Check every sub-run, compute every experiment and make every run-NNN
-    before any sub-run writes: an experiment sweep writes all or nothing."""
+def cmd_sweep(spec: RunSpec, out_dir: str, out_line: int | None) -> int:
+    """Check every sub-run and compute every experiment, then make the
+    output directory and every run-NNN, then write each sub-run in order: an
+    experiment sweep writes all or nothing."""
     sweep = spec.sections.get("sweep", {})
     if not sweep:
         raise ConfigError("sweep requires a [sweep] section", spec.line_of("sweep"))
@@ -598,18 +578,17 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
         name = sub.get("experiment", "name")
         subs.append(sub)
         runs.append(_bind(sub, name) if name else sub.build_simconfig())
-    runs = _map_ordered(lambda run: run if isinstance(run, dyn.SimConfig) else run(), runs)
+    runs = [run if isinstance(run, dyn.SimConfig) else run() for run in runs]
+    _made(out_dir, out_line)
     run_dirs = [_made(os.path.join(out_dir, f"run-{i:03d}")) for i in range(len(runs))]
-
-    def one(item):
-        sub, run, run_dir = item
+    results = []  # (exit code, stdout lines) of each sub-run
+    for sub, run, run_dir in zip(subs, runs, run_dirs):
         with open(os.path.join(run_dir, "config.ini"), "w") as fh:
             fh.write(format_runspec(sub))
         if isinstance(run, dyn.SimConfig):
-            return 0, _simulate(run, run_dir)
-        return (0 if ex.write(run, run_dir).passed else 1), []
-
-    results = _map_ordered(one, list(zip(subs, runs, run_dirs)))  # (exit code, stdout lines)
+            results.append((0, _simulate(run, run_dir)))
+        else:
+            results.append((0 if ex.write(run, run_dir).passed else 1, []))
     print("".join(f"{line}\n" for _, lines in results for line in lines), end="")
     for i, (rc, _) in enumerate(results):
         print(f"run-{i:03d}: {'PASS' if rc == 0 else 'FAIL'}")
@@ -617,9 +596,9 @@ def cmd_sweep(spec: RunSpec, out_dir: str) -> int:
 
 
 def _spec_and_out(args) -> tuple:
-    """The config ``args`` names, parsed, and its output directory, created:
-    ``--out``, else ``ADWAVE_OUT``, else [run] ``out``, whose line an error
-    in making it names."""
+    """The config ``args`` names, parsed, its output directory, not yet
+    made, and the line an error in making it names: ``--out``, else
+    ``ADWAVE_OUT``, else [run] ``out`` at its line."""
     text = ""
     if args.config is not None:
         try:
@@ -629,7 +608,7 @@ def _spec_and_out(args) -> tuple:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     spec = parse_config(text)
     out = args.out or os.environ.get("ADWAVE_OUT")
-    return spec, _made(out or spec.get("run", "out"), None if out else spec.line_of("run", "out"))
+    return spec, out or spec.get("run", "out"), None if out else spec.line_of("run", "out")
 
 
 def _made(path: str, line: int | None = None) -> str:

@@ -4,8 +4,7 @@ Each experiment assembles simulations from the lower-level modules, measures
 a chain of named inequalities or convergence proxies, and returns an
 :class:`~adwave.reporting.ExperimentReport` that declares its CSV tables and
 SVG plots; it writes nothing, :func:`write` does. An experiment runs, checks
-and records its parameter values (per eps, per dt, per mode) one at a time,
-in their order, in the calling thread.
+and records its parameter values (per eps, per dt, per mode) in their order.
 """
 from __future__ import annotations
 

@@ -67,7 +67,6 @@ class Potential:
     bound: float
     regularity: str
     grad_lipschitz: float
-    critical_set: str = ""
     critical_distance: Callable[[np.ndarray], np.ndarray] | None = None
     profile: Profile | None = None
 
@@ -164,7 +163,6 @@ def clipped_quadratic(u_star: float) -> Potential:
         bound=max(top, 2.0 * u_star),
         regularity=DISCONTINUOUS_GRAD,
         grad_lipschitz=2.0,
-        critical_set=f"point pair {{-{u_star:g}, +{u_star:g}}}",
         critical_distance=lambda u: np.abs(np.abs(np.asarray(u, dtype=float)) - u_star),
         profile=Profile(value, grad, (-u_star, u_star)),
     )
@@ -189,7 +187,6 @@ def ball_potential(m: int) -> Potential:
         bound=2.0,
         regularity=DISCONTINUOUS_GRAD,
         grad_lipschitz=2.0,
-        critical_set="unit sphere |y| = 1",
         critical_distance=lambda y: np.abs(_radius(y, m) - 1.0),
         profile=scalar.profile,
     )
@@ -420,9 +417,9 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     base regularity: a base with continuous gradient yields a uniform-c1
     family, a base with gradient jumps yields a pointwise-offcritical one
     whose certified gradient region keeps a distance of two kernel radii
-    from the critical set. Members keep the base's ``critical_set`` and
-    ``critical_distance``, but not its ``profile``. ``make`` builds each
-    member once, with read-only coefficient arrays, and memoises it.
+    from the critical set. Members keep the base's ``critical_distance``,
+    but not its ``profile``. ``make`` builds each member once, with
+    read-only coefficient arrays, and memoises it.
     """
     if base.profile is None:
         raise ValueError(f"{base.name} exposes no one-dimensional profile to smooth")
@@ -448,7 +445,6 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
             bound=base.bound,
             regularity=C1_UNIFORM,
             grad_lipschitz=prof.grad_lipschitz,
-            critical_set=base.critical_set,
             critical_distance=base.critical_distance,
         )
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -181,7 +180,7 @@ class TestDomainSection:
         assert rc == 2 and out == ""
         _assert_one_error_at(err, line)
         assert f"invalid [domain]: {what}\n" in err
-        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n", ["64.5", "64.5, 32", "64, inf"])
     def test_fractional_grid_sizes_are_the_librarys_error_in_the_cli_text(self, n):
@@ -210,7 +209,7 @@ class TestSimulationSection:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: line 16: invalid [simulation]: dt = 0.7 does not divide T = 1.0")
-        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_an_auto_step_plan_that_never_ends_exits_2_at_the_T_line(self, tmp_path):
         """s = 200 on 16 points gives an auto step of about 7e-121, some 7e119
@@ -227,7 +226,7 @@ class TestSimulationSection:
         assert re.fullmatch(r"config error: line 15: invalid \[simulation\]: T / dt = "
                             r"7\.\d+e\+119 steps; plans of 500,000,000 steps or more are "
                             r"refused\n", proc.stderr)
-        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out").exists()
 
 
 # floats whose text is easy to get wrong: signed zero, subnormals, huge and
@@ -787,7 +786,7 @@ class TestExperimentConfig:
         out, err = capsys.readouterr()
         _assert_one_error_at(err, line)
         assert "must be finite" in err and out == ""
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_swept_number_exits_2_at_its_sweep_line_before_any_run(
             self, tmp_path, capsys):
@@ -864,7 +863,7 @@ class TestWhatEachCommandReads:
         assert rc == 2 and out == ""
         _assert_one_error_at(err, line)
         assert what in err
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_an_experiment_name_other_than_the_commands_exits_2_at_its_line(
             self, tmp_path, capsys):
@@ -873,7 +872,7 @@ class TestWhatEachCommandReads:
         assert rc == 2 and out == ""
         _assert_one_error_at(err, 3)
         assert "name = small-data disagrees with the experiment 'dispersion'" in err
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_every_key_the_table_names_is_a_key_its_command_reads(self):
         """Every command has a row, and a renamed config key cannot leave a
@@ -888,7 +887,6 @@ class TestWhatEachCommandReads:
             for key in keys:
                 assert any((section, key) in read for section in cli._SCHEMA), (field, key)
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("command, text, line, what", [
         ("experiment energy-inequality", "[experiment]\nn = 16\neps = -1\n", 3,
          "eps must be positive and finite"),
@@ -921,13 +919,27 @@ class TestWhatEachCommandReads:
             "epsilon-convergence-eps_list", "certify-eps_list-member",
             "energy-inequality-extent", "epsilon-convergence-extent", "limit-obstruction-L",
             "dispersion-nyquist-mode", "small-data-eps2", "small-data-eps1"])
+    @pytest.mark.parametrize("out_from", ["flag", "env", "config"])
     def test_a_library_range_error_names_the_line_of_its_key(
-            self, tmp_path, capsys, monkeypatch, workers, command, text, line, what):
-        monkeypatch.setenv("ADWAVE_WORKERS", workers)
-        rc, (out, err) = _run_command(tmp_path, capsys, command, text)
+            self, tmp_path, capsys, monkeypatch, out_from, command, text, line, what):
+        """The error names its key's line, and the output directory is not
+        made, whether ``--out``, ``ADWAVE_OUT`` or [run] ``out`` names it."""
+        monkeypatch.delenv("ADWAVE_OUT", raising=False)
+        cfg = tmp_path / "cfg.ini"
+        argv = [*command.split(), str(cfg)]
+        if out_from == "flag":
+            argv += ["--out", str(tmp_path / "out")]
+        elif out_from == "env":
+            monkeypatch.setenv("ADWAVE_OUT", str(tmp_path / "out"))
+        else:
+            text += f"\n[run]\nout = {tmp_path / 'out'}\n"
+        cfg.write_text(text)
+        rc = main(argv)
+        out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         _assert_one_error_at(err, line)
         assert f"invalid [experiment]: {what}" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_sweep_builds_every_sub_run_before_any_run(tmp_path, capsys):
@@ -941,18 +953,15 @@ def test_sweep_builds_every_sub_run_before_any_run(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("run-*"))
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_an_experiment_sweep_computes_every_sub_run_before_it_writes(
-        tmp_path, capsys, monkeypatch, workers):
+def test_an_experiment_sweep_computes_every_sub_run_before_it_writes(tmp_path, capsys):
     """run-000 computes and passes, run-001's eps is out of range: the error
-    names the sweep line and no run-NNN is made."""
-    monkeypatch.setenv("ADWAVE_WORKERS", workers)
+    names the sweep line and no directory is made."""
     rc, (out, err) = _run(tmp_path, capsys, "[experiment]\nname = energy-inequality\n"
                           "T = 0.5\n\n[sweep]\nexperiment.eps = 0.1, -1\n", "sweep")
     assert rc == 2 and out == ""
     _assert_one_error_at(err, 6)
     assert "invalid [experiment]: eps must be positive and finite" in err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_sweep_whose_run_directory_is_a_file_exits_2_naming_it(tmp_path, capsys):
@@ -967,12 +976,9 @@ def test_a_sweep_whose_run_directory_is_a_file_exits_2_naming_it(tmp_path, capsy
     assert not (tmp_path / "out" / "run-000" / "config.ini").exists()
 
 
-def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
-    """Sub-runs that finish in reverse order still print in run order."""
-    def reversed_map(fn, items):
-        return [fn(item) for item in reversed(items)][::-1]
-
-    monkeypatch.setattr(cli, "_map_ordered", reversed_map)
+def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys):
+    """Every sub-run's lines, in run order, and then one PASS or FAIL line
+    per sub-run."""
     rc, (out, err) = _run(tmp_path, capsys,
                           MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n", "sweep")
     assert rc == 0 and err == ""
@@ -985,46 +991,10 @@ def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys, monkeypatch):
         "run-000: PASS", "run-001: PASS"]
 
 
-def test_a_failing_sub_run_cancels_the_sub_runs_not_yet_started(monkeypatch):
-    """With two workers, sub-run 1 fails at once while sub-run 0 runs on.
-    The failure cancels the eight sub-runs queued behind them, although 0
-    has not finished: at most the one or two that 1's worker took before the
-    cancellation start. The error is 1's."""
-    monkeypatch.setenv("ADWAVE_WORKERS", "2")
-    started, lock = [], threading.Lock()
-
-    def sub_run(i):
-        with lock:
-            started.append(i)
-        if i == 1:
-            raise ValueError("sub-run 1 failed")
-        time.sleep(0.5 if i == 0 else 0.05)
-        return i
-
-    with pytest.raises(ValueError, match="sub-run 1 failed"):
-        cli._map_ordered(sub_run, list(range(10)))
-    assert sorted(started) == list(range(len(started)))
-    assert len(started) - 2 <= 2
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_blow_up_stops_a_sweep_and_the_sub_runs_already_started_write(
-        tmp_path, capsys, monkeypatch, workers):
-    """run-000 blows up at step 128, run-001 is stable. With one worker
-    run-001 never starts: only run-000's config.ini is written. With two,
-    run-000 blows up only once run-001 has started, which then finishes
-    and writes all of its output. Both exit 3 with run-000's error."""
-    monkeypatch.setenv("ADWAVE_WORKERS", workers)
-    started, simulate = threading.Event(), cli.dyn.simulate
-
-    def ordered_simulate(config):
-        if config.dt != 0.5:
-            started.set()
-        elif workers == "2":
-            assert started.wait(timeout=60)
-        return simulate(config)
-
-    monkeypatch.setattr(cli.dyn, "simulate", ordered_simulate)
+def test_a_blow_up_stops_a_sweep_before_the_next_sub_run(tmp_path, capsys):
+    """run-000 blows up at step 128, run-001 is stable but never starts:
+    only run-000's config.ini is written, and the exit is 3 with run-000's
+    error."""
     text = (MINIMAL.replace("n = 64", "n = 64\npad_factor = 1.0\nboundary = periodic")
             .replace("u0 = zero()", "u0 = sine(k=31, amplitude=1.0)")
             .replace("T = 0.5", "T = 80.0\nenforce_cfl = false")
@@ -1034,25 +1004,46 @@ def test_a_blow_up_stops_a_sweep_and_the_sub_runs_already_started_write(
     assert err == "numerical blow-up: blow-up at step 128 (t = 64)\n"
     written = sorted(str(p.relative_to(tmp_path / "out"))
                      for p in (tmp_path / "out").rglob("*") if p.is_file())
-    if workers == "1":
-        assert written == ["run-000/config.ini"]
-    else:
-        assert written == ["run-000/config.ini", "run-001/config.ini",
-                           "run-001/energy.csv", "run-001/trajectory.csv"]
-        rows = (tmp_path / "out" / "run-001" / "energy.csv").read_text().splitlines()
-        assert len(rows) == 1 + 161 and rows[-1].startswith("80,")
+    assert written == ["run-000/config.ini"]
 
 
-@pytest.mark.parametrize("workers", ["abc", "0", "-1"])
-def test_a_worker_count_not_a_whole_number_above_zero_exits_2_before_any_run(
-        tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setenv("ADWAVE_WORKERS", workers)
-    rc, (out, err) = _run(tmp_path, capsys,
-                          MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n", "sweep")
+def test_a_sweep_runs_its_sub_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    """A sweep starts no thread and ignores ADWAVE_WORKERS, even one that
+    is no whole number: it writes the same files and prints the same lines
+    as a sweep run without it."""
+    def no_thread(thread):
+        raise AssertionError(f"started thread {thread.name}")
+
+    monkeypatch.delenv("ADWAVE_WORKERS", raising=False)
+    text = MINIMAL + "\n[sweep]\nsimulation.T = 0.25, 0.5\n"
+    runs = {}
+    for name in ("unset", "set"):
+        if name == "set":
+            monkeypatch.setenv("ADWAVE_WORKERS", "abc")
+            monkeypatch.setattr(threading.Thread, "start", no_thread)
+        (tmp_path / name).mkdir()
+        rc, (out, err) = _run(tmp_path / name, capsys, text, "sweep")
+        assert rc == 0 and err == ""
+        root = tmp_path / name / "out"
+        runs[name] = (out.replace(str(root), "OUT"),
+                      {str(p.relative_to(root)): p.read_bytes()
+                       for p in sorted(root.rglob("*")) if p.is_file()})
+    assert len(runs["set"][1]) == 6 and runs["set"] == runs["unset"]
+
+
+@pytest.mark.parametrize("command, text, line, what", [
+    ("experiment dispersion", "[experiment]\nn = 8\n", 2, "n = 8 resolves the modes"),
+    ("certify-potential", "[family]\nkind = wishful()\n", 2, "unknown family kind"),
+    ("sweep", "[experiment]\nname = dispersion\n\n[sweep]\nexperiment.n = 16, 8\n", 5,
+     "n = 8 resolves the modes"),
+], ids=["experiment", "certify-potential", "sweep"])
+def test_a_refused_config_leaves_no_output_directory(tmp_path, capsys, command, text,
+                                                     line, what):
+    rc, (out, err) = _run_command(tmp_path, capsys, command, text)
     assert rc == 2 and out == ""
-    assert err == ("config error: ADWAVE_WORKERS must be a whole number >= 1, "
-                   f"got {workers!r}\n")
-    assert not list((tmp_path / "out").glob("run-*"))
+    _assert_one_error_at(err, line)
+    assert what in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.ini"]
 
 
 class TestRunSection:
@@ -1077,6 +1068,27 @@ class TestRunSection:
         assert out == ""
         assert err == (f"config error: cannot create output directory "
                        f"{str(tmp_path / 'taken')!r}: File exists\n")
+        assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_an_out_naming_a_file_exits_2_at_its_line_before_anything_runs(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_run(config):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cli.dyn, "simulate", no_run)
+        monkeypatch.delenv("ADWAVE_OUT", raising=False)
+        (tmp_path / "taken").write_text("")
+        text = MINIMAL + f"\n[run]\nout = {tmp_path / 'taken'}\n"
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text + ("\n[sweep]\nsimulation.T = 0.25, 0.5\n" if command == "sweep"
+                               else ""))
+        assert main([command, str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        _assert_one_error_at(err, 18)
+        assert err.endswith(f"cannot create output directory "
+                            f"{str(tmp_path / 'taken')!r}: File exists\n")
         assert (tmp_path / "taken").read_text() == ""
 
     def test_a_sweep_sub_runs_config_runs_again(self, tmp_path, capsys):

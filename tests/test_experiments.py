@@ -253,9 +253,9 @@ class TestReportMechanics:
         assert isinstance(payload["checks"], list)
         assert payload["checks"][0]["name"].startswith("dispersion")
 
-    def test_workers_give_same_result(self, monkeypatch):
-        """``ADWAVE_WORKERS`` widens sweeps only: the experiments that run a
-        parameter list run it in the calling thread, whatever its value."""
+    def test_experiments_run_on_the_calling_thread(self, monkeypatch):
+        """The experiments that run a parameter list start no thread, and
+        give the same reports as an unguarded run."""
         W = mollified_family(clipped_quadratic(1.0)).make(0.1)
         family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
         eps_list = [0.2, 0.1, 0.05]
@@ -271,7 +271,6 @@ class TestReportMechanics:
         def no_thread(thread):
             raise AssertionError(f"an experiment started thread {thread.name}")
 
-        monkeypatch.setenv("ADWAVE_WORKERS", "3")
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert [json.dumps(run().to_dict()) for run in runs] == serial
 

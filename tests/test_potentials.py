@@ -479,10 +479,9 @@ class TestMollifiedFamily:
         with pytest.raises(ValueError, match="read-only"):
             prof._grad_pieces[0][0] = 0.0
 
-    def test_members_keep_the_critical_set_but_not_the_profile(self):
+    def test_members_keep_the_critical_distance_but_not_the_profile(self):
         base = ball_potential(2)
         W = mollified_family(base).make(0.1)
-        assert W.critical_set == base.critical_set == "unit sphere |y| = 1"
         assert W.critical_distance is base.critical_distance
         assert W.profile is None
         y = np.array([[0.0, 0.0], [0.6, 0.8], [-3.0, 4.0]])
