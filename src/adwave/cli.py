@@ -382,6 +382,9 @@ def _epsilon_convergence(family=None, eps_list=(0.2, 0.1, 0.05, 0.025), T=5.0, n
     """eps -> 0 along ``family``, by default the mollified one of kernel ratio 2."""
     if family is None:
         family = build_family(Descriptor("mollified", (("ratio", 2.0),)))
+    if family.base.m != 1:
+        raise sp.ParameterError("family", "epsilon-convergence experiment builds scalar "
+                                "initial data; use a family over scalar states")
     cfg = _bump_run([family.make(v) for v in eps_list], T, n, extent, amplitude, 4)
     return ex.run_epsilon_convergence(family, eps_list, cfg)
 
@@ -414,7 +417,10 @@ _PASSED_AS = {"boundary_mode": ("boundary",),
               # a defaulted pad_factor only fails against the chosen boundary
               "pad_factor": ("pad_factor", "boundary"),
               "omega_extent": ("omega_extent", "extent", "L"),
-              "eps": ("eps", "eps_list", "family_eps")}
+              "eps": ("eps", "eps_list", "family_eps"),
+              "family": ("kind",),
+              # a potential too stiff to step: the eps of its member, else its kind
+              "potential": ("eps", "eps_list", "family_eps", "kind")}
 
 
 def _checked(spec: RunSpec, command: str) -> dict:
@@ -583,7 +589,7 @@ def cmd_sweep(spec: RunSpec, out_dir: str, out_line: int | None) -> int:
     run_dirs = [_made(os.path.join(out_dir, f"run-{i:03d}")) for i in range(len(runs))]
     results = []  # (exit code, stdout lines) of each sub-run
     for sub, run, run_dir in zip(subs, runs, run_dirs):
-        with open(os.path.join(run_dir, "config.ini"), "w") as fh:
+        with open(os.path.join(run_dir, "config.ini"), "w", newline="\n") as fh:
             fh.write(format_runspec(sub))
         if isinstance(run, dyn.SimConfig):
             results.append((0, _simulate(run, run_dir)))

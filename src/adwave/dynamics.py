@@ -111,8 +111,10 @@ class SimConfig:
     below a bound. ``dt=None`` is the auto step, ``fitted_dt(T, cfl_safety *
     stability_limit(op, potential))``, taken once ``T`` and ``cfl_safety``
     are checked. A plan of 5e8 steps or more, whose 1e-9 is half a step, is
-    refused on ``dt``, or on ``T`` for the auto step. Invalid parameters
-    raise :class:`SimConfigError`.
+    refused on ``dt``, or for the auto step on ``T``; on ``potential`` where
+    the potential's ``grad_lipschitz`` exceeds the largest symbol value and
+    the plan at the symbol's stability bound alone would be accepted.
+    Invalid parameters raise :class:`SimConfigError`.
     """
 
     domain: Domain
@@ -139,8 +141,8 @@ class SimConfig:
             raise SimConfigError("T", "final time T must be positive and finite")
         if not 0 < self.cfl_safety <= 1:
             raise SimConfigError("cfl_safety", "cfl_safety must lie in (0, 1]")
-        limit = self.cfl_safety * stability_limit(build_operator(self.domain),
-                                                  self.potential)
+        op = build_operator(self.domain)
+        limit = self.cfl_safety * stability_limit(op, self.potential)
         auto = self.dt is None
         if auto:
             self.dt = fitted_dt(self.T, limit)
@@ -148,8 +150,13 @@ class SimConfig:
             raise SimConfigError("dt", "time step dt must be positive and finite")
         steps = self.T / self.dt
         if steps >= 5e8:  # the check below could not see a fraction of a step
-            raise SimConfigError("T" if auto else "dt", f"T / dt = {steps:.6g} steps; plans "
-                                 "of 500,000,000 steps or more are refused")
+            text = f"T / dt = {steps:.6g} steps; plans of 500,000,000 steps or more are refused"
+            lam, lip = float(np.max(op.symbol)), self.potential.grad_lipschitz
+            # a potential stiffer than the symbol, whose bound alone would allow the plan
+            if auto and lip > lam and self.T * math.sqrt(lam) / (2.0 * self.cfl_safety) < 5e8:
+                raise SimConfigError("potential", f"{text} (the auto step follows the gradient "
+                                     f"Lipschitz constant {lip:.6g} of {self.potential.name})")
+            raise SimConfigError("T" if auto else "dt", text)
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise SimConfigError(
                 "dt", f"dt = {self.dt!r} does not divide T = {self.T!r} into a whole "

@@ -8,6 +8,7 @@ and records its parameter values (per eps, per dt, per mode) in their order.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import replace
@@ -23,8 +24,9 @@ from .reporting import ExperimentReport, svg_line_plot, write_csv
 
 def write(report: ExperimentReport, out_dir: str) -> ExperimentReport:
     """Write ``report``'s CSV tables, its SVG plots and then ``report.json``
-    into ``out_dir``, each listed in ``report.artifacts``; return
-    ``report``. A table is ``(file, {header: column})``, a plot ``(file, x,
+    into ``out_dir``, a directory that exists, listing each file in
+    ``report.artifacts`` once written, so ``report.json`` lists the others;
+    return ``report``. A table is ``(file, {header: column})``, a plot ``(file, x,
     series, labels)``, ``labels`` passed to ``svg_line_plot``."""
     for name, columns in report.tables:
         report.artifacts.append(write_csv(os.path.join(out_dir, name), list(columns),
@@ -32,7 +34,11 @@ def write(report: ExperimentReport, out_dir: str) -> ExperimentReport:
     for name, x, series, labels in report.plots:
         report.artifacts.append(svg_line_plot(os.path.join(out_dir, name), x,
                                               series, **labels))
-    report.write(out_dir)
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w", newline="\n") as fh:
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    report.artifacts.append(path)
     return report
 
 
@@ -210,7 +216,7 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     (the data-only bound) fails to stay below 1, the hypothesis is reported
     as violated and confinement is not asserted. A negative or non-finite
     ``eps1`` or ``eps2`` raises :class:`~adwave.spectral.ParameterError`
-    naming it; zero is zero data.
+    naming it; zero is zero data. So does a ``family`` over vector states.
     """
     for field, value in (("eps1", eps1), ("eps2", eps2)):
         if not 0 <= value < math.inf:
@@ -219,8 +225,8 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
     if family is None:
         family = pot.mollified_family(pot.clipped_quadratic(1.0))
     if family.base.m != 1:
-        raise ValueError("small-data experiment builds scalar initial data; "
-                         "use a family over scalar states")
+        raise sp.ParameterError("family", "small-data experiment builds scalar initial "
+                                "data; use a family over scalar states")
     if domain is None:
         domain = sp.Domain(d=1, s=1.0, omega_extent=1.0, n=128, pad_factor=2.0)
     if not 2.0 * domain.s > domain.d:
@@ -238,10 +244,10 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
 
     omega = math.prod(domain.omega_extent)
     eps3 = _sampled_gap(member.value, base.value, 3.0, 4001)
-    e_cap = 0.5 * eps2 ** 2 + 0.5 * eps1 ** 2 + omega * eps1 ** 2 + eps3 * omega
+    e_cap = 0.5 * _square(eps2) + 0.5 * _square(eps1) + omega * _square(eps1) + eps3 * omega
     l2_cap = dyn.apriori_l2_bound(e_cap, eps1, T)
     const = sp.embedding_constant(domain.d, domain.s)
-    certificate = const * math.sqrt(l2_cap ** 2 + 2.0 * e_cap)
+    certificate = const * math.sqrt(_square(l2_cap) + 2.0 * e_cap)
 
     report = ExperimentReport("small-data", parameters={
         "family": family.name, "family_eps": family_eps, "eps1": eps1,
@@ -308,6 +314,14 @@ def run_small_data(family: pot.RegularizedFamily | None = None,
                          dict(title="confinement below the critical amplitude",
                               xlabel="t", ylabel="max |u|", hlines=(1.0,))))
     return report
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or +inf where that overflows: a cap that large fails its check."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _l2_rows(domain: sp.Domain, us: np.ndarray) -> list[float]:

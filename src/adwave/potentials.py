@@ -419,7 +419,9 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
     whose certified gradient region keeps a distance of two kernel radii
     from the critical set. Members keep the base's ``critical_distance``,
     but not its ``profile``. ``make`` builds each member once, with
-    read-only coefficient arrays, and memoises it.
+    read-only coefficient arrays, and memoises it; an eps it cannot build,
+    such as one whose kernel radius the lattice cap cannot resolve, raises
+    :class:`ParameterError` naming ``eps``.
     """
     if base.profile is None:
         raise ValueError(f"{base.name} exposes no one-dimensional profile to smooth")
@@ -431,7 +433,10 @@ def mollified_family(base: Potential, kernel_width_ratio: float = 1.0) -> Regula
         eps = float(eps)
         if not 0 < eps < math.inf:
             raise ParameterError("eps", "eps must be positive and finite")
-        return member(eps)
+        try:
+            return member(eps)
+        except ValueError as exc:  # a kernel radius the lattice cannot resolve
+            raise ParameterError("eps", str(exc)) from None
 
     @cache
     def member(eps: float) -> Potential:

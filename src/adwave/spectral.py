@@ -16,6 +16,7 @@ periodised symbol at non-integer s.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -78,6 +79,12 @@ def _as_tuple(value, d: int, kind: type, field: str, error=ParameterError) -> tu
     return tuple(_whole(v, field, error) if kind is int else kind(v) for v in values)
 
 
+try:  # bytes of physical memory, or +inf where the system does not say
+    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    _PHYSICAL_MEMORY = math.inf
+
+
 class Layout(NamedTuple):
     """A field's layout as steps and transforms read it (:meth:`Domain.layout`)."""
 
@@ -111,7 +118,9 @@ class Domain:
     grid spacing that overflows or underflows names ``omega_extent``, and a
     pad too wide for any grid point to lie strictly inside Omega names
     ``pad_factor``. A largest symbol value that overflows names
-    ``omega_extent`` where the squared frequency does, else ``s``.
+    ``omega_extent`` where the squared frequency does, else ``s``. A grid
+    one real field of which exceeds physical memory names ``n``, before
+    anything is allocated.
     """
 
     d: int
@@ -140,6 +149,10 @@ class Domain:
                               "omega_extent must be positive and finite on every axis")
         if any(m <= 0 or m % 2 for m in self.n):
             raise DomainError("n", "grid sizes must be positive even integers")
+        if 8 * math.prod(self.n) > _PHYSICAL_MEMORY:  # the bytes of one real field
+            grid = " x ".join(f"{m:.6g}" for m in self.n)
+            raise DomainError("n", f"one real field on the {grid} grid needs more than the "
+                              f"{_PHYSICAL_MEMORY:.6g} bytes of physical memory")
         if self.boundary_mode not in _MODES:
             raise DomainError("boundary_mode", f"unknown boundary mode {self.boundary_mode!r}")
         if self.boundary_mode == EXTERIOR_DIRICHLET:

@@ -152,6 +152,7 @@ class TestDomainSection:
         ("n = 64", "n = 64\npad_factor = 1.0", 6, "pad_factor > 1"),
         ("n = 64", "n = 64\nboundary = periodic", 6, "requires pad_factor = 1"),
         ("n = 64", "n = 64\nboundary = sideways", 6, "unknown boundary"),
+        ("n = 64", "n = 1e300", 5, "1e\\+300 x 1e\\+300 grid .* physical memory"),
     ])
     def test_errors_anchor_at_the_offending_key(self, old, new, line, what):
         with pytest.raises(ConfigError, match=f"^line {line}: .*{what}"):
@@ -198,6 +199,9 @@ class TestSimulationSection:
         ("T = 0.5", "T = 0.5\nrecord_every = 0", 16, "record_every must be >= 1"),
         ("T = 0.5", "T = -1.0", 15, "T must be positive"),
         ("u0 = zero()", "u0 = constant(value=1.0)", 11, "u0 must vanish outside"),
+        ("clipped_quadratic(u_star=1.0)", "linear_taper(eps=1e-300)", 8,
+         r"refused \(the auto step follows the gradient Lipschitz constant 2e\+300 of "
+         r"linear_taper\(eps=1e-300\)\)$"),
     ])
     def test_errors_anchor_at_the_offending_key(self, old, new, line, what):
         with pytest.raises(ConfigError, match=f"^line {line}: invalid \\[simulation\\]: .*{what}"):
@@ -707,8 +711,13 @@ class TestBadDescriptors:
         ("clipped_quadratic(u_star=1.0)", "clipped_quadratic(u_star=1e200)", 8,
          "invalid potential clipped_quadratic(u_star=1e+200): u_star must be positive "
          "with a finite square, got 1e+200\n"),
+        ("clipped_quadratic(u_star=1.0)", "mollified(eps=1e-9)", 8,
+         "invalid potential mollified(eps=1e-09): mollification radius 1e-09 needs "
+         "64000000133 lattice points at 32 points per radius; the 60000-point lattice cap "
+         "would give only 0.0 points per radius\n"),
     ], ids=["misspelt-potential-argument", "misspelt-data-argument", "numeric-base",
-            "vector-bump", "nested-fractional-m", "repeated-argument", "u_star-squared-overflows"])
+            "vector-bump", "nested-fractional-m", "repeated-argument", "u_star-squared-overflows",
+            "mollified-eps-under-the-lattice-cap"])
     def test_exit_2_with_one_prefix(self, tmp_path, capsys, old, new, line, what):
         rc, (_, err) = _run(tmp_path, capsys, MINIMAL.replace(old, new))
         assert rc == 2
@@ -795,6 +804,12 @@ class TestExperimentConfig:
         assert rc == 2
         _assert_one_error_at(err, 5)
         assert not list((tmp_path / "out").glob("run-*"))
+
+    def test_a_small_data_cap_that_overflows_fails_the_regime_check(self, tmp_path, capsys):
+        rc, (out, _) = _run_command(tmp_path, capsys, "experiment small-data",
+                                    "[experiment]\neps1 = 1e300\n")
+        assert rc == 1
+        assert "  FAIL small_data_regime: measured inf < 1 " in out
 
     def test_family_an_experiment_does_not_read_exits_2_at_its_kind_line(
             self, tmp_path, capsys):
@@ -914,11 +929,36 @@ class TestWhatEachCommandReads:
          "eps2 must be non-negative and finite, got -0.5"),
         ("experiment small-data", "[experiment]\nT = 0.5\neps1 = -0.05\n", 3,
          "eps1 must be non-negative and finite, got -0.05"),
+        ("experiment energy-inequality", "[experiment]\nn = 16\neps = 1e-9\n", 3,
+         "mollification radius 1e-09 needs"),
+        ("experiment epsilon-convergence", "[experiment]\neps_list = 0.2, 1e-9\n", 2,
+         "mollification radius 2e-09 needs"),
+        ("experiment small-data", "[experiment]\nfamily_eps = 1e-9\n", 2,
+         "mollification radius 1e-09 needs"),
+        ("certify-potential", "[family]\nkind = mollified()\n\n[experiment]\n"
+         "eps_list = 0.4, 1e-9\n", 5, "mollification radius 1e-09 needs"),
+        ("experiment small-data", "[family]\nkind = mollified(base=ball(m=2))\n", 2,
+         "small-data experiment builds scalar initial data; use a family over scalar states"),
+        ("experiment epsilon-convergence", "[family]\nkind = mollified(base=ball(m=2))\n",
+         2, "epsilon-convergence experiment builds scalar initial data; use a family over "
+         "scalar states"),
+        ("experiment limit-obstruction", "[experiment]\nn = 16\neps_list = 0.4, 1e-300\n",
+         3, "T / dt = 7.85674e+150 steps; plans of 500,000,000 steps or more are refused "
+         "(the auto step follows the gradient Lipschitz constant 2e+300 of "
+         "linear_taper(eps=1e-300))"),
+        ("experiment dispersion", "[experiment]\nn = 1e300\n", 2,
+         "one real field on the 1e+300 grid needs more than the"),
     ], ids=["energy-inequality-eps", "limit-obstruction-T", "dispersion-n",
             "certify-eps_list-increasing", "small-data-family_eps",
             "epsilon-convergence-eps_list", "certify-eps_list-member",
             "energy-inequality-extent", "epsilon-convergence-extent", "limit-obstruction-L",
-            "dispersion-nyquist-mode", "small-data-eps2", "small-data-eps1"])
+            "dispersion-nyquist-mode", "small-data-eps2", "small-data-eps1",
+            "energy-inequality-eps-under-the-lattice-cap",
+            "epsilon-convergence-eps_list-under-the-lattice-cap",
+            "small-data-family_eps-under-the-lattice-cap",
+            "certify-eps_list-under-the-lattice-cap", "small-data-vector-family",
+            "epsilon-convergence-vector-family", "limit-obstruction-stiff-taper",
+            "dispersion-n-beyond-memory"])
     @pytest.mark.parametrize("out_from", ["flag", "env", "config"])
     def test_a_library_range_error_names_the_line_of_its_key(
             self, tmp_path, capsys, monkeypatch, out_from, command, text, line, what):

@@ -1,12 +1,18 @@
-"""Generated configs: the text round trip, and a fuzzer for ``cli.main``.
+"""Generated configs: the text round trip, and fuzzers for ``cli.main``.
 
-The fuzzer starts from a small config that ``adwave simulate`` (or, with a
-[sweep] section, ``adwave sweep``) runs: d <= 2, n <= 16, T <= 0.5. It
-changes one place: it drops, repeats or misspells a key or a descriptor
+The first fuzzer starts from a small config that ``adwave simulate`` (or,
+with a [sweep] section, ``adwave sweep``) runs: d <= 2, n <= 16, T <= 0.5.
+It changes one place: it drops, repeats or misspells a key or a descriptor
 argument, writes a non-numeric or non-finite number, unbalances a
 parenthesis, adds a stray comma, or sets a dt that does not divide T. The
 run must exit 0, 2 or 3 with no exception escaping, and on exit 2 print one
 ``config error:`` line, which names the changed line while it is in the file.
+
+The second starts from a small config of each experiment and of
+``adwave certify-potential`` (n <= 32, T <= 0.5) and sets one [experiment]
+number, or one entry of a list, to a zero, negative, tiny, huge, non-finite
+or merely different value. The run must exit 0, 1, 2 or 3 with no exception
+escaping, and on exit 2 print one ``config error:`` line naming that line.
 """
 import contextlib
 import io
@@ -202,7 +208,8 @@ def _fuzzed_configs(draw):
 
 
 def _main(command: str, text: str):
-    """Exit code, stdout and stderr of ``adwave command`` on config ``text``."""
+    """Exit code, stdout and stderr of ``adwave command`` on config ``text``;
+    ``command`` may carry arguments before the config, as ``experiment NAME``."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.ini")
@@ -210,7 +217,7 @@ def _main(command: str, text: str):
             fh.write(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 np.errstate(all="ignore"):
-            rc = main([command, cfg, "--out", os.path.join(tmp, "out")])
+            rc = main([*command.split(), cfg, "--out", os.path.join(tmp, "out")])
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -232,3 +239,54 @@ def test_changed_configs_exit_with_a_documented_code(case):
         assert err.count("\n") == 1 and err.startswith("config error: "), err
         if line is not None:
             assert err.startswith(f"config error: line {line}: "), (text, err)
+
+
+# ---------------------------------------------------------------------------
+# fuzzer: one [experiment] number of an experiment's config
+
+_EXPERIMENT_CONFIGS = {
+    "experiment energy-inequality": ["[experiment]", "eps = 0.1", "T = 0.5", "n = 32",
+                                     "extent = 6.283185307179586", "amplitude = 0.5"],
+    "experiment epsilon-convergence": ["[experiment]", "eps_list = 0.2, 0.1, 0.05",
+                                       "T = 0.5", "n = 32", "extent = 6.283185307179586",
+                                       "amplitude = 0.9"],
+    "experiment limit-obstruction": ["[experiment]", "eps_list = 0.4, 0.2", "T = 0.5",
+                                     "L = 1.0", "n = 32"],
+    "experiment small-data": ["[experiment]", "eps1 = 0.05", "eps2 = 0.01", "T = 0.5",
+                              "family_eps = 0.05"],
+    "experiment dispersion": ["[experiment]", "n = 16"],
+    "certify-potential": ["[family]", "kind = mollified()", "", "[experiment]",
+                          "eps_list = 0.4, 0.2"],
+}
+
+
+@st.composite
+def _experiment_cases(draw):
+    """``(command, text, line)``: an experiment config with one [experiment]
+    number changed, and the 1-based line of the change."""
+    command = draw(st.sampled_from(sorted(_EXPERIMENT_CONFIGS)))
+    lines = list(_EXPERIMENT_CONFIGS[command])
+    i = draw(st.sampled_from([i for i, text in enumerate(lines)
+                              if " = " in text and not text.startswith("kind")]))
+    key, value = lines[i].split(" = ")
+    parts = value.split(", ")
+    parts[draw(st.integers(0, len(parts) - 1))] = draw(
+        st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "3"]))
+    lines[i] = f"{key} = {', '.join(parts)}"
+    return command, "\n".join(lines) + "\n", i + 1
+
+
+def test_the_experiment_configs_run():
+    for command, lines in _EXPERIMENT_CONFIGS.items():
+        assert _main(command, "\n".join(lines) + "\n")[::2] == (0, ""), command
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_experiment_cases())
+def test_changed_experiment_numbers_exit_with_a_documented_code(case):
+    command, text, line = case
+    rc, _, err = _main(command, text)
+    assert rc in (0, 1, 2, 3), err
+    if rc == 2:
+        assert err.count("\n") == 1 and err.startswith(f"config error: line {line}: "), \
+            (text, err)

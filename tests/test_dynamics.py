@@ -1170,6 +1170,19 @@ class TestSimConfig:
             plan(5e8)
         assert info.value.field == "T"
 
+    @pytest.mark.parametrize("T, field", [(0.5, "potential"), (1e9, "T")])
+    def test_an_auto_step_plan_a_stiff_potential_makes_endless_raises_on_it(self, T, field):
+        """A gradient Lipschitz constant above the largest symbol value sets
+        the auto step: the potential is the thing to change, unless the
+        symbol alone would still refuse the plan."""
+        dom = periodic_domain(n=16)
+        W = linear_taper_family().make(1e-300)
+        with pytest.raises(SimConfigError, match=r"plans of 500,000,000 steps or more are "
+                           r"refused") as info:
+            SimConfig(domain=dom, potential=W, T=T, dt=None, u0=zero_field(dom),
+                      v0=zero_field(dom))
+        assert info.value.field == field
+
     @pytest.mark.parametrize("T, dt_max", [(1e308, 1e-10), (1.0, 0.0)])
     def test_fitted_dt_is_T_where_no_finite_step_count_fits(self, T, dt_max):
         assert fitted_dt(T, dt_max) == T

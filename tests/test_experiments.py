@@ -21,13 +21,13 @@ from adwave.experiments import (
     run_small_data,
 )
 from adwave.potentials import (
+    ball_potential,
     clipped_quadratic,
     constant_family,
     linear_taper_family,
     mollified_family,
     zero_potential,
 )
-from adwave.reporting import ExperimentReport
 from adwave.spectral import PERIODIC, Domain, ParameterError, build_operator, row_sums
 
 
@@ -190,6 +190,17 @@ class TestSmallData:
         rep = run_small_data(eps1=0.04, eps2=0.02)
         assert rep.passed
 
+    @pytest.mark.parametrize("kwargs", [dict(eps1=1e300), dict(eps2=1e300), dict(T=1e300)])
+    def test_a_cap_that_overflows_is_inf_and_fails_the_regime(self, kwargs):
+        rep = run_small_data(**kwargs)
+        assert rep.first_failure == "small_data_regime"
+        assert rep.checks[0].measured == math.inf
+
+    def test_a_family_over_vector_states_raises_on_family(self):
+        with pytest.raises(ParameterError, match="scalar states") as info:
+            run_small_data(family=mollified_family(ball_potential(2)))
+        assert info.value.field == "family"
+
 
 class TestDispersion:
     def test_default_cases(self, tmp_path):
@@ -339,7 +350,7 @@ class TestDeclaredOutputs:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(ex, "write_csv", forbidden)
         monkeypatch.setattr(ex, "svg_line_plot", forbidden)
-        monkeypatch.setattr(ExperimentReport, "write", forbidden)
+        monkeypatch.setattr(ex, "write", forbidden)
         W = mollified_family(clipped_quadratic(1.0)).make(0.1)
         family = mollified_family(clipped_quadratic(1.0), kernel_width_ratio=2.0)
         reports = [

@@ -396,6 +396,14 @@ class TestExtremeInputs:
 
 
 class TestMollifiedFamily:
+    def test_an_eps_the_lattice_cap_cannot_resolve_raises_on_eps(self):
+        base = clipped_quadratic(1.0)
+        with pytest.raises(ValueError) as cap:
+            MollifiedProfile(base.profile, 1e-9)
+        with pytest.raises(ParameterError) as info:
+            mollified_family(base).make(1e-9)
+        assert info.value.field == "eps" and str(info.value) == str(cap.value)
+
     def test_value_at_origin_small(self):
         fam = mollified_family(clipped_quadratic(1.0))
         for eps in (0.2, 0.1, 0.05):

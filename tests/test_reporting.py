@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adwave import experiments as ex
 from adwave.reporting import Check, ExperimentReport, fmt, svg_line_plot, write_csv
 
 from oracles import traced_memory
@@ -85,13 +86,27 @@ class TestReport:
     def test_json_is_sorted_and_stable(self, tmp_path):
         rep = ExperimentReport("demo", parameters={"b": 1, "a": 2})
         rep.check("only", True, 1.0, 1.0)
-        path = rep.write(str(tmp_path))
+        path = ex.write(rep, str(tmp_path)).artifacts[-1]
         text1 = Path(path).read_text()
         rep2 = ExperimentReport("demo", parameters={"b": 1, "a": 2})
         rep2.check("only", True, 1.0, 1.0)
-        assert Path(rep2.write(str(tmp_path / "again"))).read_text() == text1
+        (tmp_path / "again").mkdir()
+        assert Path(ex.write(rep2, str(tmp_path / "again")).artifacts[-1]).read_text() == text1
         payload = json.loads(text1)
         assert payload["parameters"] == {"a": 2, "b": 1}
+
+
+def test_the_writers_make_no_directory(tmp_path):
+    """The command line makes every output directory; a writer given a
+    path in a missing one fails and creates nothing."""
+    missing = tmp_path / "missing"
+    rep = ExperimentReport("demo", tables=[("x.csv", {"t": [0.5]})])
+    for write in (lambda: write_csv(str(missing / "x.csv"), ["t"], [(0.5,)]),
+                  lambda: svg_line_plot(str(missing / "p.svg"), [0.0, 1.0], {"y": [0, 1]}),
+                  lambda: ex.write(rep, str(missing))):
+        with pytest.raises(FileNotFoundError):
+            write()
+    assert not missing.exists()
 
 
 class TestSvg:

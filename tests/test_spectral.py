@@ -134,6 +134,14 @@ class TestDomainValidation:
             Domain(**{"d": 1, "s": 1.0, "n": 64, **kwargs})
         assert err.value.field == field
 
+    @pytest.mark.parametrize("d, n", [(1, 2 ** 45), (3, 2 ** 15), (1, 1e300), (2, 1e300)])
+    def test_a_grid_larger_than_memory_is_refused_before_it_is_allocated(self, d, n):
+        """One real field of at least 2^48 bytes: more than any machine's
+        memory, refused by size alone (a 2^45-point array would not fit)."""
+        with pytest.raises(DomainError, match="physical memory") as err:
+            Domain(d=d, s=1.0, omega_extent=1.0, n=n)
+        assert err.value.field == "n"
+
     @pytest.mark.parametrize("kwargs", [dict(s=100.0), dict(omega_extent=1e-150),
                                         dict(omega_extent=1e300, n=2)])
     def test_a_symbol_near_the_float_range_is_accepted(self, kwargs):
