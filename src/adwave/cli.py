@@ -420,7 +420,9 @@ _PASSED_AS = {"boundary_mode": ("boundary",),
               "eps": ("eps", "eps_list", "family_eps"),
               "family": ("kind",),
               # a potential too stiff to step: the eps of its member, else its kind
-              "potential": ("eps", "eps_list", "family_eps", "kind")}
+              "potential": ("eps", "eps_list", "family_eps", "kind"),
+              # snapshots beyond memory: the record_every set, else the T or dt that plans them
+              "record_every": ("record_every", "T", "dt")}
 
 
 def _checked(spec: RunSpec, command: str) -> dict:

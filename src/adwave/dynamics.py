@@ -26,6 +26,7 @@ import numpy as np
 
 from .potentials import Potential
 from .spectral import (
+    _PHYSICAL_MEMORY,
     Domain,
     GridMismatchError,
     ParameterError,
@@ -111,10 +112,13 @@ class SimConfig:
     below a bound. ``dt=None`` is the auto step, ``fitted_dt(T, cfl_safety *
     stability_limit(op, potential))``, taken once ``T`` and ``cfl_safety``
     are checked. A plan of 5e8 steps or more, whose 1e-9 is half a step, is
-    refused on ``dt``, or for the auto step on ``T``; on ``potential`` where
-    the potential's ``grad_lipschitz`` exceeds the largest symbol value and
-    the plan at the symbol's stability bound alone would be accepted.
-    Invalid parameters raise :class:`SimConfigError`.
+    refused on ``dt``, or for the auto step, whose plan also counts the
+    unfitted ``T / bound`` (inf where that overflows), on ``T``; on
+    ``potential`` where the potential's ``grad_lipschitz`` exceeds the
+    largest symbol value and the plan at the symbol's stability bound alone
+    would be accepted. A plan whose kept snapshots (:func:`simulate`) take
+    more bytes than the machine's physical memory is refused on
+    ``record_every``. Invalid parameters raise :class:`SimConfigError`.
     """
 
     domain: Domain
@@ -149,6 +153,8 @@ class SimConfig:
         if not 0 < self.dt < math.inf:
             raise SimConfigError("dt", "time step dt must be positive and finite")
         steps = self.T / self.dt
+        if auto:  # the plan T / limit itself: where it overflows, fitted_dt gives one step of T
+            steps = max(steps, self.T / limit if limit > 0 else math.inf)
         if steps >= 5e8:  # the check below could not see a fraction of a step
             text = f"T / dt = {steps:.6g} steps; plans of 500,000,000 steps or more are refused"
             lam, lip = float(np.max(op.symbol)), self.potential.grad_lipschitz
@@ -165,6 +171,16 @@ class SimConfig:
         self.record_every = _whole(self.record_every, "record_every", SimConfigError)
         if self.record_every < 1:
             raise SimConfigError("record_every", "record_every must be >= 1")
+        count = 2 + (self.nsteps - 1) // self.record_every  # snapshots, as simulate keeps them
+        lines, inner = self.domain.interior_lines, self.domain.interior
+        if self.u0[lines].shape != self.u0.shape:  # packed but the first (_Packed)
+            kept = (count - 1) * 2 * (self.u0[inner].nbytes + -(-self.u0[lines].size // 8))
+        else:
+            kept = count * (self.u0.nbytes + self.v0.nbytes)
+        if kept > _PHYSICAL_MEMORY:
+            raise SimConfigError("record_every", f"the {count} snapshots that record_every = "
+                                 f"{self.record_every} keeps take {kept:.6g} bytes, more than "
+                                 f"the {_PHYSICAL_MEMORY:.6g} bytes of physical memory")
         for label, f in (("u0", self.u0), ("v0", self.v0)):
             if not self.domain.vanishes_off_omega(f):
                 raise SimConfigError(label, f"{label} must vanish outside Omega")
@@ -185,8 +201,9 @@ class Trajectory:
     ``states`` holds one state per recorded time, each with ``t``, ``u``
     and ``v`` read as full boxes, every bit: :class:`FieldState` objects,
     or, where :func:`simulate` runs exterior-dirichlet with d > 1, packed
-    snapshots. ``stored_u``, where :func:`simulate` sets it, holds the
-    stacks whose rows the states' ``u`` are.
+    snapshots after the first, which holds the config's own ``u0`` and
+    ``v0``, not copies. ``stored_u``, where :func:`simulate` sets it, holds
+    the stacks whose rows the states' ``u`` are.
     """
 
     config: SimConfig
@@ -217,33 +234,33 @@ class Trajectory:
 
 
 class _Packed:
-    """A recorded lines-block state as :func:`simulate` keeps it: Omega's
-    block of ``u`` and of ``v`` and ``np.packbits`` of the sign bits of each
-    lines block (:meth:`Domain.layout`), +0 or -0 off Omega. ``u`` and ``v``
-    each build that field's full box when read, from the initial data for
-    the first snapshot and from +0, as :func:`step` leaves it, for later
-    ones, with -0 written on the lines where a stored bit is set."""
+    """A recorded lines-block state after the first, as :func:`simulate`
+    keeps it: Omega's block of ``u`` and of ``v`` and ``np.packbits`` of the
+    sign bits of each lines block (:meth:`Domain.layout`), +0 or -0 off
+    Omega. ``u`` and ``v`` each build that field's full box when read: +0,
+    as :func:`step` leaves it, with -0 written on the lines where a stored
+    bit is set. The first snapshot of such a run is no ``_Packed``: it is
+    the config's own ``u0`` and ``v0``."""
 
-    __slots__ = ("t", "_config", "_first", "_u", "_v", "_u_signs", "_v_signs")
+    __slots__ = ("t", "_config", "_u", "_v", "_u_signs", "_v_signs")
 
-    def __init__(self, state: FieldState, config: SimConfig, first: bool):
+    def __init__(self, state: FieldState, config: SimConfig):
         inner = config.domain.layout(state.u).inner
-        self.t, self._config, self._first = state.t, config, first
+        self.t, self._config = state.t, config
         self._u, self._v = state.u[inner].copy(), state.v[inner].copy()
         self._u_signs = np.packbits(np.signbit(state.u))
         self._v_signs = np.packbits(np.signbit(state.v))
 
     @property
     def u(self) -> np.ndarray:
-        return self._box(self._config.u0, self._u, self._u_signs)
+        return self._box(self._u, self._u_signs)
 
     @property
     def v(self) -> np.ndarray:
-        return self._box(self._config.v0, self._v, self._v_signs)
+        return self._box(self._v, self._v_signs)
 
-    def _box(self, initial: np.ndarray, on_omega: np.ndarray,
-             signs: np.ndarray) -> np.ndarray:
-        out = initial.copy() if self._first else np.zeros_like(initial)
+    def _box(self, on_omega: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(self._config.u0)
         block = out[self._config.domain.interior_lines]
         # +0 or -0 on Omega's lines: -0 where a stored bit is set, then Omega's values
         block[np.unpackbits(signs, count=block.size).view(bool).reshape(block.shape)] = -0.0
@@ -374,11 +391,12 @@ def simulate(config: SimConfig) -> Trajectory:
     keeps its step's arrays and, but the initial one, takes its elastic
     energy from that step's spectrum (``seminorms``). The state is advanced
     as its lines block (:meth:`Domain.layout`), which is the full box
-    unless the mode is exterior-dirichlet with d > 1; there a snapshot is
-    packed once its energy is taken (:class:`_Packed`), else the trajectory
-    keeps the stacks (``Trajectory.stored_u``). Overflow and invalid values
-    raise no numpy warning during the run; a non-finite state raises
-    :class:`BlowUpError`.
+    unless the mode is exterior-dirichlet with d > 1; there a snapshot
+    after the first is packed once its energy is taken (:class:`_Packed`),
+    and the first is the config's own ``u0`` and ``v0``, not copies; else
+    the trajectory keeps the stacks (``Trajectory.stored_u``). Overflow and
+    invalid values raise no numpy warning during the run; a non-finite
+    state raises :class:`BlowUpError`.
     """
     op = build_operator(config.domain)
     potential, dt, every = config.potential, config.dt, config.record_every
@@ -415,8 +433,9 @@ def simulate(config: SimConfig) -> Trajectory:
                     batch.append(state)
                 rows = rows or (state.u[None], state.v[None])
                 recorded += energies(op, potential, *rows, seminorms=carried)
-                if packed:
-                    states += [_Packed(st, config, j == 0) for j, st in enumerate(batch, first)]
+                if packed:  # the first snapshot is the initial data itself
+                    states += [_Packed(st, config) if j else FieldState(config.u0, config.v0)
+                               for j, st in enumerate(batch, first)]
                 else:
                     states += batch
                     stored.append(rows[0])

@@ -215,6 +215,39 @@ class TestSimulationSection:
             "config error: line 16: invalid [simulation]: dt = 0.7 does not divide T = 1.0")
         assert not (tmp_path / "out").exists()
 
+    # a periodic 2-D 256^2 grid: T on line 17
+    PERIODIC_2D = MINIMAL.replace("d = 1", "d = 2").replace(
+        "n = 64", "n = 256\npad_factor = 1.0\nboundary = periodic")
+
+    @pytest.mark.parametrize("text, line, what", [
+        (MINIMAL.replace("clipped_quadratic(u_star=1.0)", "linear_taper(eps=1e-300)")
+         .replace("T = 0.5", "T = 1e300"), 15,
+         r"T / dt = inf steps; plans of 500,000,000 steps or more are refused"),
+        (PERIODIC_2D.replace("T = 0.5", "T = 1.0\ndt = 3.725290298461914e-09\nrecord_every = 1"),
+         19, r"the 268435457 snapshots that record_every = 1 keeps take 2\.81475e\+14 bytes, "
+         r"more than the \S+ bytes of physical memory"),
+        (PERIODIC_2D.replace("n = 256", "n = 1024").replace("T = 0.5", "T = 1e6"), 17,
+         r"the 40226597 snapshots that record_every = 10 keeps take 6\.7489e\+14 bytes, "
+         r"more than the \S+ bytes of physical memory"),
+        (PERIODIC_2D.replace("n = 256", "n = 1024").replace("T = 0.5", "dt = 2.5e-09"), 17,
+         r"the 40000001 snapshots that record_every = 10 keeps take 6\.71089e\+14 bytes, "
+         r"more than the \S+ bytes of physical memory"),
+    ], ids=["auto-plan-overflows", "snapshots-beyond-memory-at-record_every",
+            "snapshots-beyond-memory-at-T", "snapshots-beyond-memory-at-dt"])
+    def test_a_plan_that_cannot_run_exits_2_at_its_line(self, tmp_path, capsys, monkeypatch,
+                                                       text, line, what):
+        """An auto plan whose T / bound overflows, which once blamed a dt the
+        config does not set, and plans whose kept snapshots (2^48 bytes and
+        more) exceed any machine's memory: each is refused at the line of the
+        key to change, record_every, else T, else dt, before anything runs. A
+        run that starts fails the test at once instead of running the plan."""
+        monkeypatch.setattr(cli.dyn, "simulate", lambda config: pytest.fail("the plan ran"))
+        rc, (out, err) = _run(tmp_path, capsys, text)
+        assert rc == 2 and out == ""
+        _assert_one_error_at(err, line)
+        assert re.search(rf"invalid \[simulation\]: {what}\n$", err), err
+        assert not (tmp_path / "out").exists()
+
     def test_an_auto_step_plan_that_never_ends_exits_2_at_the_T_line(self, tmp_path):
         """s = 200 on 16 points gives an auto step of about 7e-121, some 7e119
         steps to T = 0.5: refused before anything runs, where it once ran
@@ -1029,6 +1062,63 @@ def test_sweep_prints_sub_run_lines_in_run_order(tmp_path, capsys):
         "simulated 2 snapshots to t = 0.5",
         f"wrote {runs[1] / 'trajectory.csv'}", f"wrote {runs[1] / 'energy.csv'}",
         "run-000: PASS", "run-001: PASS"]
+
+
+def test_an_experiment_sweep_writes_each_sub_run_as_the_experiment_alone_does(
+        tmp_path, capsys):
+    """A completed experiment sweep passes every sub-run, and each run-NNN
+    holds its config.ini and the files that ``adwave experiment`` writes
+    from that config.ini: the same bytes, but for report.json's artifacts,
+    which name the directory written."""
+    rc, (out, err) = _run(tmp_path, capsys, "[experiment]\nname = dispersion\n\n"
+                          "[sweep]\nexperiment.n = 16, 32\n", "sweep")
+    assert rc == 0 and err == "" and out == "run-000: PASS\nrun-001: PASS\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run-000", "run-001"]
+    for i, n in enumerate((16, 32)):
+        run, alone = tmp_path / "out" / f"run-{i:03d}", tmp_path / f"alone-{i}"
+        assert sorted(p.name for p in run.iterdir()) == \
+            ["config.ini", "dispersion.csv", "report.json"]
+        assert (run / "config.ini").read_text() == f"[experiment]\nname = dispersion\nn = {n}\n"
+        assert main(["experiment", "dispersion", str(run / "config.ini"),
+                     "--out", str(alone)]) == 0
+        assert "experiment dispersion: PASS" in capsys.readouterr().out
+        assert (run / "dispersion.csv").read_bytes() == (alone / "dispersion.csv").read_bytes()
+        swept, single = ((d / "report.json").read_text() for d in (run, alone))
+        assert json.loads(swept)["artifacts"] == [str(run / "dispersion.csv")]
+        assert swept.replace(str(run), str(alone)) == single
+
+
+@pytest.mark.parametrize("command, text, line, what", [
+    ("simulate", MINIMAL.replace("T = 0.5", "T = 0.5\nenforce_cfl = maybe"), 16,
+     "bad value for 'enforce_cfl': expected boolean, got 'maybe'"),
+    ("sweep", MINIMAL + "\n[sweep]\nfoo.bar = 1, 2\n", 18,
+     "sweep key 'foo.bar' does not name a known section.key"),
+    ("simulate", MINIMAL.replace("n = 64", "n 64"), 5, "expected key = value, got 'n 64'"),
+    ("simulate", "d = 1\n" + MINIMAL, 1, "key outside of any [section]"),
+    *(("simulate", MINIMAL.replace("T = 0.5", f"T = 0.5\ndt = {dt}"), 16,
+       "invalid [simulation]: time step dt must be positive and finite")
+      for dt in ("0", "-1", "inf", "nan")),
+    ("simulate", MINIMAL.replace("u0 = zero()", "u0 = bump(width_frac=0.0)"), 11,
+     "invalid data bump(width_frac=0.0): width_frac must lie in (0, 1]"),
+    ("simulate", None, None, "cannot read config {path!r}: [Errno 2] No such file or "
+     "directory: {path!r}"),
+], ids=["enforce_cfl-not-boolean", "sweep-key-of-no-section", "line-without-equals",
+        "key-before-any-section", "dt-zero", "dt-negative", "dt-inf", "dt-nan",
+        "bump-of-no-width", "config-path-unreadable"])
+def test_a_config_error_exits_2_at_its_line_and_makes_no_output(tmp_path, capsys, command,
+                                                               text, line, what):
+    """Each error is one line that names the offending line, or, for a
+    config that cannot be read (``text`` None), the path and no line."""
+    cfg = tmp_path / "cfg.ini"
+    if text is None:
+        what = what.format(path=str(cfg))
+    else:
+        cfg.write_text(text)
+    rc = main([command, str(cfg), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"config error: {'' if line is None else f'line {line}: '}{what}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_blow_up_stops_a_sweep_before_the_next_sub_run(tmp_path, capsys):

@@ -622,9 +622,10 @@ class TestLinesBlock:
         assert _bits(full[outside]) == _bits(-nonlocal_term[outside])
 
     def test_a_3d_trajectory_holds_omega_blocks_and_sign_bits_only(self):
-        """The arrays a 3-D exterior trajectory keeps alive are its Omega
-        blocks and the sign bits of its lines blocks: less than the lines
-        blocks, which are about a quarter of the full boxes here."""
+        """The arrays a 3-D exterior trajectory keeps alive are, past its
+        first snapshot (the config's own u0 and v0), its Omega blocks and the
+        sign bits of its lines blocks: less than the lines blocks, which are
+        about a quarter of the full boxes here."""
         dom = Domain(d=3, s=1.0, omega_extent=3.0, n=16, pad_factor=2.0)
         W = mollified_family(ball_potential(2)).make(0.1)
         u0 = np.zeros(dom.n + (2,))
@@ -635,10 +636,10 @@ class TestLinesBlock:
         runs = []
         held, _ = traced_memory(lambda: runs.append(simulate(cfg)))
         traj, = runs
-        blocks = len(traj.times) * 2 * u0[dom.interior_lines].nbytes
-        packed = len(traj.times) * 2 * (u0[dom.interior].nbytes
-                                         + -(-u0[dom.interior_lines].size // 8))
-        assert blocks * 4 < len(traj.times) * 2 * u0.nbytes
+        kept = len(traj.times) - 1  # snapshots packed: all but the first
+        blocks = kept * 2 * u0[dom.interior_lines].nbytes
+        packed = kept * 2 * (u0[dom.interior].nbytes + -(-u0[dom.interior_lines].size // 8))
+        assert blocks * 4 < kept * 2 * u0.nbytes
         assert packed <= held < blocks
         assert held < packed + u0.nbytes // 2
         assert traj.states[-1].u.shape == u0.shape
@@ -662,10 +663,10 @@ class TestLinesBlock:
         held, peak = traced_memory(lambda: runs.append(simulate(cfg)))
         traj, = runs
         spectrum = 16 * 64 * 64 * 33 * 2  # bytes: complex half spectrum, m = 2
-        count = len(traj.times)
-        assert held >= count * 2 * (u0[dom.interior].nbytes
-                                     + -(-u0[dom.interior_lines].size // 8))
-        assert held < count * 2 * u0[dom.interior_lines].nbytes
+        kept = len(traj.times) - 1  # snapshots packed: all but the first
+        assert held >= kept * 2 * (u0[dom.interior].nbytes
+                                   + -(-u0[dom.interior_lines].size // 8))
+        assert held < kept * 2 * u0[dom.interior_lines].nbytes
         assert peak - held < 2.25 * spectrum
 
 
@@ -711,6 +712,20 @@ class TestRecordedStates:
         assert all(sum(_negative_zeros(getattr(w, f)[lines][collar]) for w in want[1:])
                    for f in ("u", "v"))
         assert _negative_zeros(traj.states[0].u[_off_lines(dom)]) > 0
+
+    @pytest.mark.parametrize("d, n, stacked", [(2, 16, True), (3, 32, False)])
+    def test_the_first_snapshot_is_the_configs_initial_data_itself(self, d, n, stacked):
+        """A packed run keeps no copy of its initial data: its first state
+        holds the config's own arrays, and every later one is packed."""
+        dom = Domain(d=d, s=1.0, omega_extent=3.0, n=n, pad_factor=2.0)
+        u0 = bump_field(dom, 0.5)
+        cfg = SimConfig(domain=dom, potential=zero_potential(), T=0.2, dt=0.05, u0=u0,
+                        v0=np.zeros_like(u0), record_every=1)
+        assert (stack_size(FieldState(cfg.u0, cfg.v0)) > 1) == stacked
+        traj = simulate(cfg)
+        first = traj.states[0]
+        assert first.u is traj.config.u0 and first.v is traj.config.v0 and first.t == 0.0
+        assert all(isinstance(st_, dynamics._Packed) for st_ in traj.states[1:])
 
     def test_reading_one_field_builds_one_box(self):
         """Reading ``v`` of a packed 3-D, m = 2 snapshot builds ``v``'s full
@@ -1148,33 +1163,37 @@ class TestSimConfig:
         assert info.value.field == "dt"
 
     def test_a_plan_just_under_the_step_limit_is_accepted_and_not_run(self):
+        """Recording its ends alone, so that its snapshots fit any memory."""
         dom = periodic_domain(n=8)
         with mock.patch.object(dynamics, "step") as steps:
             cfg = SimConfig(domain=dom, potential=zero_potential(), T=1.0,
                             dt=1 / (5e8 - 1), u0=zero_field(dom),
-                            v0=zero_field(dom))
+                            v0=zero_field(dom), record_every=10 ** 9)
         assert cfg.nsteps == 5e8 - 1 and steps.call_count == 0
 
     def test_an_auto_step_plan_at_the_step_limit_raises_on_T(self):
         """The auto step comes from T and the stability bound, so T is the
-        key to change."""
+        key to change. The plans record their ends alone, so that their
+        snapshots fit any memory."""
         dom = Domain(d=1, s=200, omega_extent=2 * np.pi, n=16)
         bound = 0.9 * stability_limit(build_operator(dom), zero_potential())
 
         def plan(steps):
             return SimConfig(domain=dom, potential=zero_potential(), T=steps * bound,
-                             dt=None, u0=zero_field(dom), v0=zero_field(dom))
+                             dt=None, u0=zero_field(dom), v0=zero_field(dom),
+                             record_every=10 ** 9)
 
         assert plan(5e8 - 2).nsteps < 5e8
         with pytest.raises(SimConfigError, match=r"^T / dt = 5e\+08 steps; ") as info:
             plan(5e8)
         assert info.value.field == "T"
 
-    @pytest.mark.parametrize("T, field", [(0.5, "potential"), (1e9, "T")])
+    @pytest.mark.parametrize("T, field", [(0.5, "potential"), (1e9, "T"), (1e300, "T")])
     def test_an_auto_step_plan_a_stiff_potential_makes_endless_raises_on_it(self, T, field):
         """A gradient Lipschitz constant above the largest symbol value sets
         the auto step: the potential is the thing to change, unless the
-        symbol alone would still refuse the plan."""
+        symbol alone would still refuse the plan, also where T / bound
+        overflows to inf and fitted_dt gives one step of T."""
         dom = periodic_domain(n=16)
         W = linear_taper_family().make(1e-300)
         with pytest.raises(SimConfigError, match=r"plans of 500,000,000 steps or more are "
@@ -1182,6 +1201,69 @@ class TestSimConfig:
             SimConfig(domain=dom, potential=W, T=T, dt=None, u0=zero_field(dom),
                       v0=zero_field(dom))
         assert info.value.field == field
+
+    def test_an_auto_step_plan_whose_bound_is_zero_raises_on_T(self):
+        """The symbol and the gradient Lipschitz constant overflow in sum, so
+        the stability bound is 0 and fitted_dt gives one step of T: the plan
+        is refused on T, not passed on to blame a dt that an auto config
+        does not carry."""
+        dom = periodic_domain(n=16, s=170.2)
+        W = linear_taper_family().make(1.2e-308)
+        assert stability_limit(build_operator(dom), W) == 0.0
+        with pytest.raises(SimConfigError, match=r"^T / dt = inf steps; plans of "
+                           r"500,000,000 steps or more are refused$") as info:
+            SimConfig(domain=dom, potential=W, T=1.0, dt=None, u0=zero_field(dom),
+                      v0=zero_field(dom))
+        assert info.value.field == "T"
+
+    @pytest.mark.parametrize("d, n, m, dt", [(2, 256, 1, 2.0 ** -28), (3, 64, 2, 1 / (5e8 - 1))],
+                             ids=["periodic-2d-stacks", "exterior-3d-packed"])
+    def test_a_plan_whose_kept_snapshots_exceed_any_memory_raises_on_record_every(
+            self, d, n, m, dt):
+        """Kept every step, 2^28 + 1 periodic 2-D 256^2 snapshots take 2^48
+        bytes, and 5e8 packed 3-D 64^3, m = 2 ones 4.9e14: refused before
+        anything runs, under the step limit and on any machine."""
+        dom = Domain(d=d, s=1.0, omega_extent=2 * np.pi, n=n, pad_factor=2.0 if m > 1 else 1.0,
+                     boundary_mode=EXTERIOR_DIRICHLET if m > 1 else PERIODIC)
+        with mock.patch.object(dynamics, "step") as steps, \
+                pytest.raises(SimConfigError, match=r"^the \d+ snapshots that record_every = 1 "
+                              r"keeps take .* bytes, more than the .* bytes of physical "
+                              r"memory$") as info:
+            SimConfig(domain=dom, potential=zero_potential(m), T=1.0, dt=dt,
+                      u0=zero_field(dom, m), v0=zero_field(dom, m), record_every=1,
+                      enforce_cfl=False)
+        assert info.value.field == "record_every" and steps.call_count == 0
+
+    @pytest.mark.parametrize("d, n, m", [(1, 32, 1), (2, 16, 1), (3, 16, 2)],
+                             ids=["stacked-1d", "packed-2d", "packed-3d-vector"])
+    def test_a_plan_is_refused_one_byte_short_of_the_bytes_its_run_keeps(
+            self, monkeypatch, d, n, m):
+        """The kept bytes are count x (u0 + v0), or, for a packed run, whose
+        first snapshot is the config's own data, count - 1 x (two Omega
+        blocks + two rows of packed sign bits); the run holds at least that
+        much, and a machine of exactly that much memory accepts the plan."""
+        dom = Domain(d=d, s=1.0, omega_extent=3.0, n=n, pad_factor=2.0)
+        u0 = bump_field(dom, 0.5) if m == 1 else np.zeros(dom.n + (m,))
+        count, lines = 2 + (9 - 1) // 2, dom.interior_lines
+        if u0[lines].shape != u0.shape:
+            kept = (count - 1) * 2 * (u0[dom.interior].nbytes + -(-u0[lines].size // 8))
+        else:
+            kept = count * 2 * u0.nbytes
+
+        def plan():
+            return SimConfig(domain=dom, potential=zero_potential(m), T=0.9, dt=0.1, u0=u0,
+                             v0=np.zeros_like(u0), record_every=2, enforce_cfl=False)
+
+        monkeypatch.setattr(dynamics, "_PHYSICAL_MEMORY", kept)
+        cfg = plan()
+        simulate(cfg)  # builds the domain's cached arrays
+        runs = []
+        held, _ = traced_memory(lambda: runs.append(simulate(cfg)))
+        assert len(runs[0].times) == count and kept <= held
+        monkeypatch.setattr(dynamics, "_PHYSICAL_MEMORY", kept - 1)
+        with pytest.raises(SimConfigError, match=f"^the {count} snapshots") as info:
+            plan()
+        assert info.value.field == "record_every"
 
     @pytest.mark.parametrize("T, dt_max", [(1e308, 1e-10), (1.0, 0.0)])
     def test_fitted_dt_is_T_where_no_finite_step_count_fits(self, T, dt_max):
